@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import ItemCatalog, SplitDataset
 from .model import EncodedCatalog, EncodedProfiles, ModelParams, embed_items, item_tower, pad_histories, user_tower
-from .util import atomic_write_text
+from .util import atomic_write_text, top_k
 
 _EVAL_CHUNK = 1024
 
@@ -56,8 +56,8 @@ def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
 
 def _top_n(scores: np.ndarray, n: int) -> np.ndarray:
     """Per-row top-n indices, highest score first, ties toward the lower
-    index (stable sort on negated scores)."""
-    return np.argsort(-scores, axis=-1, kind="stable")[..., :n]
+    index."""
+    return top_k(scores, n)
 
 
 def retrieve_topn(

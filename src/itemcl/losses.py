@@ -169,9 +169,12 @@ def loss_matching(
     pos_loc = _locate(unique_items, batch.pos_items)
     neg_loc = _locate(unique_items, batch.neg_items.ravel()).reshape(n, k)
 
-    scores = u @ d.T  # (n, unique); pairs only gather their own entries
-    pos_scores = scores[np.arange(n), pos_loc]
-    neg_scores = scores[np.arange(n)[:, None], neg_loc]
+    # per-pair row dots, one negative column at a time: a dense u @ d.T
+    # would be pairs x distinct items, of which only pairs x (k + 1) is read
+    pos_scores = np.einsum("nd,nd->n", u, d[pos_loc])
+    neg_scores = np.empty((n, k))
+    for j in range(k):
+        neg_scores[:, j] = np.einsum("nd,nd->n", u, d[neg_loc[:, j]])
     counts = np.full(n, k, dtype=np.int64)
     values, dpos, dneg = infonce_terms(pos_scores, neg_scores, counts, tau=1.0)
 

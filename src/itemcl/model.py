@@ -11,6 +11,12 @@ Items are addressed by catalog index. Behavior histories use -1 as the
 padding slot; padding positions are masked out of attention and
 contribute exactly zero to the flattened behavior representation, so
 appending padding to a history cannot change the user vector.
+
+A history slot's attention query, key and value depend only on the item
+in the slot (plus, with positional encoding, the slot's position), so the
+user tower projects each distinct item of a call once and gathers the
+projections per slot; its backward pass sums the slot gradients per
+distinct item before the projection weights see them.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .augment import (
     MULTI_CATEGORICAL,
@@ -250,16 +257,15 @@ def add_scaled(dst: dict[str, np.ndarray], src: dict[str, np.ndarray], scale: fl
         dst[name] += scale * g
 
 
+def _segment_matrix(idx: np.ndarray, n: int) -> sparse.csc_matrix:
+    """(n, len(idx)) one-hot matrix with a one at (idx[k], k): its product
+    with a (len(idx), w) array sums the rows per index."""
+    return sparse.csc_matrix((np.ones(idx.size), idx, np.arange(idx.size + 1)), shape=(n, idx.size))
+
+
 def _scatter_rows(dst: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
     """dst[idx[k]] += rows[k] with duplicate indices accumulated."""
-    if idx.size == 0:
-        return
-    if idx.size > 4096:
-        # bincount per column is far faster than np.add.at for big batches
-        for j in range(dst.shape[1]):
-            dst[:, j] += np.bincount(idx, weights=rows[:, j], minlength=dst.shape[0])
-    else:
-        np.add.at(dst, idx, rows)
+    dst += _segment_matrix(idx, dst.shape[0]) @ rows
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +567,9 @@ class UserTrace:
     hist: np.ndarray
     valid: np.ndarray
     profile_idx: np.ndarray
-    x: np.ndarray
+    items: np.ndarray  # (n_distinct,) sorted distinct history entries, padding included
+    slot_item: np.ndarray  # (m, window) row of ``items`` holding each slot's entry
+    item_x: np.ndarray  # (n_distinct, d) item embeddings, zero for padding
     q: np.ndarray
     k: np.ndarray
     v: np.ndarray
@@ -570,6 +578,9 @@ class UserTrace:
     o: np.ndarray
     ffn_h: np.ndarray
     mlp: MlpTrace
+
+
+_QKV = (("attn.Wq", "attn.bq"), ("attn.Wk", "attn.bk"), ("attn.Wv", "attn.bv"))
 
 
 def user_tower(
@@ -582,6 +593,13 @@ def user_tower(
     ``histories`` may be a padded (m, window) index array or raw lists.
     Padding keys receive zero attention weight and padding positions are
     zeroed after the feed-forward, so they contribute nothing downstream.
+
+    Queries, keys and values are projected once per distinct entry of
+    ``histories`` and gathered per slot; with positional encoding the
+    per-position term ``PE @ W`` is added on valid slots, which equals
+    projecting ``x + PE`` by linearity. Padding projects a zero row, so
+    its query, key and value are exactly the biases, whatever else the
+    call holds.
     """
     meta = params.meta
     d = meta.dims.d_field
@@ -593,15 +611,17 @@ def user_tower(
     a = params.arrays
     m = histories.shape[0]
     valid = histories >= 0
-    safe = np.where(valid, histories, 0)
-    x = a["emb.item_id"][safe] * valid[:, :, None]
-    if meta.dims.positional_encoding:
-        x = x + _sinusoidal_positions(window, d)[None, :, :] * valid[:, :, None]
-
-    flat_x = x.reshape(m * window, d)
-    q = _affine(flat_x, a["attn.Wq"], a["attn.bq"]).reshape(m, window, d)
-    k = _affine(flat_x, a["attn.Wk"], a["attn.bk"]).reshape(m, window, d)
-    v = _affine(flat_x, a["attn.Wv"], a["attn.bv"]).reshape(m, window, d)
+    items = np.unique(histories)
+    slot_item = np.searchsorted(items, histories)
+    item_x = a["emb.item_id"].take(items, axis=0)
+    item_x[: np.searchsorted(items, 0)] = 0.0  # padding entries sort first
+    qkv = []
+    for w, b in _QKV:
+        per_slot = _affine(item_x, a[w], a[b]).take(slot_item, axis=0)
+        if meta.dims.positional_encoding:
+            per_slot += np.where(valid[:, :, None], _sinusoidal_positions(window, d) @ a[w], 0.0)
+        qkv.append(per_slot)
+    q, k, v = qkv
 
     scores = np.matmul(q, k.transpose(0, 2, 1))
     scores /= np.sqrt(d)
@@ -623,7 +643,8 @@ def user_tower(
         parts.append(a[f"user_emb.{name}"][profile_idx[:, j]])
     z = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
     u, mlp = _mlp3_forward(params, "user_tower", z)
-    return u, UserTrace(histories, valid, profile_idx, x, q, k, v, probs, attn, o, ffn_h, mlp)
+    trace = UserTrace(histories, valid, profile_idx, items, slot_item, item_x, q, k, v, probs, attn, o, ffn_h, mlp)
+    return u, trace
 
 
 def user_tower_backward(
@@ -663,16 +684,19 @@ def user_tower_backward(
     g_q = np.matmul(g_scores, trace.k)
     g_k = np.matmul(g_scores.transpose(0, 2, 1), trace.q)
 
-    flat_x = trace.x.reshape(m * window, d)
-    g_x = np.zeros_like(flat_x)
-    for mat, bias, gpart in (("attn.Wq", "attn.bq", g_q), ("attn.Wk", "attn.bk", g_k), ("attn.Wv", "attn.bv", g_v)):
-        flat_g = gpart.reshape(m * window, d)
-        grads[mat] += flat_x.T @ flat_g
-        grads[bias] += flat_g.sum(axis=0)
-        g_x += flat_g @ a[mat].T
-    g_x = g_x.reshape(m, window, d) * trace.valid[:, :, None]
-    idx = trace.hist[trace.valid]
-    _scatter_rows(grads["emb.item_id"], idx, g_x[trace.valid])
+    # slot gradients summed per distinct item, padding included: the
+    # biases see every slot, the weights and embeddings the item rows
+    per_item = _segment_matrix(trace.slot_item.ravel(), trace.items.size)
+    g_x = np.zeros_like(trace.item_x)
+    for (w, b), g_slot in zip(_QKV, (g_q, g_k, g_v)):
+        g_item = per_item @ g_slot.reshape(m * window, d)
+        grads[w] += trace.item_x.T @ g_item
+        if meta.dims.positional_encoding:
+            grads[w] += _sinusoidal_positions(window, d).T @ (g_slot * trace.valid[:, :, None]).sum(axis=0)
+        grads[b] += g_item.sum(axis=0)
+        g_x += g_item @ a[w].T
+    n_pad = np.searchsorted(trace.items, 0)
+    grads["emb.item_id"][trace.items[n_pad:]] += g_x[n_pad:]
 
 
 # ---------------------------------------------------------------------------

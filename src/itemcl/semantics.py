@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import ItemCatalog
 from .sampling import uniform_excluding
-from .util import atomic_write_text, warn
+from .util import atomic_write_text, top_k, warn
 
 _KNN_CHUNK = 512
 
@@ -60,13 +60,11 @@ def mine_title_knn(catalog: ItemCatalog, k: int = 10) -> SemanticPositivePool:
     for start in range(0, len(keep), _KNN_CHUNK):
         block = unit[start : start + _KNN_CHUNK]
         sims = block @ unit.T
-        for row in range(block.shape[0]):
-            q = start + row
-            scores = sims[row].copy()
-            scores[q] = -np.inf  # exclude self
-            # stable argsort on negated scores keeps ties in ascending index order
-            order = np.argsort(-scores, kind="stable")[:take]
-            positives[keep[q]] = keep_arr[order]
+        rows = np.arange(block.shape[0])
+        sims[rows, start + rows] = -np.inf  # exclude self
+        top = top_k(sims, take)
+        for row in rows:
+            positives[keep[start + row]] = keep_arr[top[row]]
     return SemanticPositivePool(positives, "title_knn")
 
 

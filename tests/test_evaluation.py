@@ -24,6 +24,35 @@ class TestTopN:
     def test_ties_take_lower_index(self):
         assert _top_n(np.array([1.0, 2.0, 2.0, 0.5]), 3).tolist() == [1, 2, 0]
 
+    @staticmethod
+    def stable_argsort(scores, k):
+        return np.argsort(-scores, axis=-1, kind="stable")[..., :k]
+
+    def test_planted_ties_at_the_kth_score_match_stable_argsort(self):
+        rng = np.random.default_rng(3)
+        n, k = 40, 7
+        scores = rng.normal(size=(64, n))
+        for row in scores:
+            # the k-th highest score repeated at random places, some of
+            # them above and some below the indices already in the top k
+            kth = np.sort(row)[::-1][k - 1]
+            row[rng.choice(n, size=int(rng.integers(1, 6)), replace=False)] = kth
+        scores[5] = 1.5  # all equal
+        scores[6, ::3] = -np.inf
+        np.testing.assert_array_equal(_top_n(scores, k), self.stable_argsort(scores, k))
+        for row in scores:
+            np.testing.assert_array_equal(_top_n(row, k), self.stable_argsort(row, k))
+
+    def test_few_distinct_values_every_k(self):
+        rng = np.random.default_rng(4)
+        scores = rng.integers(0, 3, size=(32, 12)).astype(float)
+        for k in range(1, 13):  # k = n included
+            np.testing.assert_array_equal(_top_n(scores, k), self.stable_argsort(scores, k))
+
+    def test_all_equal_row_is_index_order(self):
+        assert _top_n(np.zeros(9), 4).tolist() == [0, 1, 2, 3]
+        assert _top_n(np.zeros(9), 9).tolist() == list(range(9))
+
 
 def random_model(n_items=500, n_users=50, seed=0):
     spec = SyntheticSpec(

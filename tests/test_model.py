@@ -8,6 +8,8 @@ from itemcl.model import (
     EncodedCatalog,
     EncodedProfiles,
     ModelDims,
+    _scatter_rows,
+    _sinusoidal_positions,
     build_meta,
     embed_items,
     init_params,
@@ -17,6 +19,8 @@ from itemcl.model import (
     project,
     save_checkpoint,
     user_tower,
+    user_tower_backward,
+    zero_grads,
 )
 
 
@@ -140,6 +144,140 @@ class TestUserTower:
         np.testing.assert_array_equal(u_long, u_clip)
 
 
+def slot_by_slot_user_tower(params, hist, profile_idx, grad_u):
+    """Reference user tower: every history slot builds its own input row
+    and runs its own query/key/value projections; the backward pass
+    scatters each slot's input gradient into the item table with
+    np.add.at. Returns the user vectors and the gradient dict."""
+    a = params.arrays
+    dims = params.meta.dims
+    d, window = dims.d_field, dims.behavior_window
+    m = hist.shape[0]
+    valid = hist >= 0
+    pos = _sinusoidal_positions(window, d) if dims.positional_encoding else np.zeros((window, d))
+    x = np.zeros((m, window, d))
+    for i in range(m):
+        for s in range(window):
+            if valid[i, s]:
+                x[i, s] = a["emb.item_id"][hist[i, s]] + pos[s]
+    q = x @ a["attn.Wq"] + a["attn.bq"]
+    k = x @ a["attn.Wk"] + a["attn.bk"]
+    v = x @ a["attn.Wv"] + a["attn.bv"]
+    scores = np.where(valid[:, None, :], q @ k.transpose(0, 2, 1) / np.sqrt(d), -1e30)
+    e = np.exp(scores - scores.max(axis=2, keepdims=True))
+    probs = e / e.sum(axis=2, keepdims=True)
+    attn = probs @ v
+    o = attn @ a["attn.Wo"] + a["attn.bo"]
+    ffn_h = np.maximum(o @ a["attn.Wf1"] + a["attn.bf1"], 0.0)
+    encoded = (ffn_h @ a["attn.Wf2"] + a["attn.bf2"]) * valid[:, :, None]
+    fields = params.meta.user_field_names
+    z = np.concatenate(
+        [encoded.reshape(m, window * d)] + [a[f"user_emb.{f}"][profile_idx[:, j]] for j, f in enumerate(fields)],
+        axis=1,
+    )
+    h0 = np.maximum(z @ a["user_tower.W0"] + a["user_tower.b0"], 0.0)
+    h1 = np.maximum(h0 @ a["user_tower.W1"] + a["user_tower.b1"], 0.0)
+    u = h1 @ a["user_tower.W2"] + a["user_tower.b2"]
+
+    g = zero_grads(params)
+    g["user_tower.W2"] += h1.T @ grad_u
+    g["user_tower.b2"] += grad_u.sum(axis=0)
+    gh1 = (grad_u @ a["user_tower.W2"].T) * (h1 > 0)
+    g["user_tower.W1"] += h0.T @ gh1
+    g["user_tower.b1"] += gh1.sum(axis=0)
+    gh0 = (gh1 @ a["user_tower.W1"].T) * (h0 > 0)
+    g["user_tower.W0"] += z.T @ gh0
+    g["user_tower.b0"] += gh0.sum(axis=0)
+    gz = gh0 @ a["user_tower.W0"].T
+    for j, f in enumerate(fields):
+        np.add.at(g[f"user_emb.{f}"], profile_idx[:, j], gz[:, window * d + j * d : window * d + (j + 1) * d])
+    g_enc = gz[:, : window * d].reshape(m, window, d) * valid[:, :, None]
+    g["attn.Wf2"] += np.einsum("msi,msj->ij", ffn_h, g_enc)
+    g["attn.bf2"] += g_enc.sum(axis=(0, 1))
+    g_ffn = (g_enc @ a["attn.Wf2"].T) * (ffn_h > 0)
+    g["attn.Wf1"] += np.einsum("msi,msj->ij", o, g_ffn)
+    g["attn.bf1"] += g_ffn.sum(axis=(0, 1))
+    g_o = g_ffn @ a["attn.Wf1"].T
+    g["attn.Wo"] += np.einsum("msi,msj->ij", attn, g_o)
+    g["attn.bo"] += g_o.sum(axis=(0, 1))
+    g_attn = g_o @ a["attn.Wo"].T
+    g_probs = g_attn @ v.transpose(0, 2, 1)
+    g_v = probs.transpose(0, 2, 1) @ g_attn
+    g_scores = probs * (g_probs - (g_probs * probs).sum(axis=2, keepdims=True)) / np.sqrt(d)
+    g_q = g_scores @ k
+    g_k = g_scores.transpose(0, 2, 1) @ q
+    g_x = np.zeros_like(x)
+    for name, g_part in (("q", g_q), ("k", g_k), ("v", g_v)):
+        g[f"attn.W{name}"] += np.einsum("msi,msj->ij", x, g_part)
+        g[f"attn.b{name}"] += g_part.sum(axis=(0, 1))
+        g_x += g_part @ a[f"attn.W{name}"].T
+    for i in range(m):
+        for s in range(window):
+            if valid[i, s]:
+                np.add.at(g["emb.item_id"], hist[i, s], g_x[i, s])
+    return u, g
+
+
+def assert_relative(actual, expected, rtol=1e-12):
+    scale = np.abs(expected).max() if expected.size else 0.0
+    assert np.abs(actual - expected).max(initial=0.0) <= rtol * scale
+
+
+class TestUserTowerMatchesSlotBySlotReference:
+    HISTORIES = {
+        # repeats within a user, across users, padding, an empty history
+        "batch": [[0, 2, 0, 2, 1], [2, 2, 3, -1, 4], [-1, -1, -1, -1, -1], [5, 5, 5, 5, 5], [-1, -1, 1, 3, 0]],
+        "single_user": [[3, -1, 3, 3, 0]],
+    }
+
+    @pytest.mark.parametrize("positional", [False, True])
+    @pytest.mark.parametrize("case", sorted(HISTORIES))
+    def test_output_and_every_gradient(self, tiny, positional, case):
+        dims = ModelDims(d_field=4, tower_dims=(6, 4, 4), behavior_window=5, ffn_dim=3, d_proj=2,
+                         positional_encoding=positional)
+        meta = build_meta(tiny["catalog"], UserProfileTable(("seg",), {"u1": ("s1",), "u2": ("s2",)}), dims)
+        params = init_params(meta, 0)
+        rng = np.random.default_rng(11)
+        for arr in params.arrays.values():
+            arr[...] = rng.uniform(-0.6, 0.6, size=arr.shape)
+        hist = np.asarray(self.HISTORIES[case], dtype=np.int64)
+        profile_idx = rng.integers(0, 3, size=(len(hist), 1))
+        grad_u = rng.normal(size=(len(hist), dims.d_out))
+
+        u, trace = user_tower(params, hist, profile_idx)
+        grads = zero_grads(params)
+        user_tower_backward(params, trace, grad_u, grads)
+        ref_u, ref_grads = slot_by_slot_user_tower(params, hist, profile_idx, grad_u)
+        assert_relative(u, ref_u)
+        for name in params.arrays:
+            if name == "attn.bk":
+                continue
+            assert_relative(grads[name], ref_grads[name])
+        # a shared key bias shifts a query's scores alike, which softmax
+        # ignores: its true gradient is zero, both computed ones rounding
+        scale = max(np.abs(g).max() for g in ref_grads.values())
+        assert np.abs(grads["attn.bk"]).max() <= 1e-12 * scale
+        assert np.abs(ref_grads["attn.bk"]).max() <= 1e-12 * scale
+        assert np.abs(grads["emb.item_id"][[0, 1, 2, 3, 5]]).max() > 0.0
+
+
+class TestScatterRows:
+    def test_duplicates_accumulate_like_add_at(self):
+        rng = np.random.default_rng(5)
+        idx = rng.integers(0, 7, size=300)
+        rows = rng.normal(size=(300, 3))
+        dst = rng.normal(size=(7, 3))
+        expected = dst.copy()
+        np.add.at(expected, idx, rows)
+        _scatter_rows(dst, idx, rows)
+        np.testing.assert_allclose(dst, expected, rtol=1e-12, atol=1e-12)
+
+    def test_empty_index_leaves_destination(self):
+        dst = np.ones((4, 2))
+        _scatter_rows(dst, np.empty(0, dtype=np.int64), np.empty((0, 2)))
+        np.testing.assert_array_equal(dst, np.ones((4, 2)))
+
+
 class TestProjectors:
     def test_identity_weight_zero_bias(self, tiny):
         params = tiny["params"]
@@ -241,5 +379,7 @@ class TestEncodings:
         _, trace_plain = user_tower(params, [[0, 2]], prof)
         _, trace_pe = user_tower(params_pe, [[0, 2]], prof)
         assert not np.array_equal(trace_plain.attn, trace_pe.attn)
-        # padding positions stay zeroed either way
-        np.testing.assert_array_equal(trace_pe.x[0, 0], np.zeros(params.meta.dims.d_field))
+        # padding positions project a zero input either way: their query,
+        # key and value are exactly the biases, with no positional term
+        for got, bias in ((trace_pe.q, "attn.bq"), (trace_pe.k, "attn.bk"), (trace_pe.v, "attn.bv")):
+            np.testing.assert_array_equal(got[0, 0], params_pe.arrays[bias])

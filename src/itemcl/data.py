@@ -80,6 +80,14 @@ class ItemCatalog:
     def item_ids(self) -> list[str]:
         return [item.item_id for item in self.items]
 
+    def index_at(self, item_id: str, where: str) -> int:
+        """Index of ``item_id``, read at ``where`` (``path:line``), which
+        an unknown id's ``DataFormatError`` names."""
+        index = self.index_of.get(item_id)
+        if index is None:
+            raise DataFormatError(f"{where}: unknown item_id {item_id!r}")
+        return index
+
 
 @dataclass
 class UserProfileTable:

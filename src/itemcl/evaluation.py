@@ -173,15 +173,3 @@ def export_embeddings(
         lines.append(f"{catalog[i].item_id}\t{values}")
     atomic_write_text(path, "\n".join(lines) + "\n")
 
-
-def load_embeddings(path: str, catalog: ItemCatalog) -> np.ndarray:
-    """Re-import an embedding export, in catalog index order."""
-    rows: dict[int, np.ndarray] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            rows[catalog.index_of[parts[0]]] = np.asarray([float(x) for x in parts[1:]])
-    return np.stack([rows[i] for i in range(len(catalog))])

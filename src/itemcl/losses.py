@@ -17,11 +17,21 @@ All four share the same temperature-scaled softmax-over-negatives shape:
 By default the positive term joins the denominator (keeps every term
 nonnegative); the literal negatives-only denominator stays available via
 ``include_positive=False``.
+
+Every task shares one item-side forward per step, an ``ItemPass``: the
+raw embeddings and item-tower outputs of the whole catalog, read by item
+index. A task takes an optional trailing pass and a ``weight`` (its
+lambda); it adds ``weight`` times its gradient into the pass's
+``grad_raw``/``grad_d`` and its other parameters' gradients into the
+pass's one dict, and ``ItemPass.backward`` then runs the item tower and
+embedding backward once. ``loss_joint`` hands every task the same pass;
+a task called without one runs its own and returns finished gradients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy import sparse
@@ -42,7 +52,6 @@ from .model import (
     user_tower,
     user_tower_backward,
     zero_grads,
-    add_scaled,
 )
 from .sampling import sample_distinct_rows, uniform_excluding
 from .semantics import SemanticPositivePool
@@ -119,10 +128,6 @@ def infonce_terms(
     return values, dpos, dneg
 
 
-def _locate(sorted_unique: np.ndarray, items: np.ndarray) -> np.ndarray:
-    return np.searchsorted(sorted_unique, items)
-
-
 def _batched_negatives(
     n_items: int,
     exclusion_lists: list[np.ndarray],
@@ -151,47 +156,73 @@ def _batched_negatives(
     return out
 
 
+class ItemPass:
+    """One step's item-side forward, shared by every task: raw feature
+    embeddings ``raw`` and item-tower outputs ``d`` of the whole catalog,
+    in catalog order. Tasks add their weighted gradients into ``grad_raw``
+    and ``grad_d`` (same shapes) and their other parameters' gradients
+    into ``grads``; ``backward`` finishes that one dict."""
+
+    def __init__(self, params: ModelParams, enc: EncodedCatalog):
+        self.params = params
+        self.enc = enc
+        self.grads = zero_grads(params)
+        self.raw, self._embed_trace = embed_items(params, enc, np.arange(enc.n_items))
+        self.d, self._tower_trace = item_tower(params, self.raw)
+        self.grad_raw = np.zeros_like(self.raw)
+        self.grad_d = np.zeros_like(self.d)
+
+    def backward(self) -> dict[str, np.ndarray]:
+        """Backpropagate the accumulated item gradients, once."""
+        self.grad_raw += item_tower_backward(self.params, self._tower_trace, self.grad_d, self.grads)
+        embed_items_backward(self.params, self.enc, self._embed_trace, self.grad_raw, self.grads)
+        return self.grads
+
+
+def _result(value: float, items: ItemPass, own: bool) -> tuple[float, dict[str, np.ndarray]]:
+    """A task's return: finished gradients if it ran its own pass, else
+    the shared dict, complete once the caller runs ``items.backward()``."""
+    return value, items.backward() if own else items.grads
+
+
 def loss_matching(
-    params: ModelParams, enc: EncodedCatalog, batch: MatchBatch
+    params: ModelParams,
+    enc: EncodedCatalog,
+    batch: MatchBatch,
+    items: ItemPass | None = None,
+    weight: float = 1.0,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Sampled softmax click loss; the clicked item joins its own
     denominator, so every pair contributes a nonnegative term."""
     if batch.neg_items.ndim != 2 or batch.neg_items.shape[1] < 1:
         raise ValueError("every pair needs at least one negative")
-    grads = zero_grads(params)
+    own = items is None
+    items = items or ItemPass(params, enc)
     users, user_trace = user_tower(params, batch.histories, batch.profile_idx)
     u = users[batch.user_rows]
+    d = items.d
     n, k = batch.neg_items.shape
 
-    unique_items = np.unique(np.concatenate([batch.pos_items, batch.neg_items.ravel()]))
-    raw, raw_trace = embed_items(params, enc, unique_items)
-    d, tower_trace = item_tower(params, raw)
-    pos_loc = _locate(unique_items, batch.pos_items)
-    neg_loc = _locate(unique_items, batch.neg_items.ravel()).reshape(n, k)
-
     # per-pair row dots, one negative column at a time: a dense u @ d.T
-    # would be pairs x distinct items, of which only pairs x (k + 1) is read
-    pos_scores = np.einsum("nd,nd->n", u, d[pos_loc])
+    # would be pairs x catalog, of which only pairs x (k + 1) is read
+    pos_scores = np.einsum("nd,nd->n", u, d[batch.pos_items])
     neg_scores = np.empty((n, k))
     for j in range(k):
-        neg_scores[:, j] = np.einsum("nd,nd->n", u, d[neg_loc[:, j]])
+        neg_scores[:, j] = np.einsum("nd,nd->n", u, d[batch.neg_items[:, j]])
     counts = np.full(n, k, dtype=np.int64)
     values, dpos, dneg = infonce_terms(pos_scores, neg_scores, counts, tau=1.0)
 
-    # sparse coefficient matrix: coeffs[i, j] = d(loss)/d(score[i, j])
+    # sparse coefficient matrix over (pair, item): weight * d(loss)/d(score)
     rows = np.concatenate([np.arange(n), np.repeat(np.arange(n), k)])
-    cols = np.concatenate([pos_loc, neg_loc.ravel()])
-    weights = np.concatenate([dpos, dneg.ravel()])
-    coeffs = sparse.csr_matrix((weights, (rows, cols)), shape=(n, len(unique_items)))
-    grad_u = coeffs @ d
-    grad_d = coeffs.T @ u
+    cols = np.concatenate([batch.pos_items, batch.neg_items.ravel()])
+    weights = weight * np.concatenate([dpos, dneg.ravel()])
+    coeffs = sparse.csr_matrix((weights, (rows, cols)), shape=(n, enc.n_items))
     grad_users = np.zeros_like(users)
-    _scatter_rows(grad_users, batch.user_rows, grad_u)
+    _scatter_rows(grad_users, batch.user_rows, coeffs @ d)
+    items.grad_d += coeffs.T @ u
 
-    user_tower_backward(params, user_trace, grad_users, grads)
-    grad_raw = item_tower_backward(params, tower_trace, grad_d, grads)
-    embed_items_backward(params, enc, raw_trace, grad_raw, grads)
-    return float(values.sum()), grads
+    user_tower_backward(params, user_trace, grad_users, items.grads)
+    return _result(float(values.sum()), items, own)
 
 
 def loss_feature_cl(
@@ -201,18 +232,22 @@ def loss_feature_cl(
     plan: AugmentationPlan,
     rng: np.random.Generator,
     dropout_rng: np.random.Generator | None = None,
+    items: ItemPass | None = None,
+    weight: float = 1.0,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Clean-versus-augmented contrastive loss on raw feature embeddings.
 
     Each involved item gets one augmented view per step; an anchor pairs
-    with its own view, against the views of its sampled negatives.
-    Negative draws come from ``rng``; mask draws come from ``dropout_rng``
-    (its own stream inside the trainer) and fall back to ``rng``.
+    with its own view, against the views of its sampled negatives. The
+    clean view is the shared pass's ``raw`` row. Negative draws come from
+    ``rng``; mask draws come from ``dropout_rng`` (its own stream inside
+    the trainer) and fall back to ``rng``.
     """
-    grads = zero_grads(params)
+    own = items is None
+    items = items or ItemPass(params, enc)
     anchors = batch.anchors
     if anchors.size == 0:
-        return 0.0, grads
+        return _result(0.0, items, own)
     k = batch.num_negatives
     if batch.feature_negatives is not None:
         negs = batch.feature_negatives
@@ -222,15 +257,14 @@ def loss_feature_cl(
         negs = np.stack([uniform_excluding(enc.n_items, {int(a)}, k, rng) for a in anchors])
 
     aug_ids = np.unique(np.concatenate([anchors, negs.ravel()]))
-    raw_clean, clean_trace = embed_items(params, enc, anchors)
     raw_aug, aug_trace = embed_items_augmented(
         params, enc, aug_ids, plan, dropout_rng if dropout_rng is not None else rng
     )
-    p_clean, p_clean_trace = project(params, "f", raw_clean)
+    p_clean, p_clean_trace = project(params, "f", items.raw[anchors])
     p_aug, p_aug_trace = project(params, "f", raw_aug)
 
-    self_loc = _locate(aug_ids, anchors)
-    neg_loc = _locate(aug_ids, negs.ravel()).reshape(negs.shape)
+    self_loc = np.searchsorted(aug_ids, anchors)
+    neg_loc = np.searchsorted(aug_ids, negs.ravel()).reshape(negs.shape)
     pos_scores = np.einsum("nd,nd->n", p_clean, p_aug[self_loc])
     neg_scores = np.einsum("nd,nkd->nk", p_clean, p_aug[neg_loc])
     counts = np.full(anchors.size, negs.shape[1], dtype=np.int64)
@@ -240,75 +274,80 @@ def loss_feature_cl(
     n = anchors.size
     rows = np.concatenate([np.arange(n), np.repeat(np.arange(n), negs.shape[1])])
     cols = np.concatenate([self_loc, neg_loc.ravel()])
-    weights = np.concatenate([dpos, dneg.ravel()])
+    weights = weight * np.concatenate([dpos, dneg.ravel()])
     coeffs = sparse.csr_matrix((weights, (rows, cols)), shape=(n, len(aug_ids)))
     grad_clean = coeffs @ p_aug
     grad_aug = coeffs.T @ p_clean
 
-    grad_raw_clean = project_backward(params, "f", p_clean_trace, grad_clean, grads)
-    grad_raw_aug = project_backward(params, "f", p_aug_trace, grad_aug, grads)
-    embed_items_backward(params, enc, clean_trace, grad_raw_clean, grads)
-    embed_items_augmented_backward(params, enc, aug_trace, grad_raw_aug, grads)
-    return float(values.sum()), grads
+    grad_raw_clean = project_backward(params, "f", p_clean_trace, grad_clean, items.grads)
+    _scatter_rows(items.grad_raw, anchors, grad_raw_clean)
+    grad_raw_aug = project_backward(params, "f", p_aug_trace, grad_aug, items.grads)
+    embed_items_augmented_backward(params, enc, aug_trace, grad_raw_aug, items.grads)
+    return _result(float(values.sum()), items, own)
 
 
 def _item_pair_infonce(
-    params: ModelParams,
-    enc: EncodedCatalog,
+    items: ItemPass,
     which: str,
-    anchors: np.ndarray,
+    batch: ContrastiveBatch,
+    anchors: list[int],
     positives: list[np.ndarray],
-    negatives: list[np.ndarray],
-    tau: float,
-    include_positive: bool,
-    grads: dict[str, np.ndarray],
+    pinned: dict[int, np.ndarray],
+    excluded: Callable[[int], np.ndarray],
+    n_items: int,
+    rng: np.random.Generator,
+    weight: float,
 ) -> float:
     """Shared machinery for the semantic and session tasks: contrastive
     terms over projected item-tower outputs, one term per (anchor,
-    positive), negatives shared across an anchor's terms."""
-    involved = np.unique(
-        np.concatenate([anchors] + [p for p in positives] + [n for n in negatives])
-    )
-    raw, raw_trace = embed_items(params, enc, involved)
-    d, tower_trace = item_tower(params, raw)
-    p, p_trace = project(params, which, d)
+    positive), negatives shared across an anchor's terms. An anchor's
+    negatives are ``pinned[a]`` or drawn outside ``excluded(a)``; anchors
+    left with none drop out. Arrays are indexed by item id throughout."""
+    to_draw = [a for a in anchors if a not in pinned]
+    drawn = _batched_negatives(n_items, [excluded(a) for a in to_draw], batch.num_negatives, rng)
+    negs_by_anchor = dict(zip(to_draw, drawn))
+    negatives = [np.asarray(pinned[a], dtype=np.int64) if a in pinned else negs_by_anchor[a] for a in anchors]
+    keep = [i for i, neg in enumerate(negatives) if neg.size]
+    if not keep:
+        return 0.0
+    anchors = np.asarray([anchors[i] for i in keep], dtype=np.int64)
+    positives = [np.asarray(positives[i], dtype=np.int64) for i in keep]
+    negatives = [negatives[i] for i in keep]
 
+    params = items.params
+    p, p_trace = project(params, which, items.d)
     n_anchors = anchors.size
-    anchor_loc = _locate(involved, anchors)
     kmax = max(len(n) for n in negatives)
-    neg_loc = np.zeros((n_anchors, kmax), dtype=np.int64)
+    neg_ids = np.zeros((n_anchors, kmax), dtype=np.int64)
     counts = np.zeros(n_anchors, dtype=np.int64)
     for i, neg in enumerate(negatives):
         counts[i] = len(neg)
-        neg_loc[i, : len(neg)] = _locate(involved, np.asarray(neg, dtype=np.int64))
+        neg_ids[i, : len(neg)] = neg
 
-    term_anchor = np.repeat(np.arange(n_anchors), [len(p_) for p_ in positives])
-    term_pos_loc = _locate(involved, np.concatenate(positives))
-    anchor_neg_scores = np.einsum("ad,akd->ak", p[anchor_loc], p[neg_loc])
+    term_row = np.repeat(np.arange(n_anchors), [len(p_) for p_ in positives])
+    term_anchor = anchors[term_row]
+    term_pos = np.concatenate(positives)
+    anchor_neg_scores = np.einsum("ad,akd->ak", p[anchors], p[neg_ids])
 
-    pos_scores = np.einsum("td,td->t", p[anchor_loc[term_anchor]], p[term_pos_loc])
+    pos_scores = np.einsum("td,td->t", p[term_anchor], p[term_pos])
     values, dpos, dneg_term = infonce_terms(
-        pos_scores, anchor_neg_scores[term_anchor], counts[term_anchor], tau, include_positive
+        pos_scores, anchor_neg_scores[term_row], counts[term_row], batch.tau, batch.include_positive
     )
     anchor_dneg = np.zeros_like(anchor_neg_scores)
-    _scatter_rows(anchor_dneg, term_anchor, dneg_term)
+    _scatter_rows(anchor_dneg, term_row, dneg_term)
 
     # every scored pair (a, b) contributes w * p[b] to grad_p[a] and
     # w * p[a] to grad_p[b]; one symmetric sparse matrix covers them all
-    a_loc_t = anchor_loc[term_anchor]
     valid = np.arange(kmax)[None, :] < counts[:, None]
-    a_rep = np.broadcast_to(anchor_loc[:, None], (n_anchors, kmax))[valid]
-    n_rep = neg_loc[valid]
+    a_rep = np.broadcast_to(anchors[:, None], (n_anchors, kmax))[valid]
+    n_rep = neg_ids[valid]
     w = anchor_dneg[valid]
-    rows = np.concatenate([a_loc_t, term_pos_loc, a_rep, n_rep])
-    cols = np.concatenate([term_pos_loc, a_loc_t, n_rep, a_rep])
-    weights = np.concatenate([dpos, dpos, w, w])
-    coeffs = sparse.csr_matrix((weights, (rows, cols)), shape=(len(involved), len(involved)))
-    grad_p = coeffs @ p
-
-    grad_d = project_backward(params, which, p_trace, grad_p, grads)
-    grad_raw = item_tower_backward(params, tower_trace, grad_d, grads)
-    embed_items_backward(params, enc, raw_trace, grad_raw, grads)
+    rows = np.concatenate([term_anchor, term_pos, a_rep, n_rep])
+    cols = np.concatenate([term_pos, term_anchor, n_rep, a_rep])
+    weights = weight * np.concatenate([dpos, dpos, w, w])
+    n_rows = items.d.shape[0]
+    coeffs = sparse.csr_matrix((weights, (rows, cols)), shape=(n_rows, n_rows))
+    items.grad_d += project_backward(params, which, p_trace, coeffs @ p, items.grads)
     return float(values.sum())
 
 
@@ -318,45 +357,28 @@ def loss_semantic_cl(
     batch: ContrastiveBatch,
     pool: SemanticPositivePool,
     rng: np.random.Generator,
+    items: ItemPass | None = None,
+    weight: float = 1.0,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Contrastive loss over mined semantic positives; every positive of
     an anchor contributes its own term. Anchors with empty pools
     contribute exactly zero."""
-    grads = zero_grads(params)
-    kept = [int(a) for a in batch.anchors if pool.has_positives(int(a))]
-    to_draw = [a for a in kept if a not in batch.semantic_negatives]
-    drawn = _batched_negatives(
-        pool.n_items,
-        [np.append(pool.positives[a], a) for a in to_draw],
-        batch.num_negatives,
-        rng,
-    )
-    negs_by_anchor = dict(zip(to_draw, drawn))
-    anchors, positives, negatives = [], [], []
-    for a in kept:
-        if a in batch.semantic_negatives:
-            neg = np.asarray(batch.semantic_negatives[a], dtype=np.int64)
-        else:
-            neg = negs_by_anchor[a]
-        if neg.size == 0:
-            continue
-        anchors.append(a)
-        positives.append(np.asarray(pool.positives[a], dtype=np.int64))
-        negatives.append(neg)
-    if not anchors:
-        return 0.0, grads
+    own = items is None
+    items = items or ItemPass(params, enc)
+    anchors = [int(a) for a in batch.anchors if pool.has_positives(int(a))]
     value = _item_pair_infonce(
-        params,
-        enc,
+        items,
         "t",
-        np.asarray(anchors, dtype=np.int64),
-        positives,
-        negatives,
-        batch.tau,
-        batch.include_positive,
-        grads,
+        batch,
+        anchors,
+        [pool.positives[a] for a in anchors],
+        batch.semantic_negatives,
+        lambda a: np.append(pool.positives[a], a),
+        pool.n_items,
+        rng,
+        weight,
     )
-    return value, grads
+    return _result(value, items, own)
 
 
 def loss_session_cl(
@@ -366,54 +388,36 @@ def loss_session_cl(
     sampler: SessionPositiveSampler,
     table: CooccurrenceTable,
     rng: np.random.Generator,
+    items: ItemPass | None = None,
+    weight: float = 1.0,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Contrastive loss over session co-occurrence: one weighted positive
     draw per anchor per step, negatives from the never-co-occurred set.
     Isolated anchors contribute exactly zero."""
-    grads = zero_grads(params)
-    kept, kept_pos = [], []
+    own = items is None
+    items = items or ItemPass(params, enc)
+    anchors, positives = [], []
     for a in batch.anchors:
         a = int(a)
         pos = batch.session_positives.get(a)
         if pos is None:
             pos = sampler.sample(a, rng)
-        if pos is None:
-            continue
-        kept.append(a)
-        kept_pos.append(pos)
-    to_draw = [a for a in kept if a not in batch.session_negatives]
-    drawn = _batched_negatives(
-        table.n_items,
-        [np.fromiter(table.neighbors(a) | {a}, dtype=np.int64) for a in to_draw],
-        batch.num_negatives,
-        rng,
-    )
-    negs_by_anchor = dict(zip(to_draw, drawn))
-    anchors, positives, negatives = [], [], []
-    for a, pos in zip(kept, kept_pos):
-        if a in batch.session_negatives:
-            neg = np.asarray(batch.session_negatives[a], dtype=np.int64)
-        else:
-            neg = negs_by_anchor[a]
-        if neg.size == 0:
-            continue
-        anchors.append(a)
-        positives.append(np.asarray([pos], dtype=np.int64))
-        negatives.append(neg)
-    if not anchors:
-        return 0.0, grads
+        if pos is not None:
+            anchors.append(a)
+            positives.append([pos])
     value = _item_pair_infonce(
-        params,
-        enc,
+        items,
         "s",
-        np.asarray(anchors, dtype=np.int64),
+        batch,
+        anchors,
         positives,
-        negatives,
-        batch.tau,
-        batch.include_positive,
-        grads,
+        batch.session_negatives,
+        lambda a: np.fromiter(table.neighbors(a) | {a}, dtype=np.int64),
+        table.n_items,
+        rng,
+        weight,
     )
-    return value, grads
+    return _result(value, items, own)
 
 
 @dataclass
@@ -439,37 +443,37 @@ def loss_joint(
 
     A task with weight zero is skipped outright and consumes none of its
     random streams, which is exactly what makes an ablated run reproduce
-    the corresponding zero-weight run step for step.
+    the corresponding zero-weight run step for step. All tasks share one
+    ``ItemPass``, so the step runs the item tower once forward and once
+    backward and returns one gradient dict.
     """
     l_fea, l_sem, l_sess = lambdas
     if min(lambdas) < 0:
         raise ValueError("loss weights must be nonnegative")
-    value_match, grads = loss_matching(params, enc, inputs.match)
+    items = ItemPass(params, enc)
+    value_match, _ = loss_matching(params, enc, inputs.match, items, 1.0)
     components = {"matching": value_match, "feature": 0.0, "semantic": 0.0, "session": 0.0}
     total = value_match
     if l_fea > 0:
         if inputs.plan is None:
             raise ValueError("feature task is enabled but no augmentation plan was given")
-        v, g = loss_feature_cl(
-            params, enc, inputs.contrastive, inputs.plan, rngs["feature"], rngs.get("dropout")
+        v, _ = loss_feature_cl(
+            params, enc, inputs.contrastive, inputs.plan, rngs["feature"], rngs.get("dropout"), items, l_fea
         )
         components["feature"] = v
         total += l_fea * v
-        add_scaled(grads, g, l_fea)
     if l_sem > 0:
         if inputs.pool is None:
             raise ValueError("semantic task is enabled but no positive pool was given")
-        v, g = loss_semantic_cl(params, enc, inputs.contrastive, inputs.pool, rngs["semantic"])
+        v, _ = loss_semantic_cl(params, enc, inputs.contrastive, inputs.pool, rngs["semantic"], items, l_sem)
         components["semantic"] = v
         total += l_sem * v
-        add_scaled(grads, g, l_sem)
     if l_sess > 0:
         if inputs.sampler is None or inputs.table is None:
             raise ValueError("session task is enabled but no sampler/table was given")
-        v, g = loss_session_cl(
-            params, enc, inputs.contrastive, inputs.sampler, inputs.table, rngs["session"]
+        v, _ = loss_session_cl(
+            params, enc, inputs.contrastive, inputs.sampler, inputs.table, rngs["session"], items, l_sess
         )
         components["session"] = v
         total += l_sess * v
-        add_scaled(grads, g, l_sess)
-    return total, components, grads
+    return total, components, items.backward()

@@ -198,7 +198,8 @@ def _array_shapes(meta: ModelMeta) -> list[tuple[str, tuple[int, ...]]]:
         ]
     for name in ("Wq", "Wk", "Wv", "Wo"):
         shapes.append((f"attn.{name}", (d, d)))
-        shapes.append((f"attn.b{name[1]}", (d,)))
+        if name != "Wk":  # a bias on every key shifts a query's scores alike; softmax ignores it
+            shapes.append((f"attn.b{name[1]}", (d,)))
     shapes += [
         ("attn.Wf1", (d, meta.dims.ffn_dim)),
         ("attn.bf1", (meta.dims.ffn_dim,)),
@@ -250,11 +251,6 @@ def init_params(meta: ModelMeta, seed: int) -> ModelParams:
 
 def zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
     return {name: np.zeros_like(arr) for name, arr in params.arrays.items()}
-
-
-def add_scaled(dst: dict[str, np.ndarray], src: dict[str, np.ndarray], scale: float) -> None:
-    for name, g in src.items():
-        dst[name] += scale * g
 
 
 def _segment_matrix(idx: np.ndarray, n: int) -> sparse.csc_matrix:
@@ -353,21 +349,25 @@ class EmbedTrace:
     tag_lens: np.ndarray
 
 
+def _concat_fields(
+    params: ModelParams, enc: EncodedCatalog, ids: np.ndarray, flat_tags: np.ndarray, lens: np.ndarray
+) -> np.ndarray:
+    """[item id | mean of the item's ``lens`` tags in ``flat_tags`` |
+    provider] per item; an empty tag set pools to zero."""
+    tag_mean = np.zeros((len(ids), params.meta.dims.d_field))
+    if flat_tags.size:
+        np.add.at(tag_mean, np.repeat(np.arange(len(ids)), lens), params.arrays["emb.tags"][flat_tags])
+        tag_mean /= np.maximum(lens, 1)[:, None]
+    prov_rows = params.arrays["emb.provider"][enc.provider_idx[ids]]
+    return np.concatenate([params.arrays["emb.item_id"][ids], tag_mean, prov_rows], axis=1)
+
+
 def embed_items(params: ModelParams, enc: EncodedCatalog, ids: np.ndarray) -> tuple[np.ndarray, EmbedTrace]:
     """Concatenated raw feature embeddings for a batch of item indices.
     Multi-valued tags are mean-pooled; an empty tag set pools to zero."""
     ids = np.asarray(ids, dtype=np.int64)
-    d = params.meta.dims.d_field
-    id_rows = params.arrays["emb.item_id"][ids]
     flat_tags, lens = enc.tag_rows(ids)
-    tag_mean = np.zeros((len(ids), d))
-    if flat_tags.size:
-        seg = np.repeat(np.arange(len(ids)), lens)
-        np.add.at(tag_mean, seg, params.arrays["emb.tags"][flat_tags])
-        tag_mean /= np.maximum(lens, 1)[:, None]
-    prov_rows = params.arrays["emb.provider"][enc.provider_idx[ids]]
-    raw = np.concatenate([id_rows, tag_mean, prov_rows], axis=1)
-    return raw, EmbedTrace(ids, flat_tags, lens)
+    return _concat_fields(params, enc, ids, flat_tags, lens), EmbedTrace(ids, flat_tags, lens)
 
 
 def embed_items_backward(
@@ -396,7 +396,6 @@ class AugmentedTrace:
     zero_mask: np.ndarray  # (m, width) True where the output was zeroed
     kept_flat_tags: np.ndarray
     kept_lens: np.ndarray
-    categorial: bool
 
 
 def embed_items_augmented(
@@ -413,36 +412,17 @@ def embed_items_augmented(
     identically seeded generator produce identical views.
     """
     ids = np.asarray(ids, dtype=np.int64)
-    meta = params.meta
-    d = meta.dims.d_field
-    layout = meta.item_layout()
+    layout = params.meta.item_layout()
     m = len(ids)
 
-    categorial = plan.strategy in ("categorial", "field_plus_categorial")
-    if categorial:
-        flat_tags, lens = enc.tag_rows(ids)
-        keep_chunks = [draw_value_keep(int(n), plan.mask_ratio, rng) for n in lens]
-        keep = np.concatenate(keep_chunks) if keep_chunks else np.empty(0, dtype=bool)
-        kept_flat = flat_tags[keep]
-        seg = np.repeat(np.arange(m), lens)
-        kept_lens = np.bincount(seg[keep], minlength=m).astype(np.int64) if keep.size else np.zeros(m, dtype=np.int64)
-        tag_mean = np.zeros((m, d))
-        if kept_flat.size:
-            np.add.at(tag_mean, seg[keep], params.arrays["emb.tags"][kept_flat])
-            tag_mean /= np.maximum(kept_lens, 1)[:, None]
-    else:
-        flat_tags, lens = enc.tag_rows(ids)
-        kept_flat, kept_lens = flat_tags, lens
-        tag_mean = np.zeros((m, d))
-        if flat_tags.size:
-            seg = np.repeat(np.arange(m), lens)
-            np.add.at(tag_mean, seg, params.arrays["emb.tags"][flat_tags])
-            tag_mean /= np.maximum(lens, 1)[:, None]
-
-    raw = np.concatenate(
-        [params.arrays["emb.item_id"][ids], tag_mean, params.arrays["emb.provider"][enc.provider_idx[ids]]],
-        axis=1,
-    )
+    # the non-categorial strategies keep every tag and draw nothing
+    flat_tags, lens = enc.tag_rows(ids)
+    keep = np.ones(flat_tags.size, dtype=bool)
+    if plan.strategy in ("categorial", "field_plus_categorial") and m:
+        keep = np.concatenate([draw_value_keep(int(n), plan.mask_ratio, rng) for n in lens])
+    kept_flat = flat_tags[keep]
+    kept_lens = np.bincount(np.repeat(np.arange(m), lens)[keep], minlength=m)
+    raw = _concat_fields(params, enc, ids, kept_flat, kept_lens)
 
     zero_mask = np.zeros((m, layout.width), dtype=bool)
     if plan.strategy == "element":
@@ -455,7 +435,7 @@ def embed_items_augmented(
                 if masked:
                     zero_mask[i, f.start : f.end] = True
     out = np.where(zero_mask, 0.0, raw)
-    return out, AugmentedTrace(ids, zero_mask, kept_flat, kept_lens, categorial)
+    return out, AugmentedTrace(ids, zero_mask, kept_flat, kept_lens)
 
 
 def embed_items_augmented_backward(
@@ -580,7 +560,7 @@ class UserTrace:
     mlp: MlpTrace
 
 
-_QKV = (("attn.Wq", "attn.bq"), ("attn.Wk", "attn.bk"), ("attn.Wv", "attn.bv"))
+_QKV = (("attn.Wq", "attn.bq"), ("attn.Wk", None), ("attn.Wv", "attn.bv"))  # keys take no bias
 
 
 def user_tower(
@@ -598,8 +578,8 @@ def user_tower(
     ``histories`` and gathered per slot; with positional encoding the
     per-position term ``PE @ W`` is added on valid slots, which equals
     projecting ``x + PE`` by linearity. Padding projects a zero row, so
-    its query, key and value are exactly the biases, whatever else the
-    call holds.
+    its query and value are exactly the biases and its key exactly zero,
+    whatever else the call holds.
     """
     meta = params.meta
     d = meta.dims.d_field
@@ -617,7 +597,10 @@ def user_tower(
     item_x[: np.searchsorted(items, 0)] = 0.0  # padding entries sort first
     qkv = []
     for w, b in _QKV:
-        per_slot = _affine(item_x, a[w], a[b]).take(slot_item, axis=0)
+        per_item = item_x @ a[w]
+        if b is not None:
+            per_item += a[b]
+        per_slot = per_item.take(slot_item, axis=0)
         if meta.dims.positional_encoding:
             per_slot += np.where(valid[:, :, None], _sinusoidal_positions(window, d) @ a[w], 0.0)
         qkv.append(per_slot)
@@ -693,7 +676,8 @@ def user_tower_backward(
         grads[w] += trace.item_x.T @ g_item
         if meta.dims.positional_encoding:
             grads[w] += _sinusoidal_positions(window, d).T @ (g_slot * trace.valid[:, :, None]).sum(axis=0)
-        grads[b] += g_item.sum(axis=0)
+        if b is not None:
+            grads[b] += g_item.sum(axis=0)
         g_x += g_item @ a[w].T
     n_pad = np.searchsorted(trace.items, 0)
     grads["emb.item_id"][trace.items[n_pad:]] += g_x[n_pad:]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ItemCatalog
+from .data import DataFormatError, ItemCatalog
 from .sampling import uniform_excluding
 from .util import atomic_write_text, top_k, warn
 
@@ -122,6 +122,8 @@ def dump_semantic_pool(pool: SemanticPositivePool, catalog: ItemCatalog, path: s
 
 
 def load_semantic_pool(path: str, catalog: ItemCatalog, source: str) -> SemanticPositivePool:
+    """Read a ``dump_semantic_pool`` file; a malformed row raises
+    ``DataFormatError`` naming ``path:line``."""
     positives: list[np.ndarray] = [np.empty(0, dtype=np.int64) for _ in range(len(catalog))]
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -129,9 +131,10 @@ def load_semantic_pool(path: str, catalog: ItemCatalog, source: str) -> Semantic
             if not line:
                 continue
             item_id, _, joined = line.partition("\t")
-            owner = catalog.index_of[item_id]
+            owner = catalog.index_at(item_id, f"{path}:{lineno}")
             if joined:
-                positives[owner] = np.asarray(
-                    [catalog.index_of[x] for x in joined.split(",")], dtype=np.int64
-                )
+                row = [catalog.index_at(x, f"{path}:{lineno}") for x in joined.split(",")]
+                if owner in row:
+                    raise DataFormatError(f"{path}:{lineno}: item {item_id!r} listed as its own positive")
+                positives[owner] = np.asarray(row, dtype=np.int64)
     return SemanticPositivePool(positives, source)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ItemCatalog, SplitDataset
+from .data import DataFormatError, ItemCatalog, SplitDataset
 from .sampling import uniform_excluding
 from .util import atomic_write_text
 
@@ -62,15 +62,6 @@ def count_pairs(sessions: list[Session]) -> dict[tuple[int, int], int]:
                 key = (a, b)
                 counts[key] = counts.get(key, 0) + 1
     return counts
-
-
-def merge_pair_counts(parts: list[dict[tuple[int, int], int]]) -> dict[tuple[int, int], int]:
-    """Commutative sum of partial count tables (partition-and-merge)."""
-    merged: dict[tuple[int, int], int] = {}
-    for part in parts:
-        for key, value in part.items():
-            merged[key] = merged.get(key, 0) + value
-    return merged
 
 
 class CooccurrenceTable:
@@ -171,6 +162,8 @@ def dump_cooccurrence(table: CooccurrenceTable, catalog: ItemCatalog, path: str)
 
 
 def load_cooccurrence(path: str, catalog: ItemCatalog, k: int = 10) -> CooccurrenceTable:
+    """Read a ``dump_cooccurrence`` file; a malformed row raises
+    ``DataFormatError`` naming ``path:line``."""
     counts: dict[tuple[int, int], int] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -179,9 +172,16 @@ def load_cooccurrence(path: str, catalog: ItemCatalog, k: int = 10) -> Cooccurre
                 continue
             parts = line.split("\t")
             if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            a = catalog.index_of[parts[0]]
-            b = catalog.index_of[parts[1]]
-            key = (a, b) if a < b else (b, a)
-            counts[key] = int(parts[2])
+                raise DataFormatError(f"{path}:{lineno}: expected 3 tab-separated fields")
+            a, b = (catalog.index_at(x, f"{path}:{lineno}") for x in parts[:2])
+            if a == b:
+                raise DataFormatError(f"{path}:{lineno}: item {parts[0]!r} paired with itself")
+            try:
+                count = int(parts[2])
+            except ValueError:
+                raise DataFormatError(f"{path}:{lineno}: bad count {parts[2]!r}") from None
+            if count <= 0:
+                raise DataFormatError(f"{path}:{lineno}: nonpositive count {count}")
+            counts[(a, b) if a < b else (b, a)] = count
     return CooccurrenceTable(counts, len(catalog), k)
+

@@ -10,7 +10,6 @@ from itemcl.evaluation import (
     evaluate,
     export_embeddings,
     item_matrix,
-    load_embeddings,
     retrieve_topn,
 )
 from itemcl.model import EncodedCatalog, EncodedProfiles, build_meta, init_params, pad_histories, user_tower
@@ -254,6 +253,7 @@ class TestExport:
         lines = path.read_text().strip().split("\n")
         assert len(lines) == 3
         assert all(len(line.split("\t")) == 1 + params.meta.dims.d_out for line in lines)
-        again = load_embeddings(str(path), data.catalog)
+        rows = {line.split("\t")[0]: [float(x) for x in line.split("\t")[1:]] for line in lines}
+        again = np.asarray([rows[item_id] for item_id in data.catalog.item_ids()])
         fresh = item_matrix(params, enc)
         assert np.abs(again - fresh).max() < 1e-6

@@ -7,6 +7,7 @@ import pytest
 
 from itemcl.losses import (
     ContrastiveBatch,
+    ItemPass,
     JointLossInputs,
     MatchBatch,
     infonce_terms,
@@ -328,6 +329,49 @@ class TestLossJoint:
         for name in joint_grads:
             expected = g_match[name] + 1.0 * g_fea[name] + 0.3 * g_sem[name] + 0.1 * g_sess[name]
             np.testing.assert_allclose(joint_grads[name], expected, atol=1e-12)
+
+    @pytest.mark.parametrize("task", ["matching", "feature", "semantic", "session"])
+    def test_weight_scales_the_task_gradient_on_a_shared_pass(self, tiny, task):
+        params, enc, batch = tiny["params"], tiny["enc"], tiny["contrastive"]
+        rngs = self.rngs()
+        calls = {
+            "matching": lambda *shared: loss_matching(params, enc, tiny["match"], *shared),
+            "feature": lambda *shared: loss_feature_cl(
+                params, enc, batch, tiny["plan"], rngs["feature"], rngs["dropout"], *shared
+            ),
+            "semantic": lambda *shared: loss_semantic_cl(params, enc, batch, tiny["pool"], rngs["semantic"], *shared),
+            "session": lambda *shared: loss_session_cl(
+                params, enc, batch, tiny["sampler"], tiny["table"], rngs["session"], *shared
+            ),
+        }
+        value, alone = calls[task]()
+        rngs.update(self.rngs())  # the same draws again
+        items = ItemPass(params, enc)
+        shared_value, _ = calls[task](items, 0.25)
+        shared = items.backward()
+        assert shared_value == value
+        for name in alone:
+            np.testing.assert_allclose(shared[name], 0.25 * alone[name], rtol=1e-12, atol=1e-15)
+
+    def test_one_item_pass_and_one_grads_dict_per_step(self, tiny, monkeypatch):
+        import itemcl.losses as losses
+
+        calls = {"item_tower": 0, "zero_grads": 0}
+
+        def counted(name):
+            original = getattr(losses, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(losses, name, counted(name))
+        _, components, _ = loss_joint(tiny["params"], tiny["enc"], self.inputs(tiny), (1.0, 0.3, 0.1), self.rngs())
+        assert all(components[task] > 0 for task in ("feature", "semantic", "session"))
+        assert calls == {"item_tower": 1, "zero_grads": 1}
 
     def test_negative_weights_rejected(self, tiny):
         with pytest.raises(ValueError, match="nonnegative"):

@@ -12,6 +12,7 @@ from itemcl.model import (
     _sinusoidal_positions,
     build_meta,
     embed_items,
+    embed_items_augmented,
     init_params,
     item_tower,
     load_checkpoint,
@@ -113,7 +114,7 @@ class TestUserTower:
         d = params.meta.dims.d_field
         x = params.arrays["emb.item_id"][history]
         q = x @ a["attn.Wq"] + a["attn.bq"]
-        k = x @ a["attn.Wk"] + a["attn.bk"]
+        k = x @ a["attn.Wk"]
         v = x @ a["attn.Wv"] + a["attn.bv"]
         scores = q @ k.T / np.sqrt(d)
         probs = np.exp(scores) / np.exp(scores).sum(axis=1, keepdims=True)
@@ -161,7 +162,7 @@ def slot_by_slot_user_tower(params, hist, profile_idx, grad_u):
             if valid[i, s]:
                 x[i, s] = a["emb.item_id"][hist[i, s]] + pos[s]
     q = x @ a["attn.Wq"] + a["attn.bq"]
-    k = x @ a["attn.Wk"] + a["attn.bk"]
+    k = x @ a["attn.Wk"]
     v = x @ a["attn.Wv"] + a["attn.bv"]
     scores = np.where(valid[:, None, :], q @ k.transpose(0, 2, 1) / np.sqrt(d), -1e30)
     e = np.exp(scores - scores.max(axis=2, keepdims=True))
@@ -209,7 +210,8 @@ def slot_by_slot_user_tower(params, hist, profile_idx, grad_u):
     g_x = np.zeros_like(x)
     for name, g_part in (("q", g_q), ("k", g_k), ("v", g_v)):
         g[f"attn.W{name}"] += np.einsum("msi,msj->ij", x, g_part)
-        g[f"attn.b{name}"] += g_part.sum(axis=(0, 1))
+        if name != "k":
+            g[f"attn.b{name}"] += g_part.sum(axis=(0, 1))
         g_x += g_part @ a[f"attn.W{name}"].T
     for i in range(m):
         for s in range(window):
@@ -250,14 +252,7 @@ class TestUserTowerMatchesSlotBySlotReference:
         ref_u, ref_grads = slot_by_slot_user_tower(params, hist, profile_idx, grad_u)
         assert_relative(u, ref_u)
         for name in params.arrays:
-            if name == "attn.bk":
-                continue
             assert_relative(grads[name], ref_grads[name])
-        # a shared key bias shifts a query's scores alike, which softmax
-        # ignores: its true gradient is zero, both computed ones rounding
-        scale = max(np.abs(g).max() for g in ref_grads.values())
-        assert np.abs(grads["attn.bk"]).max() <= 1e-12 * scale
-        assert np.abs(ref_grads["attn.bk"]).max() <= 1e-12 * scale
         assert np.abs(grads["emb.item_id"][[0, 1, 2, 3, 5]]).max() > 0.0
 
 
@@ -309,6 +304,30 @@ class TestProjectors:
             project(tiny["params"], "t", np.zeros((1, 5)))
 
 
+class TestAugmentedEmbedding:
+    @pytest.mark.parametrize("strategy", ["element", "field"])
+    def test_non_categorial_keeps_every_tag_and_draws_only_masks(self, tiny, strategy):
+        from itemcl.augment import AugmentationPlan, draw_element_mask, draw_field_mask
+
+        params, enc = tiny["params"], tiny["enc"]
+        ids = np.arange(enc.n_items)
+        rng = np.random.default_rng(3)
+        out, trace = embed_items_augmented(params, enc, ids, AugmentationPlan(strategy, 0.5), rng)
+        raw, embed_trace = embed_items(params, enc, ids)
+        np.testing.assert_array_equal(trace.kept_flat_tags, embed_trace.flat_tags)
+        np.testing.assert_array_equal(trace.kept_lens, embed_trace.tag_lens)
+        np.testing.assert_array_equal(out, np.where(trace.zero_mask, 0.0, raw))
+        # the generator moved by the per-item mask draws alone
+        expected = np.random.default_rng(3)
+        layout = params.meta.item_layout()
+        for _ in ids:
+            if strategy == "element":
+                draw_element_mask(layout.width, 0.5, expected)
+            else:
+                draw_field_mask(len(layout), 0.5, expected)
+        assert rng.bit_generator.state == expected.bit_generator.state
+
+
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tiny, tmp_path):
         params = tiny["params"]
@@ -342,6 +361,16 @@ class TestCheckpoint:
         )
         with pytest.raises(ValueError, match="emb.item_id"):
             load_checkpoint(path, expect)
+
+    def test_key_bias_of_older_checkpoints_named(self, tiny, tmp_path):
+        # checkpoints written while the attention keys had a bias hold an
+        # array the model no longer has
+        params = tiny["params"].copy()
+        params.arrays["attn.bk"] = np.zeros(params.meta.dims.d_field)
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(params, path)
+        with pytest.raises(ValueError, match="unexpected array 'attn.bk'"):
+            load_checkpoint(path, tiny["params"].meta)
 
 
 class TestEncodings:
@@ -379,7 +408,9 @@ class TestEncodings:
         _, trace_plain = user_tower(params, [[0, 2]], prof)
         _, trace_pe = user_tower(params_pe, [[0, 2]], prof)
         assert not np.array_equal(trace_plain.attn, trace_pe.attn)
-        # padding positions project a zero input either way: their query,
-        # key and value are exactly the biases, with no positional term
-        for got, bias in ((trace_pe.q, "attn.bq"), (trace_pe.k, "attn.bk"), (trace_pe.v, "attn.bv")):
+        # padding positions project a zero input either way: their query
+        # and value are exactly the biases and their key exactly zero (keys
+        # take no bias), with no positional term
+        for got, bias in ((trace_pe.q, "attn.bq"), (trace_pe.v, "attn.bv")):
             np.testing.assert_array_equal(got[0, 0], params_pe.arrays[bias])
+        np.testing.assert_array_equal(trace_pe.k[0, 0], 0.0)

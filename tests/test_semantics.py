@@ -1,5 +1,7 @@
 """Semantic positive mining (title k-NN and taxonomy) and its sampler."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -163,3 +165,20 @@ class TestDump:
         again = load_semantic_pool(str(path), catalog, pool.source)
         for i in range(20):
             assert again.positives[i].tolist() == pool.positives[i].tolist()
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("zz\ta", "unknown item_id 'zz'"),
+            ("a\tb,zz", "unknown item_id 'zz'"),
+            ("a\tb,a", "item 'a' listed as its own positive"),
+        ],
+    )
+    def test_malformed_row_names_file_and_line(self, tmp_path, row, message):
+        from itemcl.data import DataFormatError
+
+        catalog = ItemCatalog([Item("a"), Item("b"), Item("c")])
+        path = tmp_path / "pool.tsv"
+        path.write_text(f"c\tb\n\n{row}\n")
+        with pytest.raises(DataFormatError, match="^" + re.escape(f"{path}:3: {message}")):
+            load_semantic_pool(str(path), catalog, "taxonomy")

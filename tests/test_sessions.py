@@ -1,6 +1,7 @@
 """Session segmentation, co-occurrence mining, and the session samplers."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from itemcl.sessions import (
     count_pairs,
     dump_cooccurrence,
     load_cooccurrence,
-    merge_pair_counts,
     sample_session_negatives,
     sample_session_positive,
     segment_sessions,
@@ -104,12 +104,6 @@ class TestCooccurrence:
         rng.shuffle(shuffled)
         assert build_cooccurrence(sessions, 10).counts == build_cooccurrence(shuffled, 10).counts
 
-    def test_merge_partial_tables(self):
-        sessions = [Session("u", [0, 1]), Session("v", [1, 2]), Session("w", [0, 1, 2])]
-        whole = count_pairs(sessions)
-        merged = merge_pair_counts([count_pairs(sessions[:1]), count_pairs(sessions[1:])])
-        assert merged == whole
-
     def test_pair_sum_identity_on_repeat_free_sessions(self):
         rng = np.random.default_rng(5)
         sessions = []
@@ -142,6 +136,27 @@ class TestCooccurrence:
         assert reloaded.counts == table.counts
         dump_cooccurrence(reloaded, catalog, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestLoadCooccurrence:
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("a\tzz\t2", "unknown item_id 'zz'"),
+            ("a\tb\ttwo", "bad count 'two'"),
+            ("a\ta\t2", "item 'a' paired with itself"),
+            ("a\tb\t0", "nonpositive count 0"),
+            ("a\tb", "expected 3 tab-separated fields"),
+        ],
+    )
+    def test_malformed_row_names_file_and_line(self, tmp_path, row, message):
+        from itemcl.data import DataFormatError, Item, ItemCatalog
+
+        catalog = ItemCatalog([Item("a"), Item("b"), Item("c")])
+        path = tmp_path / "cooc.tsv"
+        path.write_text(f"a\tc\t1\n\n{row}\n")
+        with pytest.raises(DataFormatError, match="^" + re.escape(f"{path}:3: {message}")):
+            load_cooccurrence(str(path), catalog)
 
 
 class TestSessionSampling:

@@ -11,10 +11,9 @@ from itemcl import (
     chronological_split,
     default_split_time,
     generate,
-    sample_session_negatives,
-    sample_session_positive,
     segment_sessions,
 )
+from itemcl.sampling import uniform_excluding
 
 spec = SyntheticSpec(n_users=200, n_items=120, n_clusters=10, n_interactions=12_000, motif_rate=0.1, seed=3)
 data = generate(spec)
@@ -35,11 +34,11 @@ print(f"median planted-motif count = {np.median(motif_counts):.0f} vs overall me
 sampler = SessionPositiveSampler(table)
 rng = np.random.default_rng(0)
 anchor = data.motif_pairs[0][0]
-draws = [sample_session_positive(sampler, anchor, rng) for _ in range(2000)]
+draws = [sampler.sample(anchor, rng) for _ in range(2000)]
 partner = data.motif_pairs[0][1]
 print(f"item {anchor}: top co-occurred neighbors {table.topk[anchor][:3]}")
 print(f"  weighted sampling hit its motif partner {partner} in {draws.count(partner)}/2000 draws")
 
-negatives = sample_session_negatives(table, anchor, 8, rng)
+negatives = uniform_excluding(table.n_items, table.excluded(anchor), 8, rng)
 assert not (set(negatives.tolist()) & set(table.neighbors(anchor)))
 print(f"  8 negatives, all from the never-co-occurred set: {negatives.tolist()}")

@@ -4,7 +4,8 @@ top-k) and from shared taxonomy keys, and compare the two sources."""
 
 import numpy as np
 
-from itemcl import SyntheticSpec, generate, mine_taxonomy, mine_title_knn, sample_semantic_negatives
+from itemcl import SyntheticSpec, generate, mine_taxonomy, mine_title_knn
+from itemcl.sampling import uniform_excluding
 
 spec = SyntheticSpec(n_users=50, n_items=100, n_clusters=10, n_interactions=2000, title_noise=0.15, seed=9)
 data = generate(spec)
@@ -25,6 +26,6 @@ for i in range(len(data.catalog)):
 print(f"fraction of title-knn positives that share the anchor's cluster: {np.mean(agreement):.2f}")
 
 rng = np.random.default_rng(1)
-negatives = sample_semantic_negatives(title_pool, item, 6, rng)
+negatives = uniform_excluding(title_pool.n_items, title_pool.excluded(item), 6, rng)
 assert item not in negatives and not (set(negatives.tolist()) & set(title_pool.positives[item].tolist()))
 print(f"6 semantic negatives for item {item} (outside its pool): {negatives.tolist()}")

@@ -7,7 +7,7 @@ the mining pipelines that manufacture the contrastive positives and a
 brute-force HIT@N / item-coverage evaluator.
 """
 
-from .augment import AugmentationPlan, FieldLayout, augment, augment_multivalue
+from .augment import AugmentationPlan, FieldLayout, augmentation_masks
 from .config import TrainConfig, apply_settings, parse_config_file
 from .data import (
     Interaction,
@@ -47,19 +47,12 @@ from .model import (
     save_checkpoint,
 )
 from .rng import substream
-from .semantics import (
-    SemanticPositivePool,
-    mine_taxonomy,
-    mine_title_knn,
-    sample_semantic_negatives,
-)
+from .semantics import SemanticPositivePool, mine_taxonomy, mine_title_knn
 from .sessions import (
     CooccurrenceTable,
     Session,
     SessionPositiveSampler,
     build_cooccurrence,
-    sample_session_negatives,
-    sample_session_positive,
     segment_sessions,
 )
 from .synthetic import SyntheticSpec, default_split_time, generate

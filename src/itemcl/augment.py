@@ -10,7 +10,9 @@ the item tower:
   dropped before mean pooling.
 * ``field_plus_categorial`` (default): categorial then field.
 
-Masking never rescales; unmasked coordinates stay bit-identical.
+:func:`augmentation_masks` draws every mask of a batch of items;
+``model.embed_items_augmented`` applies them. Masking never rescales;
+unmasked coordinates stay bit-identical.
 """
 
 from __future__ import annotations
@@ -75,8 +77,9 @@ class AugmentationPlan:
             raise ValueError("mask_ratio must lie in [0, 1)")
 
 
-def draw_element_mask(width: int, ratio: float, rng: np.random.Generator) -> np.ndarray:
-    """True where a scalar gets zeroed."""
+def draw_element_mask(width: int | tuple[int, int], ratio: float, rng: np.random.Generator) -> np.ndarray:
+    """True where a scalar gets zeroed; ``width`` may be a shape
+    ``(items, width)`` to draw every item's mask in one call."""
     return rng.random(width) < ratio
 
 
@@ -94,66 +97,37 @@ def draw_value_keep(n_values: int, ratio: float, rng: np.random.Generator) -> np
     return rng.random(n_values) >= ratio
 
 
-def augment(
-    raw: np.ndarray,
+def augmentation_masks(
     layout: FieldLayout,
     plan: AugmentationPlan,
+    tag_lens: np.ndarray,
     rng: np.random.Generator,
-) -> np.ndarray:
-    """Augment one raw embedding with the element or field strategy.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every mask of one augmented view per item.
 
-    The categorial strategies need the pre-pooling per-value embeddings
-    and live in :func:`augment_multivalue`.
+    ``tag_lens`` holds each item's number of multi-valued (tag) values.
+    Returns ``value_keep``, True at each of the ``sum(tag_lens)`` values
+    that survives pooling (all of them unless the strategy is
+    categorial), and ``zero_mask`` of shape (items, ``layout.width``),
+    True where a coordinate gets zeroed. Draw order is fixed: every
+    value keep, items in order, then the element masks of all items or
+    one field mask per item.
     """
-    raw = np.asarray(raw, dtype=np.float64)
-    if raw.shape != (layout.width,):
-        raise ValueError(f"raw embedding has shape {raw.shape}, layout expects ({layout.width},)")
+    tag_lens = np.asarray(tag_lens, dtype=np.int64)
+    m = tag_lens.size
+    n_values = int(tag_lens.sum())
+    if plan.strategy in ("categorial", "field_plus_categorial"):
+        value_keep = draw_value_keep(n_values, plan.mask_ratio, rng)
+    else:
+        value_keep = np.ones(n_values, dtype=bool)
     if plan.strategy == "element":
-        out = raw.copy()
-        out[draw_element_mask(layout.width, plan.mask_ratio, rng)] = 0.0
-        return out
-    if plan.strategy == "field":
-        out = raw.copy()
-        mask = draw_field_mask(len(layout), plan.mask_ratio, rng)
-        for f, masked in zip(layout.fields, mask):
-            if masked:
-                out[f.start : f.end] = 0.0
-        return out
-    raise ValueError(
-        f"strategy {plan.strategy!r} needs per-value embeddings; use augment_multivalue"
-    )
-
-
-def augment_multivalue(
-    raw: np.ndarray,
-    layout: FieldLayout,
-    plan: AugmentationPlan,
-    rng: np.random.Generator,
-    value_embeddings: dict[str, np.ndarray],
-) -> np.ndarray:
-    """Augment with the categorial or field_plus_categorial strategy.
-
-    ``value_embeddings`` maps each multi-valued field name to its
-    (n_values, d_field) pre-pooling embedding rows. Dropping every value
-    of a field leaves that slice zero (the empty-mean convention). Draw
-    order is fixed: per-value keeps in layout order, then the field mask.
-    """
-    raw = np.asarray(raw, dtype=np.float64)
-    if raw.shape != (layout.width,):
-        raise ValueError(f"raw embedding has shape {raw.shape}, layout expects ({layout.width},)")
-    if plan.strategy not in ("categorial", "field_plus_categorial"):
-        raise ValueError("augment_multivalue handles the categorial strategies only")
-    out = raw.copy()
-    for f in layout.fields:
-        if f.kind != MULTI_CATEGORICAL:
-            continue
-        values = np.asarray(value_embeddings.get(f.name, np.empty((0, layout.d_field))))
-        keep = draw_value_keep(values.shape[0], plan.mask_ratio, rng)
-        kept = values[keep]
-        out[f.start : f.end] = kept.mean(axis=0) if kept.shape[0] else 0.0
-    if plan.strategy == "field_plus_categorial":
-        mask = draw_field_mask(len(layout), plan.mask_ratio, rng)
-        for f, masked in zip(layout.fields, mask):
-            if masked:
-                out[f.start : f.end] = 0.0
-    return out
+        zero_mask = draw_element_mask((m, layout.width), plan.mask_ratio, rng)
+    elif plan.strategy in ("field", "field_plus_categorial"):
+        # the field restore draw is conditional, so field masks stay per item
+        fields = np.empty((m, len(layout)), dtype=bool)
+        for i in range(m):
+            fields[i] = draw_field_mask(len(layout), plan.mask_ratio, rng)
+        zero_mask = np.repeat(fields, layout.d_field, axis=1)  # fields tile in order
+    else:
+        zero_mask = np.zeros((m, layout.width), dtype=bool)
+    return value_keep, zero_mask

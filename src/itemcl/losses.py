@@ -135,24 +135,23 @@ def _batched_negatives(
     rng: np.random.Generator,
 ) -> list[np.ndarray]:
     """Per-anchor distinct negative draws outside each anchor's exclusion
-    list (which already contains the anchor itself). Rows with enough
-    eligible items go through one vectorized draw; scarce rows fall back
-    to the per-item sampler and keep its shortfall warning."""
-    counts = np.asarray([len(x) for x in exclusion_lists])
+    list (sorted, no duplicates, and holding the anchor itself). Rows
+    with at least ``k`` eligible items go through one vectorized draw;
+    each scarce row goes to ``uniform_excluding``, which returns its whole
+    eligible set in ascending order with a warning and draws nothing."""
+    counts = np.asarray([len(x) for x in exclusion_lists], dtype=np.int64)
     rich = np.flatnonzero(n_items - counts >= k)
     out: list[np.ndarray | None] = [None] * len(exclusion_lists)
     if rich.size:
         mask = np.zeros((rich.size, n_items), dtype=bool)
-        for row, idx in enumerate(rich):
-            mask[row, exclusion_lists[idx]] = True
+        cols = np.concatenate([np.asarray(exclusion_lists[i], dtype=np.int64) for i in rich])
+        mask[np.repeat(np.arange(rich.size), counts[rich]), cols] = True
         drawn = sample_distinct_rows(n_items, k, rng, exclude_mask=mask)
         for row, idx in enumerate(rich):
             out[idx] = drawn[row]
     for idx, drawn_row in enumerate(out):
         if drawn_row is None:
-            out[idx] = uniform_excluding(
-                n_items, set(int(x) for x in exclusion_lists[idx]), k, rng
-            )
+            out[idx] = uniform_excluding(n_items, exclusion_lists[idx], k, rng)
     return out
 
 
@@ -373,7 +372,7 @@ def loss_semantic_cl(
         anchors,
         [pool.positives[a] for a in anchors],
         batch.semantic_negatives,
-        lambda a: np.append(pool.positives[a], a),
+        pool.excluded,
         pool.n_items,
         rng,
         weight,
@@ -412,7 +411,7 @@ def loss_session_cl(
         anchors,
         positives,
         batch.session_negatives,
-        lambda a: np.fromiter(table.neighbors(a) | {a}, dtype=np.int64),
+        table.excluded,
         table.n_items,
         rng,
         weight,

@@ -33,9 +33,7 @@ from .augment import (
     SINGLE_CATEGORICAL,
     AugmentationPlan,
     FieldLayout,
-    draw_element_mask,
-    draw_field_mask,
-    draw_value_keep,
+    augmentation_masks,
 )
 from .data import ItemCatalog, UserProfileTable
 from .rng import substream
@@ -407,33 +405,16 @@ def embed_items_augmented(
 ) -> tuple[np.ndarray, AugmentedTrace]:
     """Augmented view of each item's raw embedding under ``plan``.
 
-    Draws happen item by item in input order through the same mask
-    primitives as the standalone augmentation ops, so two calls with an
-    identically seeded generator produce identical views.
+    Every mask comes from one ``augmentation_masks`` call over the items
+    in input order, so two calls with an identically seeded generator
+    produce identical views. The non-categorial strategies keep every tag.
     """
     ids = np.asarray(ids, dtype=np.int64)
-    layout = params.meta.item_layout()
-    m = len(ids)
-
-    # the non-categorial strategies keep every tag and draw nothing
     flat_tags, lens = enc.tag_rows(ids)
-    keep = np.ones(flat_tags.size, dtype=bool)
-    if plan.strategy in ("categorial", "field_plus_categorial") and m:
-        keep = np.concatenate([draw_value_keep(int(n), plan.mask_ratio, rng) for n in lens])
+    keep, zero_mask = augmentation_masks(params.meta.item_layout(), plan, lens, rng)
     kept_flat = flat_tags[keep]
-    kept_lens = np.bincount(np.repeat(np.arange(m), lens)[keep], minlength=m)
+    kept_lens = np.bincount(np.repeat(np.arange(len(ids)), lens)[keep], minlength=len(ids))
     raw = _concat_fields(params, enc, ids, kept_flat, kept_lens)
-
-    zero_mask = np.zeros((m, layout.width), dtype=bool)
-    if plan.strategy == "element":
-        for i in range(m):
-            zero_mask[i] = draw_element_mask(layout.width, plan.mask_ratio, rng)
-    elif plan.strategy in ("field", "field_plus_categorial"):
-        for i in range(m):
-            fmask = draw_field_mask(len(layout), plan.mask_ratio, rng)
-            for f, masked in zip(layout.fields, fmask):
-                if masked:
-                    zero_mask[i, f.start : f.end] = True
     out = np.where(zero_mask, 0.0, raw)
     return out, AugmentedTrace(ids, zero_mask, kept_flat, kept_lens)
 

@@ -1,6 +1,12 @@
-"""Uniform negative sampling over an index range with an exclusion set."""
+"""Uniform negative sampling over an index range with an exclusion set.
+
+:func:`sample_distinct_rows` is the one rejection loop for distinct
+negatives; :func:`uniform_excluding` draws one row through it.
+"""
 
 from __future__ import annotations
+
+from collections.abc import Collection
 
 import numpy as np
 
@@ -9,54 +15,27 @@ from .util import warn
 
 def uniform_excluding(
     n_items: int,
-    excluded: set[int] | frozenset[int],
+    excluded: Collection[int],
     n: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Draw ``n`` distinct indices uniformly from ``range(n_items)`` minus
-    ``excluded``.
+    ``excluded``: one row of :func:`sample_distinct_rows`.
 
     If fewer than ``n`` indices are eligible, the whole eligible set is
-    returned in ascending order with a warning.
+    returned in ascending order with a warning, and nothing is drawn.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    eligible_count = n_items - len(excluded)
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    if eligible_count < n:
+    mask = np.zeros((1, n_items), dtype=bool)
+    mask[0, np.fromiter(excluded, dtype=np.int64, count=len(excluded))] = True
+    eligible = np.flatnonzero(~mask[0])
+    if eligible.size < n:
         warn("eligible set smaller than requested sample size; returning the whole eligible set")
-        eligible = np.array(
-            [i for i in range(n_items) if i not in excluded], dtype=np.int64
-        )
         return eligible
-
-    # Rejection sampling: process each draw buffer in order, accepting the
-    # first occurrence of every not-yet-seen eligible value. Equivalent to
-    # drawing without replacement from the eligible set, and cheap while
-    # |excluded| + n stays small versus n_items.
-    return _reject_loop(n_items, excluded, n, rng)
-
-
-def _reject_loop(
-    n_items: int, excluded: set[int] | frozenset[int], n: int, rng: np.random.Generator
-) -> np.ndarray:
-    excluded_arr = np.fromiter(excluded, dtype=np.int64, count=len(excluded))
-    excluded_arr.sort()
-    chunks: list[np.ndarray] = []
-    taken = 0
-    while taken < n:
-        need = n - taken
-        draws = rng.integers(0, n_items, size=max(2 * need, 8))
-        ok = draws[~np.isin(draws, excluded_arr)]
-        for prev in chunks:
-            ok = ok[~np.isin(ok, prev)]
-        if ok.size:
-            _, first = np.unique(ok, return_index=True)
-            ok = ok[np.sort(first)][:need]
-            chunks.append(ok)
-            taken += ok.size
-    return np.concatenate(chunks) if len(chunks) != 1 else chunks[0]
+    return sample_distinct_rows(n_items, n, rng, exclude_mask=mask)[0]
 
 
 def _mark_row_duplicates(draws: np.ndarray) -> np.ndarray:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataFormatError, ItemCatalog
-from .sampling import uniform_excluding
 from .util import atomic_write_text, top_k, warn
 
 _KNN_CHUNK = 512
@@ -20,7 +19,8 @@ _KNN_CHUNK = 512
 
 @dataclass
 class SemanticPositivePool:
-    """Per-item semantic positives; ``positives[i]`` never contains i."""
+    """Per-item semantic positives; ``positives[i]`` holds distinct items
+    and never i."""
 
     positives: list[np.ndarray]
     source: str  # "title_knn" or "taxonomy"
@@ -31,6 +31,11 @@ class SemanticPositivePool:
 
     def has_positives(self, item: int) -> bool:
         return self.positives[item].size > 0
+
+    def excluded(self, item: int) -> np.ndarray:
+        """The items a semantic negative of ``item`` may not be: its
+        positives and itself, sorted, no duplicates."""
+        return np.sort(np.append(self.positives[item], item))
 
 
 def mine_title_knn(catalog: ItemCatalog, k: int = 10) -> SemanticPositivePool:
@@ -100,16 +105,6 @@ def mine_taxonomy(
     return SemanticPositivePool(positives, "taxonomy")
 
 
-def sample_semantic_negatives(
-    pool: SemanticPositivePool, item: int, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Distinct items drawn uniformly outside ``positives[item]`` and
-    ``item`` itself."""
-    excluded = set(int(j) for j in pool.positives[item])
-    excluded.add(item)
-    return uniform_excluding(pool.n_items, excluded, n, rng)
-
-
 def dump_semantic_pool(pool: SemanticPositivePool, catalog: ItemCatalog, path: str) -> None:
     """One ``item_id TAB comma-joined positive ids`` row per item, sorted
     by item_id."""
@@ -122,9 +117,11 @@ def dump_semantic_pool(pool: SemanticPositivePool, catalog: ItemCatalog, path: s
 
 
 def load_semantic_pool(path: str, catalog: ItemCatalog, source: str) -> SemanticPositivePool:
-    """Read a ``dump_semantic_pool`` file; a malformed row raises
-    ``DataFormatError`` naming ``path:line``."""
+    """Read a ``dump_semantic_pool`` file; a malformed row, a second row
+    for one item or a positive listed twice raises ``DataFormatError``
+    naming ``path:line``."""
     positives: list[np.ndarray] = [np.empty(0, dtype=np.int64) for _ in range(len(catalog))]
+    first_line: dict[int, int] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
@@ -132,9 +129,16 @@ def load_semantic_pool(path: str, catalog: ItemCatalog, source: str) -> Semantic
                 continue
             item_id, _, joined = line.partition("\t")
             owner = catalog.index_at(item_id, f"{path}:{lineno}")
+            if owner in first_line:
+                raise DataFormatError(f"{path}:{lineno}: item {item_id!r} repeats line {first_line[owner]}")
+            first_line[owner] = lineno
             if joined:
-                row = [catalog.index_at(x, f"{path}:{lineno}") for x in joined.split(",")]
+                names = joined.split(",")
+                row = [catalog.index_at(x, f"{path}:{lineno}") for x in names]
                 if owner in row:
                     raise DataFormatError(f"{path}:{lineno}: item {item_id!r} listed as its own positive")
+                repeated = next((x for i, x in enumerate(names) if x in names[:i]), None)
+                if repeated is not None:
+                    raise DataFormatError(f"{path}:{lineno}: positive {repeated!r} listed twice")
                 positives[owner] = np.asarray(row, dtype=np.int64)
     return SemanticPositivePool(positives, source)

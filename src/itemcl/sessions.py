@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataFormatError, ItemCatalog, SplitDataset
-from .sampling import uniform_excluding
 from .util import atomic_write_text
 
 
@@ -99,6 +98,11 @@ class CooccurrenceTable:
     def neighbors(self, item: int) -> frozenset[int]:
         return self.neighbor_sets.get(item, frozenset())
 
+    def excluded(self, item: int) -> np.ndarray:
+        """The items a session negative of ``item`` may not be: its
+        co-occurred neighbors and itself, sorted, no duplicates."""
+        return np.sort(np.fromiter(self.neighbors(item) | {item}, dtype=np.int64))
+
 
 def build_cooccurrence(sessions: list[Session], n_items: int, k: int = 10) -> CooccurrenceTable:
     """Scan all sessions and build the co-occurrence table."""
@@ -116,9 +120,6 @@ class SessionPositiveSampler:
             self._neighbors[item] = np.asarray([nb for nb, _ in pairs], dtype=np.int64)
             self._cumweights[item] = np.cumsum([c for _, c in pairs]).astype(np.float64)
 
-    def has_positive(self, item: int) -> bool:
-        return item in self._neighbors
-
     def sample(self, item: int, rng: np.random.Generator) -> int | None:
         cum = self._cumweights.get(item)
         if cum is None:
@@ -127,24 +128,6 @@ class SessionPositiveSampler:
         pos = int(np.searchsorted(cum, u, side="right"))
         pos = min(pos, len(cum) - 1)
         return int(self._neighbors[item][pos])
-
-
-def sample_session_positive(
-    sampler: SessionPositiveSampler, item: int, rng: np.random.Generator
-) -> int | None:
-    """One weighted draw from the item's top-k co-occurred neighbors, or
-    None when the item never co-occurred with anything."""
-    return sampler.sample(item, rng)
-
-
-def sample_session_negatives(
-    table: CooccurrenceTable, item: int, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Distinct items drawn uniformly from everything that never
-    co-occurred with ``item`` (and is not ``item`` itself)."""
-    excluded = set(table.neighbors(item))
-    excluded.add(item)
-    return uniform_excluding(table.n_items, excluded, n, rng)
 
 
 def dump_cooccurrence(table: CooccurrenceTable, catalog: ItemCatalog, path: str) -> None:
@@ -162,9 +145,10 @@ def dump_cooccurrence(table: CooccurrenceTable, catalog: ItemCatalog, path: str)
 
 
 def load_cooccurrence(path: str, catalog: ItemCatalog, k: int = 10) -> CooccurrenceTable:
-    """Read a ``dump_cooccurrence`` file; a malformed row raises
-    ``DataFormatError`` naming ``path:line``."""
+    """Read a ``dump_cooccurrence`` file; a malformed row, or a pair given
+    twice in either order, raises ``DataFormatError`` naming ``path:line``."""
     counts: dict[tuple[int, int], int] = {}
+    first_line: dict[tuple[int, int], int] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
@@ -182,6 +166,12 @@ def load_cooccurrence(path: str, catalog: ItemCatalog, k: int = 10) -> Cooccurre
                 raise DataFormatError(f"{path}:{lineno}: bad count {parts[2]!r}") from None
             if count <= 0:
                 raise DataFormatError(f"{path}:{lineno}: nonpositive count {count}")
-            counts[(a, b) if a < b else (b, a)] = count
+            key = (a, b) if a < b else (b, a)
+            if key in counts:
+                raise DataFormatError(
+                    f"{path}:{lineno}: pair {parts[0]!r} {parts[1]!r} repeats line {first_line[key]}"
+                )
+            counts[key] = count
+            first_line[key] = lineno
     return CooccurrenceTable(counts, len(catalog), k)
 

@@ -14,12 +14,12 @@ import time
 import numpy as np
 import pytest
 
-from itemcl.augment import AugmentationPlan, FieldLayout, augment
+from itemcl.augment import AugmentationPlan, FieldLayout, augmentation_masks
 from itemcl.config import TrainConfig
 from itemcl.data import Item, ItemCatalog, chronological_split
 from itemcl.evaluation import evaluate, item_matrix
 from itemcl.gradcheck import build_fixture, gradcheck_suite
-from itemcl.losses import ContrastiveBatch, MatchBatch, loss_feature_cl, loss_matching
+from itemcl.losses import ContrastiveBatch, MatchBatch, _batched_negatives, loss_feature_cl, loss_matching
 from itemcl.model import (
     EncodedCatalog,
     EncodedProfiles,
@@ -37,10 +37,8 @@ from itemcl.sessions import (
     build_cooccurrence,
     dump_cooccurrence,
     load_cooccurrence,
-    sample_session_negatives,
-    sample_session_positive,
 )
-from itemcl.semantics import mine_taxonomy, sample_semantic_negatives
+from itemcl.semantics import mine_taxonomy
 from itemcl.synthetic import SyntheticSpec, default_split_time, generate
 from itemcl.training import mine_artifacts, train
 
@@ -152,29 +150,26 @@ def test_criterion_4_sampler_statistics():
     rng = np.random.default_rng(44)
     table = CooccurrenceTable({(0, 1): 3, (0, 2): 1}, 10, k=10)
     sampler = SessionPositiveSampler(table)
-    draws = np.array([sample_session_positive(sampler, 0, rng) for _ in range(100_000)])
+    draws = np.array([sampler.sample(0, rng) for _ in range(100_000)])
     gap_pos = max(abs((draws == 1).mean() - 0.75), abs((draws == 2).mean() - 0.25))
 
-    hits = np.zeros(10)
-    for _ in range(100_000):
-        hits[int(sample_session_negatives(table, 0, 1, rng)[0])] += 1
-    freq = hits / 100_000
+    # negatives as training draws them: 100k rows of the one batched sampler
+    draws = np.concatenate(_batched_negatives(10, [table.excluded(0)] * 100_000, 1, rng))
+    freq = np.bincount(draws, minlength=10) / 100_000
     gap_sess_neg = float(np.abs(freq[3:] - 1 / 7).max() + freq[:3].sum())
 
     catalog = ItemCatalog(
         [Item(f"i{i}", (), "p", "g" if i < 3 else None) for i in range(10)]
     )
     pool = mine_taxonomy(catalog)
-    hits = np.zeros(10)
-    for _ in range(100_000):
-        hits[int(sample_semantic_negatives(pool, 0, 1, rng)[0])] += 1
-    freq = hits / 100_000
+    draws = np.concatenate(_batched_negatives(10, [pool.excluded(0)] * 100_000, 1, rng))
+    freq = np.bincount(draws, minlength=10) / 100_000
     gap_sem_neg = float(np.abs(freq[3:] - 1 / 7).max() + freq[:3].sum())
 
     layout = FieldLayout.build([(f"f{i}", "single_categorical") for i in range(3)], 64)
     plan = AugmentationPlan("element", 0.5)
-    ones = np.ones(layout.width)
-    fractions = [(augment(ones, layout, plan, rng) == 0.0).mean() for _ in range(10_000)]
+    _, zero_mask = augmentation_masks(layout, plan, np.zeros(10_000, dtype=np.int64), rng)
+    fractions = zero_mask.mean(axis=1)
     gap_drop = abs(float(np.mean(fractions)) - 0.5)
 
     ok = gap_pos < 0.01 and gap_sess_neg < 0.01 and gap_sem_neg < 0.01 and gap_drop < 0.02

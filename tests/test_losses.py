@@ -1,11 +1,13 @@
 """Loss values against closed forms and independent scalar recomputation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from itemcl.losses import (
+    _batched_negatives,
     ContrastiveBatch,
     ItemPass,
     JointLossInputs,
@@ -19,6 +21,8 @@ from itemcl.losses import (
 )
 from itemcl.model import embed_items, item_tower
 from itemcl.rng import substream
+from itemcl.sampling import sample_distinct_rows
+from itemcl.util import ItemclWarning
 
 
 def scalar_infonce(pos, negs, tau, include_positive=True):
@@ -182,13 +186,67 @@ class TestLossFeature:
             expected += scalar_infonce(s_pos, s_negs, tau=0.5)
         assert abs(value - expected) < 1e-10
 
-    def test_negatives_never_hit_the_anchor(self, tiny):
-        from itemcl.sampling import uniform_excluding
+    def test_negatives_never_hit_the_anchor(self, tiny, monkeypatch):
+        # both draw branches of the feature task: one vectorized draw while
+        # the catalog holds k other items, the shortfall sampler once not
+        import itemcl.losses as losses
 
-        rng = substream(3, "check")
-        for a in range(6):
-            draws = uniform_excluding(6, {a}, 5, rng)
-            assert a not in draws.tolist()
+        anchors = np.arange(6)
+        for k, branch in ((5, "sample_distinct_rows"), (8, "uniform_excluding")):
+            drawn = []
+            original = getattr(losses, branch)
+
+            def spy(*args, original=original, drawn=drawn, **kwargs):
+                drawn.append(original(*args, **kwargs))
+                return drawn[-1]
+
+            monkeypatch.setattr(losses, branch, spy)
+            rng = substream(3, "check")
+            batch = ContrastiveBatch(anchors=anchors, num_negatives=k)
+            for _ in range(20):
+                drawn.clear()
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", ItemclWarning)
+                    loss_feature_cl(tiny["params"], tiny["enc"], batch, tiny["plan"], rng)
+                negs = np.vstack(drawn)
+                assert negs.shape == (6, min(k, 5))
+                for a, row in zip(anchors, negs):
+                    assert a not in row.tolist()
+                    assert len(set(row.tolist())) == row.size
+
+
+class TestBatchedNegatives:
+    def test_mask_and_draws_match_a_row_by_row_fill(self):
+        rng = np.random.default_rng(21)
+        exclusions = [np.union1d(rng.choice(30, size=rng.integers(0, 10), replace=False), [a % 30]) for a in range(40)]
+        got_rng, expected_rng = np.random.default_rng(22), np.random.default_rng(22)
+        got = _batched_negatives(30, exclusions, 5, got_rng)
+        mask = np.zeros((40, 30), dtype=bool)
+        for row, excluded in enumerate(exclusions):
+            mask[row, excluded] = True
+        expected = sample_distinct_rows(30, 5, expected_rng, exclude_mask=mask)
+        np.testing.assert_array_equal(np.stack(got), expected)
+        assert got_rng.bit_generator.state == expected_rng.bit_generator.state
+
+    def test_shortfall_rows_return_eligible_ascending_warn_once_draw_nothing(self):
+        rng = np.random.default_rng(23)
+        before = rng.bit_generator.state
+        with pytest.warns(ItemclWarning) as caught:
+            (got,) = _batched_negatives(6, [np.array([0, 2, 3])], 4, rng)
+        assert got.tolist() == [1, 4, 5]
+        assert len(caught) == 1
+        assert rng.bit_generator.state == before
+
+    def test_shortfall_row_leaves_the_other_rows_draws_alone(self):
+        rich = [np.array([0]), np.array([1, 2])]
+        rng, expected_rng = np.random.default_rng(24), np.random.default_rng(24)
+        with pytest.warns(ItemclWarning):
+            got = _batched_negatives(6, [rich[0], np.array([0, 1, 2, 3]), rich[1]], 3, rng)
+        expected = _batched_negatives(6, rich, 3, expected_rng)
+        np.testing.assert_array_equal(got[0], expected[0])
+        assert got[1].tolist() == [4, 5]
+        np.testing.assert_array_equal(got[2], expected[1])
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
 
 
 class TestLossSemantic:

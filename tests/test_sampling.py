@@ -1,8 +1,10 @@
 """Shared negative-sampling helpers."""
 
 import numpy as np
+import pytest
 
 from itemcl.sampling import sample_distinct_rows, uniform_excluding
+from itemcl.util import ItemclWarning
 
 
 class TestUniformExcluding:
@@ -15,6 +17,24 @@ class TestUniformExcluding:
 
     def test_zero(self):
         assert uniform_excluding(10, {1}, 0, np.random.default_rng(0)).size == 0
+
+    def test_is_one_row_of_sample_distinct_rows(self):
+        rng, expected_rng = np.random.default_rng(5), np.random.default_rng(5)
+        mask = np.zeros((1, 20), dtype=bool)
+        mask[0, [3, 4, 5]] = True
+        for _ in range(50):
+            out = uniform_excluding(20, np.array([5, 3, 4]), 8, rng)
+            np.testing.assert_array_equal(out, sample_distinct_rows(20, 8, expected_rng, exclude_mask=mask)[0])
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+    def test_shortfall_returns_eligible_ascending_and_draws_nothing(self):
+        rng = np.random.default_rng(6)
+        before = rng.bit_generator.state
+        with pytest.warns(ItemclWarning) as caught:
+            out = uniform_excluding(6, {4, 0, 2}, 4, rng)
+        assert out.tolist() == [1, 3, 5]
+        assert len(caught) == 1
+        assert rng.bit_generator.state == before
 
 
 class TestSampleDistinctRows:

@@ -11,8 +11,8 @@ from itemcl.semantics import (
     load_semantic_pool,
     mine_taxonomy,
     mine_title_knn,
-    sample_semantic_negatives,
 )
+from itemcl.losses import _batched_negatives
 from itemcl.util import ItemclWarning
 
 
@@ -127,29 +127,41 @@ class TestTaxonomy:
             assert set(chosen) <= members - {i}
 
 
+def negatives(pool, item, k, rng, rows=1):
+    """Semantic negatives as training draws them: rows of the one batched
+    sampler over the item's exclusion rule."""
+    return _batched_negatives(pool.n_items, [pool.excluded(item)] * rows, k, rng)
+
+
 class TestSemanticNegatives:
+    def test_excluded_is_positives_and_self_sorted(self):
+        from itemcl.semantics import SemanticPositivePool
+
+        pool = SemanticPositivePool([np.array([4, 1]), np.array([], dtype=np.int64)] + [np.array([0])] * 3, "taxonomy")
+        assert pool.excluded(0).tolist() == [0, 1, 4]
+        assert pool.excluded(0).dtype == np.int64
+        assert pool.excluded(1).tolist() == [1]
+        assert pool.excluded(3).tolist() == [0, 3]
+
     def test_forced(self):
         catalog = catalog_with_vectors([None] * 3, taxonomies=["g", "g", None])
         pool = mine_taxonomy(catalog)  # positives[0] = {1}
-        negs = sample_semantic_negatives(pool, 0, 1, np.random.default_rng(0))
+        (negs,) = negatives(pool, 0, 1, np.random.default_rng(0))
         assert negs.tolist() == [2]
 
     def test_shortfall_warns(self):
         catalog = catalog_with_vectors([None] * 3, taxonomies=["g", "g", None])
         pool = mine_taxonomy(catalog)
         with pytest.warns(ItemclWarning):
-            negs = sample_semantic_negatives(pool, 0, 5, np.random.default_rng(0))
+            (negs,) = negatives(pool, 0, 5, np.random.default_rng(0))
         assert negs.tolist() == [2]
 
     def test_uniformity(self):
         catalog = catalog_with_vectors([None] * 10, taxonomies=["g", "g", "g"] + [None] * 7)
         pool = mine_taxonomy(catalog)  # for item 0: excluded {0,1,2}
-        rng = np.random.default_rng(1)
-        hits = np.zeros(10)
         n_draws = 100_000
-        for _ in range(n_draws):
-            hits[int(sample_semantic_negatives(pool, 0, 1, rng)[0])] += 1
-        freq = hits / n_draws
+        draws = np.concatenate(negatives(pool, 0, 1, np.random.default_rng(1), rows=n_draws))
+        freq = np.bincount(draws, minlength=10) / n_draws
         assert np.all(np.abs(freq[3:] - 1 / 7) < 0.01)
         assert freq[:3].sum() == 0
 
@@ -172,6 +184,9 @@ class TestDump:
             ("zz\ta", "unknown item_id 'zz'"),
             ("a\tb,zz", "unknown item_id 'zz'"),
             ("a\tb,a", "item 'a' listed as its own positive"),
+            ("c\ta", "item 'c' repeats line 1"),
+            ("c", "item 'c' repeats line 1"),
+            ("a\tb,c,b", "positive 'b' listed twice"),
         ],
     )
     def test_malformed_row_names_file_and_line(self, tmp_path, row, message):

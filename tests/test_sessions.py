@@ -15,10 +15,9 @@ from itemcl.sessions import (
     count_pairs,
     dump_cooccurrence,
     load_cooccurrence,
-    sample_session_negatives,
-    sample_session_positive,
     segment_sessions,
 )
+from itemcl.losses import _batched_negatives
 from itemcl.util import ItemclWarning
 
 
@@ -147,6 +146,8 @@ class TestLoadCooccurrence:
             ("a\ta\t2", "item 'a' paired with itself"),
             ("a\tb\t0", "nonpositive count 0"),
             ("a\tb", "expected 3 tab-separated fields"),
+            ("a\tc\t5", "pair 'a' 'c' repeats line 1"),
+            ("c\ta\t5", "pair 'c' 'a' repeats line 1"),
         ],
     )
     def test_malformed_row_names_file_and_line(self, tmp_path, row, message):
@@ -163,52 +164,57 @@ class TestSessionSampling:
     def table(self):
         return CooccurrenceTable({(0, 1): 3, (0, 2): 1}, 10, k=10)
 
+    def negatives(self, table, item, k, rng, rows=1):
+        """Session negatives as training draws them: rows of the one
+        batched sampler over the item's exclusion rule."""
+        return _batched_negatives(table.n_items, [table.excluded(item)] * rows, k, rng)
+
     def test_weighted_frequencies(self):
         sampler = SessionPositiveSampler(self.table())
         rng = np.random.default_rng(0)
-        draws = np.array([sample_session_positive(sampler, 0, rng) for _ in range(100_000)])
+        draws = np.array([sampler.sample(0, rng) for _ in range(100_000)])
         assert abs((draws == 1).mean() - 0.75) < 0.01
         assert abs((draws == 2).mean() - 0.25) < 0.01
 
     def test_single_neighbor_always_returned(self):
         sampler = SessionPositiveSampler(CooccurrenceTable({(0, 1): 5}, 3, k=10))
         rng = np.random.default_rng(0)
-        assert all(sample_session_positive(sampler, 0, rng) == 1 for _ in range(50))
+        assert all(sampler.sample(0, rng) == 1 for _ in range(50))
 
     def test_isolated_item_signals_no_positive(self):
         sampler = SessionPositiveSampler(self.table())
-        assert sample_session_positive(sampler, 7, np.random.default_rng(0)) is None
+        assert sampler.sample(7, np.random.default_rng(0)) is None
+
+    def test_excluded_is_neighbors_and_self_sorted(self):
+        table = CooccurrenceTable({(2, 5): 1, (0, 5): 2, (5, 9): 1}, 10, k=10)
+        assert table.excluded(5).tolist() == [0, 2, 5, 9]
+        assert table.excluded(5).dtype == np.int64
+        assert table.excluded(7).tolist() == [7]
 
     def test_negatives_forced_set(self):
         table = CooccurrenceTable({(0, 1): 1}, 4, k=10)
-        negs = sample_session_negatives(table, 0, 2, np.random.default_rng(0))
+        (negs,) = self.negatives(table, 0, 2, np.random.default_rng(0))
         assert sorted(negs.tolist()) == [2, 3]
 
     def test_negatives_empty_request(self):
-        negs = sample_session_negatives(self.table(), 0, 0, np.random.default_rng(0))
+        (negs,) = self.negatives(self.table(), 0, 0, np.random.default_rng(0))
         assert negs.size == 0
 
     def test_negatives_exclude_neighbors_and_self(self):
-        table = self.table()
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            negs = sample_session_negatives(table, 0, 4, rng)
+        for negs in self.negatives(self.table(), 0, 4, np.random.default_rng(1), rows=200):
             assert len(set(negs.tolist())) == 4
             assert not ({0, 1, 2} & set(negs.tolist()))
 
     def test_negatives_uniform_over_eligible(self):
         table = self.table()  # eligible for item 0: {3..9}, 7 items
-        rng = np.random.default_rng(0)
-        hits = np.zeros(10)
         n_draws = 100_000
-        for _ in range(n_draws):
-            hits[int(sample_session_negatives(table, 0, 1, rng)[0])] += 1
-        freq = hits / n_draws
+        draws = np.concatenate(self.negatives(table, 0, 1, np.random.default_rng(0), rows=n_draws))
+        freq = np.bincount(draws, minlength=10) / n_draws
         assert np.all(np.abs(freq[3:] - 1 / 7) < 0.01)
         assert freq[:3].sum() == 0
 
     def test_negatives_shortfall_returns_whole_eligible_with_warning(self):
         table = CooccurrenceTable({(0, 1): 1, (0, 2): 1}, 4, k=10)
         with pytest.warns(ItemclWarning):
-            negs = sample_session_negatives(table, 0, 5, np.random.default_rng(0))
+            (negs,) = self.negatives(table, 0, 5, np.random.default_rng(0))
         assert negs.tolist() == [3]

@@ -142,7 +142,7 @@ def _cmd_mine_sessions(args: argparse.Namespace) -> int:
             "out": args.out,
             "n_sessions": len(sessions),
             "n_pairs": len(table.counts),
-            "n_items_with_neighbors": len(table.neighbor_sets),
+            "n_items_with_neighbors": len(table.topk),
         }
     )
     return 0

@@ -17,6 +17,23 @@ in the slot (plus, with positional encoding, the slot's position), so the
 user tower projects each distinct item of a call once and gathers the
 projections per slot; its backward pass sums the slot gradients per
 distinct item before the projection weights see them.
+
+Between attention and the feed-forward ReLU everything is affine, and
+every attention row sums to 1 (an all-padding row spreads uniform weight
+over padding values), so ``relu(((probs @ v) Wo + bo) Wf1 + bf1)`` equals
+``relu(probs @ f)`` with the value chain ``f = ((x Wv + bv) Wo + bo) Wf1
++ bf1``. ``f`` is computed per distinct item like the query and key, so
+``attn.Wv``, ``attn.Wo`` and ``attn.Wf1`` never run per slot.
+
+The encoded slots feed only the user MLP's first layer, so the product
+``valid * (ffn_h Wf2 + bf2)`` times each slot block ``W0_s`` of its
+weight can be associated either way. Running ``attn.Wf2`` per slot costs
+m * window * ffn * d for m users; folding it into the slot blocks, as
+``Wf2 W0_s`` plus ``valid @ (bf2 W0_s)``, costs window * ffn * d * h1 per
+call. A call with more users than the first layer has units (``h1 =
+tower_dims[0]``) folds: training batches and evaluation chunks do,
+single-user retrieval does not. The two orders share everything up to
+the feed-forward hidden layer and agree to rounding.
 """
 
 from __future__ import annotations
@@ -354,7 +371,7 @@ def _concat_fields(
     provider] per item; an empty tag set pools to zero."""
     tag_mean = np.zeros((len(ids), params.meta.dims.d_field))
     if flat_tags.size:
-        np.add.at(tag_mean, np.repeat(np.arange(len(ids)), lens), params.arrays["emb.tags"][flat_tags])
+        _scatter_rows(tag_mean, np.repeat(np.arange(len(ids)), lens), params.arrays["emb.tags"][flat_tags])
         tag_mean /= np.maximum(lens, 1)[:, None]
     prov_rows = params.arrays["emb.provider"][enc.provider_idx[ids]]
     return np.concatenate([params.arrays["emb.item_id"][ids], tag_mean, prov_rows], axis=1)
@@ -456,9 +473,12 @@ def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool = False) -> 
     return out
 
 
-def _mlp3_forward(params: ModelParams, prefix: str, x: np.ndarray) -> tuple[np.ndarray, MlpTrace]:
+def _mlp3_forward(
+    params: ModelParams, prefix: str, x: np.ndarray, w0: np.ndarray
+) -> tuple[np.ndarray, MlpTrace]:
+    """Three layers over ``x``, the first applying weight ``w0``."""
     a = params.arrays
-    h0 = _affine(x, a[f"{prefix}.W0"], a[f"{prefix}.b0"], relu=True)
+    h0 = _affine(x, w0, a[f"{prefix}.b0"], relu=True)
     h1 = _affine(h0, a[f"{prefix}.W1"], a[f"{prefix}.b1"], relu=True)
     y = _affine(h1, a[f"{prefix}.W2"], a[f"{prefix}.b2"])
     return y, MlpTrace(x, h0, h1)
@@ -470,7 +490,10 @@ def _mlp3_backward(
     trace: MlpTrace,
     grad_y: np.ndarray,
     grads: dict[str, np.ndarray],
-) -> np.ndarray:
+    w0: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Accumulates every gradient but that of the first layer's weight
+    ``w0``; returns it and the gradient of the input."""
     a = params.arrays
     grads[f"{prefix}.W2"] += trace.h1.T @ grad_y
     grads[f"{prefix}.b2"] += grad_y.sum(axis=0)
@@ -480,9 +503,8 @@ def _mlp3_backward(
     grads[f"{prefix}.b1"] += gh1.sum(axis=0)
     gh0 = gh1 @ a[f"{prefix}.W1"].T
     gh0[trace.h0 <= 0.0] = 0.0
-    grads[f"{prefix}.W0"] += trace.x.T @ gh0
     grads[f"{prefix}.b0"] += gh0.sum(axis=0)
-    return gh0 @ a[f"{prefix}.W0"].T
+    return trace.x.T @ gh0, gh0 @ w0.T
 
 
 def item_tower(params: ModelParams, raw: np.ndarray) -> tuple[np.ndarray, MlpTrace]:
@@ -490,13 +512,15 @@ def item_tower(params: ModelParams, raw: np.ndarray) -> tuple[np.ndarray, MlpTra
     layers, linear output)."""
     if raw.ndim != 2 or raw.shape[1] != params.meta.raw_item_width:
         raise ValueError(f"raw batch must be (m, {params.meta.raw_item_width})")
-    return _mlp3_forward(params, "item_tower", raw)
+    return _mlp3_forward(params, "item_tower", raw, params.arrays["item_tower.W0"])
 
 
 def item_tower_backward(
     params: ModelParams, trace: MlpTrace, grad_out: np.ndarray, grads: dict[str, np.ndarray]
 ) -> np.ndarray:
-    return _mlp3_backward(params, "item_tower", trace, grad_out, grads)
+    g_w0, g_raw = _mlp3_backward(params, "item_tower", trace, grad_out, grads, params.arrays["item_tower.W0"])
+    grads["item_tower.W0"] += g_w0
+    return g_raw
 
 
 def pad_histories(histories: list[list[int]], window: int) -> np.ndarray:
@@ -530,18 +554,57 @@ class UserTrace:
     profile_idx: np.ndarray
     items: np.ndarray  # (n_distinct,) sorted distinct history entries, padding included
     slot_item: np.ndarray  # (m, window) row of ``items`` holding each slot's entry
-    item_x: np.ndarray  # (n_distinct, d) item embeddings, zero for padding
+    # per chain of _SLOT_CHAINS, each stage's input per distinct item (the
+    # first is the item embedding, zero for padding) and, with positional
+    # encoding, per position
+    chain_in: list[tuple[list[np.ndarray], list[np.ndarray] | None]]
     q: np.ndarray
     k: np.ndarray
-    v: np.ndarray
+    f: np.ndarray  # (m, window, ffn) value chain per slot
     probs: np.ndarray
-    attn: np.ndarray
-    o: np.ndarray
-    ffn_h: np.ndarray
+    ffn_h: np.ndarray  # (m, window, ffn) relu(probs @ f)
+    folded: bool  # attn.Wf2 folded into the first layer's weight
+    w0: np.ndarray  # the weight the first layer applies to ``mlp.x``
     mlp: MlpTrace
 
 
-_QKV = (("attn.Wq", "attn.bq"), ("attn.Wk", None), ("attn.Wv", "attn.bv"))  # keys take no bias
+# The affine chains each history slot's input row runs through: query, key,
+# and the value carried on through attn.Wo and attn.Wf1 (module docstring).
+_SLOT_CHAINS = (
+    (("attn.Wq", "attn.bq"),),
+    (("attn.Wk", None),),  # keys take no bias
+    (("attn.Wv", "attn.bv"), ("attn.Wo", "attn.bo"), ("attn.Wf1", "attn.bf1")),
+)
+
+
+def _chain_forward(
+    a: dict[str, np.ndarray], stages: tuple, x: np.ndarray, biased: bool
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``x`` through each (weight, bias) stage, the biases left out unless
+    ``biased``; returns the output and every stage's input."""
+    inputs = []
+    for w, b in stages:
+        inputs.append(x)
+        x = x @ a[w]
+        if biased and b is not None:
+            x += a[b]
+    return x, inputs
+
+
+def _chain_backward(
+    a: dict[str, np.ndarray],
+    stages: tuple,
+    inputs: list[np.ndarray],
+    g: np.ndarray,
+    grads: dict[str, np.ndarray],
+    biased: bool,
+) -> np.ndarray:
+    for (w, b), x in zip(reversed(stages), reversed(inputs)):
+        grads[w] += x.T @ g
+        if biased and b is not None:
+            grads[b] += g.sum(axis=0)
+        g = g @ a[w].T
+    return g
 
 
 def user_tower(
@@ -555,16 +618,17 @@ def user_tower(
     Padding keys receive zero attention weight and padding positions are
     zeroed after the feed-forward, so they contribute nothing downstream.
 
-    Queries, keys and values are projected once per distinct entry of
-    ``histories`` and gathered per slot; with positional encoding the
-    per-position term ``PE @ W`` is added on valid slots, which equals
-    projecting ``x + PE`` by linearity. Padding projects a zero row, so
-    its query and value are exactly the biases and its key exactly zero,
-    whatever else the call holds.
+    Each slot chain runs once per distinct entry of ``histories`` and is
+    gathered per slot; with positional encoding the chain of ``PE``
+    without biases is added on valid slots, which equals running
+    ``x + PE`` by linearity. Padding runs a zero row, so its query is
+    exactly ``bq``, its key exactly zero and its value chain that of
+    ``bv``, whatever else the call holds.
     """
     meta = params.meta
     d = meta.dims.d_field
     window = meta.dims.behavior_window
+    h1 = meta.dims.tower_dims[0]
     if not isinstance(histories, np.ndarray):
         histories = pad_histories(histories, window)
     if histories.shape[1] != window:
@@ -576,16 +640,18 @@ def user_tower(
     slot_item = np.searchsorted(items, histories)
     item_x = a["emb.item_id"].take(items, axis=0)
     item_x[: np.searchsorted(items, 0)] = 0.0  # padding entries sort first
-    qkv = []
-    for w, b in _QKV:
-        per_item = item_x @ a[w]
-        if b is not None:
-            per_item += a[b]
-        per_slot = per_item.take(slot_item, axis=0)
-        if meta.dims.positional_encoding:
-            per_slot += np.where(valid[:, :, None], _sinusoidal_positions(window, d) @ a[w], 0.0)
-        qkv.append(per_slot)
-    q, k, v = qkv
+    positions = _sinusoidal_positions(window, d) if meta.dims.positional_encoding else None
+    per_slot, chain_in = [], []
+    for stages in _SLOT_CHAINS:
+        per_item, item_in = _chain_forward(a, stages, item_x, biased=True)
+        slots = per_item.take(slot_item, axis=0)
+        position_in = None
+        if positions is not None:
+            position_term, position_in = _chain_forward(a, stages, positions, biased=False)
+            slots += np.where(valid[:, :, None], position_term, 0.0)
+        per_slot.append(slots)
+        chain_in.append((item_in, position_in))
+    q, k, f = per_slot
 
     scores = np.matmul(q, k.transpose(0, 2, 1))
     scores /= np.sqrt(d)
@@ -594,20 +660,28 @@ def user_tower(
     scores -= shift
     probs = np.exp(scores, out=scores)
     probs /= probs.sum(axis=2, keepdims=True)
-    attn = np.matmul(probs, v)
+    ffn_h = np.matmul(probs, f)
+    np.maximum(ffn_h, 0.0, out=ffn_h)
+    ffn_h[~valid] = 0.0  # padding slots feed nothing; the backward's relu mask then masks them too
 
-    flat_attn = attn.reshape(m * window, d)
-    o = _affine(flat_attn, a["attn.Wo"], a["attn.bo"])
-    ffn_h = _affine(o, a["attn.Wf1"], a["attn.bf1"], relu=True)
-    encoded = _affine(ffn_h, a["attn.Wf2"], a["attn.bf2"]).reshape(m, window, d)
-    encoded *= valid[:, :, None]
-
-    parts = [encoded.reshape(m, window * d)]
-    for j, name in enumerate(meta.user_field_names):
-        parts.append(a[f"user_emb.{name}"][profile_idx[:, j]])
+    # fold attn.Wf2 and attn.bf2 into the first layer's slot blocks when
+    # that costs less than running Wf2 per slot (module docstring)
+    w0 = a["user_tower.W0"]
+    folded = m > h1
+    if folded:
+        w0_slots = w0[: window * d].reshape(window, d, h1)
+        behavior = [ffn_h.reshape(m, -1), valid.astype(np.float64)]
+        w0 = np.concatenate(
+            [(a["attn.Wf2"] @ w0_slots).reshape(-1, h1), a["attn.bf2"] @ w0_slots, w0[window * d :]]
+        )
+    else:
+        encoded = _affine(ffn_h.reshape(m * window, -1), a["attn.Wf2"], a["attn.bf2"]).reshape(m, window, d)
+        encoded[~valid] = 0.0
+        behavior = [encoded.reshape(m, window * d)]
+    parts = behavior + [a[f"user_emb.{name}"][profile_idx[:, j]] for j, name in enumerate(meta.user_field_names)]
     z = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
-    u, mlp = _mlp3_forward(params, "user_tower", z)
-    trace = UserTrace(histories, valid, profile_idx, items, slot_item, item_x, q, k, v, probs, attn, o, ffn_h, mlp)
+    u, mlp = _mlp3_forward(params, "user_tower", z, w0)
+    trace = UserTrace(histories, valid, profile_idx, items, slot_item, chain_in, q, k, f, probs, ffn_h, folded, w0, mlp)
     return u, trace
 
 
@@ -620,29 +694,37 @@ def user_tower_backward(
     window = meta.dims.behavior_window
     m = trace.hist.shape[0]
 
-    gz = _mlp3_backward(params, "user_tower", trace.mlp, grad_u, grads)
-    g_encoded = gz[:, : window * d].reshape(m, window, d)
-    offset = window * d
+    g_w0, gz = _mlp3_backward(params, "user_tower", trace.mlp, grad_u, grads, trace.w0)
+    offset = gz.shape[1] - len(meta.user_field_names) * d
     for j, name in enumerate(meta.user_field_names):
         g_slice = gz[:, offset + j * d : offset + (j + 1) * d]
         _scatter_rows(grads[f"user_emb.{name}"], trace.profile_idx[:, j], g_slice)
 
-    g_encoded *= trace.valid[:, :, None]  # in place into gz, disjoint from the profile slices
-    g_flat = g_encoded.reshape(m * window, d)
-    grads["attn.Wf2"] += trace.ffn_h.T @ g_flat
-    grads["attn.bf2"] += g_flat.sum(axis=0)
-    g_ffn = g_flat @ a["attn.Wf2"].T
-    g_ffn[trace.ffn_h <= 0.0] = 0.0
-    grads["attn.Wf1"] += trace.o.T @ g_ffn
-    grads["attn.bf1"] += g_ffn.sum(axis=0)
-    g_o = g_ffn @ a["attn.Wf1"].T
-    flat_attn = trace.attn.reshape(m * window, d)
-    grads["attn.Wo"] += flat_attn.T @ g_o
-    grads["attn.bo"] += g_o.sum(axis=0)
-    g_attn = (g_o @ a["attn.Wo"].T).reshape(m, window, d)
+    if trace.folded:
+        h1 = g_w0.shape[1]
+        w0_slots = a["user_tower.W0"][: window * d].reshape(window, d, h1)
+        n_ffn = window * meta.dims.ffn_dim
+        g_fold = g_w0[:n_ffn].reshape(window, -1, h1)
+        g_bias = g_w0[n_ffn:offset]
+        grads["user_tower.W0"][: window * d] += (
+            a["attn.Wf2"].T @ g_fold + a["attn.bf2"][:, None] * g_bias[:, None, :]
+        ).reshape(window * d, h1)
+        grads["user_tower.W0"][window * d :] += g_w0[offset:]
+        grads["attn.Wf2"] += np.tensordot(g_fold, w0_slots, axes=([0, 2], [0, 2]))
+        grads["attn.bf2"] += np.tensordot(w0_slots, g_bias, axes=([0, 2], [0, 1]))
+        g_ffn = gz[:, :n_ffn].reshape(m, window, -1)
+    else:
+        grads["user_tower.W0"] += g_w0
+        g_encoded = gz[:, :offset].reshape(m, window, d)
+        g_encoded[~trace.valid] = 0.0
+        g_flat = g_encoded.reshape(m * window, d)
+        grads["attn.Wf2"] += trace.ffn_h.reshape(m * window, -1).T @ g_flat
+        grads["attn.bf2"] += g_flat.sum(axis=0)
+        g_ffn = (g_flat @ a["attn.Wf2"].T).reshape(m, window, -1)
+    g_ffn *= trace.ffn_h > 0.0
 
-    g_probs = np.matmul(g_attn, trace.v.transpose(0, 2, 1))
-    g_v = np.matmul(trace.probs.transpose(0, 2, 1), g_attn)
+    g_probs = np.matmul(g_ffn, trace.f.transpose(0, 2, 1))
+    g_f = np.matmul(trace.probs.transpose(0, 2, 1), g_ffn)
     inner = (g_probs * trace.probs).sum(axis=2, keepdims=True)
     g_scores = trace.probs * (g_probs - inner) / np.sqrt(d)
     g_q = np.matmul(g_scores, trace.k)
@@ -651,15 +733,12 @@ def user_tower_backward(
     # slot gradients summed per distinct item, padding included: the
     # biases see every slot, the weights and embeddings the item rows
     per_item = _segment_matrix(trace.slot_item.ravel(), trace.items.size)
-    g_x = np.zeros_like(trace.item_x)
-    for (w, b), g_slot in zip(_QKV, (g_q, g_k, g_v)):
-        g_item = per_item @ g_slot.reshape(m * window, d)
-        grads[w] += trace.item_x.T @ g_item
-        if meta.dims.positional_encoding:
-            grads[w] += _sinusoidal_positions(window, d).T @ (g_slot * trace.valid[:, :, None]).sum(axis=0)
-        if b is not None:
-            grads[b] += g_item.sum(axis=0)
-        g_x += g_item @ a[w].T
+    g_x = 0.0
+    for stages, (item_in, position_in), g_slot in zip(_SLOT_CHAINS, trace.chain_in, (g_q, g_k, g_f)):
+        g_item = per_item @ g_slot.reshape(m * window, -1)
+        g_x = g_x + _chain_backward(a, stages, item_in, g_item, grads, biased=True)
+        if position_in is not None:
+            _chain_backward(a, stages, position_in, (g_slot * trace.valid[:, :, None]).sum(axis=0), grads, biased=False)
     n_pad = np.searchsorted(trace.items, 0)
     grads["emb.item_id"][trace.items[n_pad:]] += g_x[n_pad:]
 

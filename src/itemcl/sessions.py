@@ -81,11 +81,12 @@ class CooccurrenceTable:
                 raise ValueError(f"nonpositive count for pair ({a}, {b})")
             neighbor_lists.setdefault(a, []).append((b, c))
             neighbor_lists.setdefault(b, []).append((a, c))
-        self.neighbor_sets: dict[int, frozenset[int]] = {
-            item: frozenset(nb for nb, _ in pairs) for item, pairs in neighbor_lists.items()
-        }
+        self._excluded: dict[int, np.ndarray] = {}
         self.topk: dict[int, list[tuple[int, int]]] = {}
         for item, pairs in neighbor_lists.items():
+            excluded = np.sort(np.asarray([nb for nb, _ in pairs] + [item], dtype=np.int64))
+            excluded.flags.writeable = False
+            self._excluded[item] = excluded
             pairs.sort(key=lambda pair: (-pair[1], pair[0]))
             self.topk[item] = pairs[:k]
 
@@ -96,12 +97,14 @@ class CooccurrenceTable:
         return self.counts.get(key, 0)
 
     def neighbors(self, item: int) -> frozenset[int]:
-        return self.neighbor_sets.get(item, frozenset())
+        return frozenset(self.excluded(item).tolist()) - {item}
 
     def excluded(self, item: int) -> np.ndarray:
         """The items a session negative of ``item`` may not be: its
-        co-occurred neighbors and itself, sorted, no duplicates."""
-        return np.sort(np.fromiter(self.neighbors(item) | {item}, dtype=np.int64))
+        co-occurred neighbors and itself, sorted, no duplicates. Built
+        once per table; read-only."""
+        excluded = self._excluded.get(item)
+        return np.array([item], dtype=np.int64) if excluded is None else excluded
 
 
 def build_cooccurrence(sessions: list[Session], n_items: int, k: int = 10) -> CooccurrenceTable:

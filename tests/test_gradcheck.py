@@ -13,7 +13,7 @@ from itemcl.gradcheck import (
     max_relative_error,
 )
 from itemcl.losses import loss_matching
-from itemcl.model import pad_histories
+from itemcl.model import pad_histories, user_tower
 
 
 def test_fixture_stays_under_200_parameters():
@@ -44,20 +44,51 @@ def test_finite_difference_on_quadratic():
     np.testing.assert_allclose(numeric, flatten(params.arrays), atol=1e-8)
 
 
-@pytest.mark.parametrize("positional", [False, True])
-def test_matching_gradient_with_repeated_history_items(positional):
-    # item 2 repeats within each user and across both, next to padding
+def assert_matching_gradient(positional, **batch):
+    """Gradcheck ``loss_matching`` on the fixture with ``batch`` replacing
+    fields of its match batch. The fixture's user-tower first layer and
+    attention feed-forward are inactive for every user (all
+    pre-activations negative), which leaves every gradient below them
+    zero; their biases are raised until some units are active (none
+    within 0.03 of its kink), so the value chain, the feed-forward and
+    the profile embeddings get checked."""
     fix = build_fixture(0)
     params = fix["params"]
     dims = dataclasses.replace(params.meta.dims, positional_encoding=positional)
     params.meta = dataclasses.replace(params.meta, dims=dims)
-    match = dataclasses.replace(
-        fix["match"], histories=pad_histories([[2, 0, 2], [2, 2]], dims.behavior_window)
-    )
+    params.arrays["user_tower.b0"] += 1.0
+    params.arrays["attn.bf1"] += 0.3
+    match = dataclasses.replace(fix["match"], **batch)
+    _, trace = user_tower(params, match.histories, match.profile_idx)
 
     def value(p):
         return loss_matching(p, fix["enc"], match)[0]
 
     _, grads = loss_matching(params, fix["enc"], match)
+    for name in ("attn.Wv", "attn.Wo", "attn.Wf1", "attn.Wf2", "attn.bf2", "user_tower.W0", "user_emb.seg"):
+        assert np.abs(grads[name]).max() > 1e-5, name  # ten times the error floor
     numeric = finite_difference_gradient(value, params)
     assert max_relative_error(flatten(grads), numeric) < 1e-5
+    return trace
+
+
+@pytest.mark.parametrize("positional", [False, True])
+def test_matching_gradient_with_repeated_history_items(positional):
+    # item 2 repeats within each user and across both, next to padding
+    trace = assert_matching_gradient(positional, histories=pad_histories([[2, 0, 2], [2, 2]], 3))
+    assert not trace.folded
+
+
+@pytest.mark.parametrize("positional", [False, True])
+def test_matching_gradient_through_the_folded_first_layer(positional):
+    # five users against a first hidden layer of three units: the user
+    # tower folds attn.Wf2 into that layer's weight
+    trace = assert_matching_gradient(
+        positional,
+        user_rows=np.array([0, 1, 2, 3, 4, 1]),
+        histories=pad_histories([[2, 0, 2], [1, 3, 4], [], [5, 5], [4, 1]], 3),
+        profile_idx=np.array([[0], [1], [0], [1], [0]]),
+        pos_items=np.array([1, 4, 5, 0, 3, 2]),
+        neg_items=np.array([[0, 3], [2, 5], [0, 2], [1, 4], [5, 0], [3, 1]]),
+    )
+    assert trace.folded

@@ -41,6 +41,16 @@ class TestEmbedItems:
         raw, _ = embed_items(params, enc, np.array([4]))  # item "e" has no tags
         np.testing.assert_array_equal(raw[0, d : 2 * d], np.zeros(d))
 
+    def test_tag_pooling_equals_add_at(self, tiny):
+        params, enc = tiny["params"], tiny["enc"]
+        d = params.meta.dims.d_field
+        ids = np.random.default_rng(2).integers(0, 6, size=200)
+        raw, trace = embed_items(params, enc, ids)
+        expected = np.zeros((ids.size, d))
+        np.add.at(expected, np.repeat(np.arange(ids.size), trace.tag_lens), params.arrays["emb.tags"][trace.flat_tags])
+        expected /= np.maximum(trace.tag_lens, 1)[:, None]
+        np.testing.assert_array_equal(raw[:, d : 2 * d], expected)
+
     def test_lookup_equals_table_rows(self, tiny):
         params, enc = tiny["params"], tiny["enc"]
         d = params.meta.dims.d_field
@@ -88,13 +98,16 @@ class TestItemTower:
 class TestUserTower:
     def test_empty_history_driven_by_profile_alone(self, tiny):
         params, prof = tiny["params"], tiny["prof_enc"]
-        profile_idx = prof.rows(["u1"])
-        u_empty, trace = user_tower(params, [[]], profile_idx)
-        np.testing.assert_array_equal(trace.valid, np.zeros_like(trace.valid))
-        # the behavior half of the MLP input is exactly zero
-        window_width = params.meta.dims.behavior_window * params.meta.dims.d_field
-        np.testing.assert_array_equal(trace.mlp.x[:, :window_width], 0.0)
-        assert np.all(np.isfinite(u_empty))
+        profile_width = params.meta.user_other_width
+        # alone, and first of a batch larger than the first hidden layer,
+        # which folds attn.Wf2 into that layer's weight
+        for histories in ([[]], [[], [0, 2], [1], [3, 4, 5]]):
+            u, trace = user_tower(params, histories, prof.rows(["u1"] * len(histories)))
+            assert trace.folded == (len(histories) > params.meta.dims.tower_dims[0])
+            np.testing.assert_array_equal(trace.valid[0], False)
+            # the behavior part of the first layer's input is exactly zero
+            np.testing.assert_array_equal(trace.mlp.x[0, :-profile_width], 0.0)
+            assert np.all(np.isfinite(u))
 
     def test_single_item_history_attention_is_value_projection(self, tiny):
         params = tiny["params"]
@@ -102,8 +115,10 @@ class TestUserTower:
         _, trace = user_tower(params, [[2]], profile_idx)
         a = params.arrays
         x = params.arrays["emb.item_id"][2]
-        expected_v = x @ a["attn.Wv"] + a["attn.bv"]
-        np.testing.assert_allclose(trace.attn[0, -1], expected_v, atol=1e-12)
+        expected_f = ((x @ a["attn.Wv"] + a["attn.bv"]) @ a["attn.Wo"] + a["attn.bo"]) @ a["attn.Wf1"] + a["attn.bf1"]
+        np.testing.assert_allclose(trace.f[0, -1], expected_f, atol=1e-12)
+        # the one valid key takes all of the slot's attention
+        np.testing.assert_allclose(trace.ffn_h[0, -1], np.maximum(expected_f, 0.0), atol=1e-12)
 
     def test_attention_matches_hand_computed_softmax(self, tiny):
         params = tiny["params"]
@@ -118,7 +133,10 @@ class TestUserTower:
         v = x @ a["attn.Wv"] + a["attn.bv"]
         scores = q @ k.T / np.sqrt(d)
         probs = np.exp(scores) / np.exp(scores).sum(axis=1, keepdims=True)
-        np.testing.assert_allclose(trace.attn[0], probs @ v, atol=1e-10)
+        np.testing.assert_allclose(trace.probs[0], probs, atol=1e-12)
+        # attention output through attn.Wo and the feed-forward's first layer
+        ffn_h = np.maximum(((probs @ v) @ a["attn.Wo"] + a["attn.bo"]) @ a["attn.Wf1"] + a["attn.bf1"], 0.0)
+        np.testing.assert_allclose(trace.ffn_h[0], ffn_h, atol=1e-10)
 
     def test_padding_invariance_is_exact(self, tiny):
         params, prof = tiny["params"], tiny["prof_enc"]
@@ -230,11 +248,15 @@ class TestUserTowerMatchesSlotBySlotReference:
         # repeats within a user, across users, padding, an empty history
         "batch": [[0, 2, 0, 2, 1], [2, 2, 3, -1, 4], [-1, -1, -1, -1, -1], [5, 5, 5, 5, 5], [-1, -1, 1, 3, 0]],
         "single_user": [[3, -1, 3, 3, 0]],
+        # more users than the first hidden layer's 6 units: attn.Wf2 folds into it
+        "folded": [
+            [0, 2, 0, 2, 1], [2, 2, 3, -1, 4], [-1, -1, -1, -1, -1], [5, 5, 5, 5, 5],
+            [-1, -1, 1, 3, 0], [3, -1, 3, 3, 0], [1, 1, -1, 4, 4], [0, 5, 2, 3, 1],
+        ],
     }
 
-    @pytest.mark.parametrize("positional", [False, True])
-    @pytest.mark.parametrize("case", sorted(HISTORIES))
-    def test_output_and_every_gradient(self, tiny, positional, case):
+    @classmethod
+    def params_and_inputs(cls, tiny, positional, case):
         dims = ModelDims(d_field=4, tower_dims=(6, 4, 4), behavior_window=5, ffn_dim=3, d_proj=2,
                          positional_encoding=positional)
         meta = build_meta(tiny["catalog"], UserProfileTable(("seg",), {"u1": ("s1",), "u2": ("s2",)}), dims)
@@ -242,11 +264,17 @@ class TestUserTowerMatchesSlotBySlotReference:
         rng = np.random.default_rng(11)
         for arr in params.arrays.values():
             arr[...] = rng.uniform(-0.6, 0.6, size=arr.shape)
-        hist = np.asarray(self.HISTORIES[case], dtype=np.int64)
+        hist = np.asarray(cls.HISTORIES[case], dtype=np.int64)
         profile_idx = rng.integers(0, 3, size=(len(hist), 1))
         grad_u = rng.normal(size=(len(hist), dims.d_out))
+        return params, hist, profile_idx, grad_u
 
+    @pytest.mark.parametrize("positional", [False, True])
+    @pytest.mark.parametrize("case", sorted(HISTORIES))
+    def test_output_and_every_gradient(self, tiny, positional, case):
+        params, hist, profile_idx, grad_u = self.params_and_inputs(tiny, positional, case)
         u, trace = user_tower(params, hist, profile_idx)
+        assert trace.folded == (case == "folded")
         grads = zero_grads(params)
         user_tower_backward(params, trace, grad_u, grads)
         ref_u, ref_grads = slot_by_slot_user_tower(params, hist, profile_idx, grad_u)
@@ -254,6 +282,15 @@ class TestUserTowerMatchesSlotBySlotReference:
         for name in params.arrays:
             assert_relative(grads[name], ref_grads[name])
         assert np.abs(grads["emb.item_id"][[0, 1, 2, 3, 5]]).max() > 0.0
+
+    @pytest.mark.parametrize("positional", [False, True])
+    def test_user_alone_matches_user_in_folded_batch(self, tiny, positional):
+        params, hist, profile_idx, _ = self.params_and_inputs(tiny, positional, "folded")
+        u_batch, _ = user_tower(params, hist, profile_idx)
+        for row in range(len(hist)):
+            u_alone, trace = user_tower(params, hist[row : row + 1], profile_idx[row : row + 1])
+            assert not trace.folded
+            assert_relative(u_alone[0], u_batch[row])
 
 
 class TestScatterRows:
@@ -407,10 +444,13 @@ class TestEncodings:
         prof = tiny["prof_enc"].rows(["u1"])
         _, trace_plain = user_tower(params, [[0, 2]], prof)
         _, trace_pe = user_tower(params_pe, [[0, 2]], prof)
-        assert not np.array_equal(trace_plain.attn, trace_pe.attn)
-        # padding positions project a zero input either way: their query
-        # and value are exactly the biases and their key exactly zero (keys
-        # take no bias), with no positional term
-        for got, bias in ((trace_pe.q, "attn.bq"), (trace_pe.v, "attn.bv")):
-            np.testing.assert_array_equal(got[0, 0], params_pe.arrays[bias])
+        assert not np.array_equal(trace_plain.f, trace_pe.f)
+        # padding positions run a zero input either way: their query is
+        # exactly the bias and their key exactly zero (keys take no bias),
+        # and their value chain is the bias's, with no positional term
+        a = params_pe.arrays
+        np.testing.assert_array_equal(trace_pe.q[0, 0], a["attn.bq"])
         np.testing.assert_array_equal(trace_pe.k[0, 0], 0.0)
+        np.testing.assert_array_equal(trace_pe.f[0, 0], trace_plain.f[0, 0])
+        bias_chain = (a["attn.bv"] @ a["attn.Wo"] + a["attn.bo"]) @ a["attn.Wf1"] + a["attn.bf1"]
+        np.testing.assert_allclose(trace_pe.f[0, 0], bias_chain, rtol=1e-12)

@@ -191,6 +191,25 @@ class TestSessionSampling:
         assert table.excluded(5).dtype == np.int64
         assert table.excluded(7).tolist() == [7]
 
+    def test_excluded_matches_the_pair_counts_for_every_item(self):
+        rng = np.random.default_rng(12)
+        sessions = [  # items 50-59 never co-occur
+            Session(f"u{i % 30}", [int(x) for x in rng.integers(0, 50, size=rng.integers(1, 6))])
+            for i in range(400)
+        ]
+        table = build_cooccurrence(sessions, 60)
+        neighbors = {i: {i} for i in range(60)}
+        for a, b in table.counts:
+            neighbors[a].add(b)
+            neighbors[b].add(a)
+        for item in range(60):
+            got = table.excluded(item)
+            np.testing.assert_array_equal(got, np.sort(np.fromiter(neighbors[item], dtype=np.int64)))
+            assert table.neighbors(item) == neighbors[item] - {item}
+            if got.size > 1:
+                assert not got.flags.writeable
+        assert len(table.topk) == sum(len(nb) > 1 for nb in neighbors.values())
+
     def test_negatives_forced_set(self):
         table = CooccurrenceTable({(0, 1): 1}, 4, k=10)
         (negs,) = self.negatives(table, 0, 2, np.random.default_rng(0))

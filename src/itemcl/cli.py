@@ -28,8 +28,7 @@ from .data import (
 from .evaluation import evaluate, export_embeddings
 from .gradcheck import DEFAULT_STEP, DEFAULT_THRESHOLD, gradcheck_suite
 from .model import EncodedCatalog, EncodedProfiles, build_meta, load_checkpoint
-from .rng import substream
-from .semantics import dump_semantic_pool, mine_taxonomy, mine_title_knn
+from .semantics import dump_semantic_pool, mine_semantic_pool
 from .sessions import build_cooccurrence, dump_cooccurrence, segment_sessions
 from .synthetic import SyntheticSpec, default_split_time, generate
 from .training import mine_artifacts, save_checkpoint, train
@@ -150,10 +149,7 @@ def _cmd_mine_sessions(args: argparse.Namespace) -> int:
 
 def _cmd_mine_semantic(args: argparse.Namespace) -> int:
     catalog = load_catalog(args.catalog)
-    if args.source == "title_knn":
-        pool = mine_title_knn(catalog, args.k)
-    else:
-        pool = mine_taxonomy(catalog, cap=args.k, rng=substream(args.seed, "taxonomy_cap"))
+    pool = mine_semantic_pool(catalog, args.source, args.k, args.seed)
     dump_semantic_pool(pool, catalog, args.out)
     nonempty = sum(1 for p in pool.positives if p.size)
     _emit({"out": args.out, "source": args.source, "n_items_with_positives": nonempty})

@@ -132,8 +132,11 @@ KEYMAP: dict[str, tuple[str, type | object]] = {
 
 
 def parse_config_file(path: str) -> dict[str, str]:
-    """Read ``key = value`` lines; '#' starts a comment."""
+    """Read ``key = value`` lines; '#' starts a comment. A malformed line,
+    an unknown key, a value its key cannot parse or a key given twice
+    raises ``ValueError`` naming ``path:line``."""
     settings: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.split("#", 1)[0].strip()
@@ -141,17 +144,28 @@ def parse_config_file(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            settings[key.strip()] = value.strip()
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key in first_line:
+                raise ValueError(f"{path}:{lineno}: config key {key!r} repeats line {first_line[key]}")
+            try:
+                apply_settings(TrainConfig(), {key: value})
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            first_line[key] = lineno
+            settings[key] = value
     return settings
 
 
 def apply_settings(config: TrainConfig, settings: dict[str, str]) -> TrainConfig:
-    """Overlay flat key=value settings onto a config."""
+    """Overlay flat key=value settings onto a config; an unknown key or a
+    value its parser rejects raises ``ValueError`` naming the key."""
     updates = {}
     for key, raw in settings.items():
         if key not in KEYMAP:
             raise ValueError(f"unknown config key {key!r}")
         attr, parser = KEYMAP[key]
-        updates[attr] = parser(raw)
+        try:
+            updates[attr] = parser(raw)
+        except ValueError as exc:
+            raise ValueError(f"bad value for config key {key!r}: {exc}") from None
     return dataclasses.replace(config, **updates)

@@ -6,13 +6,18 @@ All four share the same temperature-scaled softmax-over-negatives shape:
   drawn negative items, scored by dot products of tower outputs.
 * feature level: an item's clean raw feature embedding against its
   dropout-augmented view, scored through the ``f`` projector; negatives
-  are random catalog items (never in-batch), each scored against its own
-  augmented view.
+  are random catalog items other than the anchor (never in-batch), each
+  scored against its own augmented view.
 * semantic level: an item against every member of its mined semantic
   positive pool, scored on item-tower outputs through the ``t`` projector.
 * session level: an item against one weighted draw from its top-k session
   co-occurrence neighbors, through the ``s`` projector; negatives come
   from the never-co-occurred complement.
+
+Every contrastive task draws its negatives through ``_batched_negatives``
+from its own stream, outside a per-anchor exclusion list: the anchor alone
+for the feature task, the anchor and its positives for the semantic task,
+the anchor and its co-occurrence partners for the session task.
 
 By default the positive term joins the denominator (keeps every term
 nonnegative); the literal negatives-only denominator stays available via
@@ -30,7 +35,7 @@ a task called without one runs its own and returns finished gradients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -76,17 +81,14 @@ class MatchBatch:
 @dataclass
 class ContrastiveBatch:
     """Anchor set for the contrastive tasks: the distinct items of the
-    current training batch. Positive/negative draws happen inside each
-    loss from its own stream unless pinned here (used by tests)."""
+    current training batch, with the shared temperature, negatives per
+    anchor and denominator form. Each task draws its positives and
+    negatives inside its loss, from its own stream."""
 
     anchors: np.ndarray
     tau: float = 1.0
     num_negatives: int = 50
     include_positive: bool = True
-    feature_negatives: np.ndarray | None = None  # (n_anchors, k)
-    semantic_negatives: dict[int, np.ndarray] = field(default_factory=dict)
-    session_positives: dict[int, int] = field(default_factory=dict)
-    session_negatives: dict[int, np.ndarray] = field(default_factory=dict)
 
 
 def infonce_terms(
@@ -230,7 +232,7 @@ def loss_feature_cl(
     batch: ContrastiveBatch,
     plan: AugmentationPlan,
     rng: np.random.Generator,
-    dropout_rng: np.random.Generator | None = None,
+    dropout_rng: np.random.Generator,
     items: ItemPass | None = None,
     weight: float = 1.0,
 ) -> tuple[float, dict[str, np.ndarray]]:
@@ -238,27 +240,19 @@ def loss_feature_cl(
 
     Each involved item gets one augmented view per step; an anchor pairs
     with its own view, against the views of its sampled negatives. The
-    clean view is the shared pass's ``raw`` row. Negative draws come from
-    ``rng``; mask draws come from ``dropout_rng`` (its own stream inside
-    the trainer) and fall back to ``rng``.
+    clean view is the shared pass's ``raw`` row. Negatives are drawn
+    from ``rng`` outside each anchor's one-item exclusion list; mask
+    draws come from ``dropout_rng``.
     """
     own = items is None
     items = items or ItemPass(params, enc)
     anchors = batch.anchors
     if anchors.size == 0:
         return _result(0.0, items, own)
-    k = batch.num_negatives
-    if batch.feature_negatives is not None:
-        negs = batch.feature_negatives
-    elif enc.n_items - 1 >= k:
-        negs = sample_distinct_rows(enc.n_items, k, rng, exclude_single=anchors)
-    else:
-        negs = np.stack([uniform_excluding(enc.n_items, {int(a)}, k, rng) for a in anchors])
+    negs = np.stack(_batched_negatives(enc.n_items, list(anchors[:, None]), batch.num_negatives, rng))
 
     aug_ids = np.unique(np.concatenate([anchors, negs.ravel()]))
-    raw_aug, aug_trace = embed_items_augmented(
-        params, enc, aug_ids, plan, dropout_rng if dropout_rng is not None else rng
-    )
+    raw_aug, aug_trace = embed_items_augmented(params, enc, aug_ids, plan, dropout_rng)
     p_clean, p_clean_trace = project(params, "f", items.raw[anchors])
     p_aug, p_aug_trace = project(params, "f", raw_aug)
 
@@ -291,7 +285,6 @@ def _item_pair_infonce(
     batch: ContrastiveBatch,
     anchors: list[int],
     positives: list[np.ndarray],
-    pinned: dict[int, np.ndarray],
     excluded: Callable[[int], np.ndarray],
     n_items: int,
     rng: np.random.Generator,
@@ -300,12 +293,9 @@ def _item_pair_infonce(
     """Shared machinery for the semantic and session tasks: contrastive
     terms over projected item-tower outputs, one term per (anchor,
     positive), negatives shared across an anchor's terms. An anchor's
-    negatives are ``pinned[a]`` or drawn outside ``excluded(a)``; anchors
-    left with none drop out. Arrays are indexed by item id throughout."""
-    to_draw = [a for a in anchors if a not in pinned]
-    drawn = _batched_negatives(n_items, [excluded(a) for a in to_draw], batch.num_negatives, rng)
-    negs_by_anchor = dict(zip(to_draw, drawn))
-    negatives = [np.asarray(pinned[a], dtype=np.int64) if a in pinned else negs_by_anchor[a] for a in anchors]
+    negatives are drawn outside ``excluded(a)``; anchors left with none
+    drop out. Arrays are indexed by item id throughout."""
+    negatives = _batched_negatives(n_items, [excluded(a) for a in anchors], batch.num_negatives, rng)
     keep = [i for i, neg in enumerate(negatives) if neg.size]
     if not keep:
         return 0.0
@@ -365,18 +355,8 @@ def loss_semantic_cl(
     own = items is None
     items = items or ItemPass(params, enc)
     anchors = [int(a) for a in batch.anchors if pool.has_positives(int(a))]
-    value = _item_pair_infonce(
-        items,
-        "t",
-        batch,
-        anchors,
-        [pool.positives[a] for a in anchors],
-        batch.semantic_negatives,
-        pool.excluded,
-        pool.n_items,
-        rng,
-        weight,
-    )
+    positives = [pool.positives[a] for a in anchors]
+    value = _item_pair_infonce(items, "t", batch, anchors, positives, pool.excluded, pool.n_items, rng, weight)
     return _result(value, items, own)
 
 
@@ -398,24 +378,11 @@ def loss_session_cl(
     anchors, positives = [], []
     for a in batch.anchors:
         a = int(a)
-        pos = batch.session_positives.get(a)
-        if pos is None:
-            pos = sampler.sample(a, rng)
+        pos = sampler.sample(a, rng)
         if pos is not None:
             anchors.append(a)
             positives.append([pos])
-    value = _item_pair_infonce(
-        items,
-        "s",
-        batch,
-        anchors,
-        positives,
-        batch.session_negatives,
-        table.excluded,
-        table.n_items,
-        rng,
-        weight,
-    )
+    value = _item_pair_infonce(items, "s", batch, anchors, positives, table.excluded, table.n_items, rng, weight)
     return _result(value, items, own)
 
 
@@ -457,7 +424,7 @@ def loss_joint(
         if inputs.plan is None:
             raise ValueError("feature task is enabled but no augmentation plan was given")
         v, _ = loss_feature_cl(
-            params, enc, inputs.contrastive, inputs.plan, rngs["feature"], rngs.get("dropout"), items, l_fea
+            params, enc, inputs.contrastive, inputs.plan, rngs["feature"], rngs["dropout"], items, l_fea
         )
         components["feature"] = v
         total += l_fea * v

@@ -1,7 +1,8 @@
 """Uniform negative sampling over an index range with an exclusion set.
 
 :func:`sample_distinct_rows` is the one rejection loop for distinct
-negatives; :func:`uniform_excluding` draws one row through it.
+negatives, with each row's exclusions given as one row of a boolean
+mask; :func:`uniform_excluding` draws one row through it.
 """
 
 from __future__ import annotations
@@ -53,31 +54,21 @@ def sample_distinct_rows(
     n_items: int,
     k: int,
     rng: np.random.Generator,
-    exclude_mask: np.ndarray | None = None,
-    exclude_single: np.ndarray | None = None,
+    exclude_mask: np.ndarray,
 ) -> np.ndarray:
     """Per-row uniform draws without replacement, vectorized across rows.
 
-    Exclusions come either as a boolean (n_rows, n_items) mask or as one
-    excluded index per row. Invalid entries are redrawn until every row
+    Row r may not hold any index where the boolean (n_rows, n_items)
+    ``exclude_mask`` is True. Invalid entries are redrawn until every row
     holds k distinct eligible values; the acceptance rule sees only the
     equality pattern, never the values, so the result is uniform over
     distinct k-tuples. Every row must have at least k eligible values.
     """
-    if exclude_mask is not None:
-        n_rows = exclude_mask.shape[0]
-    elif exclude_single is not None:
-        n_rows = len(exclude_single)
-    else:
-        raise ValueError("one of exclude_mask / exclude_single is required")
+    n_rows = exclude_mask.shape[0]
     draws = rng.integers(0, n_items, size=(n_rows, k))
     rows = np.arange(n_rows)[:, None]
     while True:
-        if exclude_mask is not None:
-            bad = exclude_mask[rows, draws]
-        else:
-            bad = draws == np.asarray(exclude_single)[:, None]
-        bad |= _mark_row_duplicates(draws)
+        bad = exclude_mask[rows, draws] | _mark_row_duplicates(draws)
         n_bad = int(bad.sum())
         if n_bad == 0:
             return draws

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataFormatError, ItemCatalog
+from .rng import substream
 from .util import atomic_write_text, top_k, warn
 
 _KNN_CHUNK = 512
@@ -103,6 +104,15 @@ def mine_taxonomy(
                 others.sort()
             positives[i] = others
     return SemanticPositivePool(positives, "taxonomy")
+
+
+def mine_semantic_pool(catalog: ItemCatalog, source: str, k: int, seed: int) -> SemanticPositivePool:
+    """The pool ``source`` names: each item's top-``k`` title neighbors, or
+    its taxonomy group capped at ``k`` positives by draws from the
+    ``taxonomy_cap`` substream of ``seed``."""
+    if source == "title_knn":
+        return mine_title_knn(catalog, k)
+    return mine_taxonomy(catalog, cap=k, rng=substream(seed, "taxonomy_cap"))
 
 
 def dump_semantic_pool(pool: SemanticPositivePool, catalog: ItemCatalog, path: str) -> None:

@@ -29,7 +29,7 @@ from .model import (
     save_checkpoint,
 )
 from .rng import substream
-from .semantics import SemanticPositivePool, mine_taxonomy, mine_title_knn
+from .semantics import SemanticPositivePool, mine_semantic_pool
 from .sessions import (
     CooccurrenceTable,
     SessionPositiveSampler,
@@ -72,10 +72,7 @@ def mine_artifacts(
     sampler = None
     table = None
     if config.use_semantic_cl and config.lambda_semantic > 0:
-        if config.semantic_source == "title_knn":
-            pool = mine_title_knn(catalog, config.k_semantic)
-        else:
-            pool = mine_taxonomy(catalog, cap=config.k_semantic, rng=substream(config.seed, "taxonomy_cap"))
+        pool = mine_semantic_pool(catalog, config.semantic_source, config.k_semantic, config.seed)
     if config.use_session_cl and config.lambda_session > 0:
         sessions = segment_sessions(split, config.session_window)
         table = build_cooccurrence(sessions, len(catalog), config.k_session)
@@ -87,7 +84,13 @@ def _sample_match_negatives(
     pos_items: np.ndarray, n_items: int, k: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Uniform catalog draws, redrawn wherever a draw hit the pair's own
-    positive item."""
+    positive item.
+
+    This stays its own loop rather than a call to
+    ``sampling.sample_distinct_rows``: a pair's negatives are drawn with
+    replacement and may repeat, while that sampler rejects repeats within
+    a row, so routing through it would redraw them, change the matching
+    stream and with it every checkpoint."""
     negs = rng.integers(0, n_items, size=(pos_items.size, k))
     collisions = negs == pos_items[:, None]
     while collisions.any():

@@ -70,7 +70,9 @@ def test_criterion_1_gradient_suite():
 # -------------------------------------------------------------- criterion 2
 
 
-def test_criterion_2_loss_value_oracles():
+def test_criterion_2_loss_value_oracles(monkeypatch):
+    import itemcl.losses as losses
+
     fix = build_fixture(0)
     params, enc, plan = fix["params"], fix["enc"], fix["plan"]
     # uniform scores through a zeroed projector: every term is ln(K+1)
@@ -80,8 +82,11 @@ def test_criterion_2_loss_value_oracles():
     anchors = np.array([0, 1, 4])
     worst_gap = 0.0
     for k in (10, 20, 50):
-        negs = np.stack([np.resize([j for j in range(6) if j != a], k) for a in anchors])
-        batch = ContrastiveBatch(anchors=anchors, tau=1.0, num_negatives=k, feature_negatives=negs)
+        # 5 candidates per anchor in the 6-item fixture: substitute a draw
+        # that repeats them, k per anchor
+        negs = [np.resize([j for j in range(6) if j != a], k) for a in anchors]
+        monkeypatch.setattr(losses, "_batched_negatives", lambda n_items, excl, k, rng, negs=negs: negs)
+        batch = ContrastiveBatch(anchors=anchors, tau=1.0, num_negatives=k)
         value, _ = loss_feature_cl(zeroed, enc, batch, plan, substream(0, "a2"), substream(0, "a2d"))
         worst_gap = max(worst_gap, abs(value - 3 * math.log(k + 1)))
     ok_infonce = worst_gap < 1e-9

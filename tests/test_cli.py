@@ -104,6 +104,30 @@ class TestPipeline:
         assert code == 0
         assert last_json(out)["n_items_with_positives"] == 50
 
+    def test_mine_semantic_taxonomy_dump_equals_the_trainers_pool(self, pipeline_dir, capsys, tmp_path):
+        from itemcl.config import TrainConfig
+        from itemcl.data import assemble_split, load_catalog
+        from itemcl.semantics import dump_semantic_pool
+        from itemcl.training import mine_artifacts
+
+        out_path = tmp_path / "pool.tsv"
+        code, _, _ = run_cli(
+            capsys,
+            "mine-semantic",
+            "--catalog", str(pipeline_dir / "data" / "catalog.jsonl"),
+            "--out", str(out_path),
+            "--source", "taxonomy",
+            "--k", "3",
+            "--seed", "5",
+        )
+        assert code == 0
+        catalog = load_catalog(str(pipeline_dir / "data" / "catalog.jsonl"))
+        config = TrainConfig(semantic_source="taxonomy", k_semantic=3, seed=5, use_session_cl=False)
+        pool, _, _ = mine_artifacts(config, assemble_split([], [], behavior_window=1), catalog)
+        dump_semantic_pool(pool, catalog, str(tmp_path / "trainer_pool.tsv"))
+        assert out_path.read_bytes() == (tmp_path / "trainer_pool.tsv").read_bytes()
+        assert max(p.size for p in pool.positives) == 3  # the cap drew from the seeded substream
+
     def test_train_evaluate_export(self, pipeline_dir, capsys):
         ckpt = pipeline_dir / "model.ckpt"
         report_path = pipeline_dir / "report.jsonl"
@@ -206,6 +230,41 @@ class TestErrors:
         )
         assert code == 2
         assert "bogus.key" in err
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("train.seed = 0\ntrain.epoch = 2\n", ":2: unknown config key 'train.epoch'"),
+            ("train.epochs = two\n", ":1: bad value for config key 'train.epochs': invalid literal"),
+            ("train.seed = 0\n\ntrain.seed = 1\n", ":3: config key 'train.seed' repeats line 1"),
+        ],
+        ids=["unknown-key", "bad-value", "repeated-key"],
+    )
+    def test_bad_config_file_names_path_line_and_key(self, pipeline_dir, capsys, tmp_path, body, message):
+        config_file = tmp_path / "bad.conf"
+        config_file.write_text(body, encoding="utf-8")
+        code, _, err = run_cli(
+            capsys,
+            "train",
+            "--catalog", str(pipeline_dir / "data" / "catalog.jsonl"),
+            "--train", str(pipeline_dir / "splits" / "train.tsv"),
+            "--checkpoint", str(pipeline_dir / "bad.ckpt"),
+            "--config", str(config_file),
+        )
+        assert code == 2
+        assert f"{config_file}{message}" in json.loads(err.strip().split("\n")[-1])["error"]
+
+    def test_bad_set_value_names_the_key(self, pipeline_dir, capsys):
+        code, _, err = run_cli(
+            capsys,
+            "train",
+            "--catalog", str(pipeline_dir / "data" / "catalog.jsonl"),
+            "--train", str(pipeline_dir / "splits" / "train.tsv"),
+            "--checkpoint", str(pipeline_dir / "bad.ckpt"),
+            "--set", "loss.negatives=many",
+        )
+        assert code == 2
+        assert "bad value for config key 'loss.negatives'" in err
 
     def test_config_file_applies(self, pipeline_dir, capsys, tmp_path):
         config_file = tmp_path / "train.conf"

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import itemcl.losses as losses
 from itemcl.losses import (
     _batched_negatives,
     ContrastiveBatch,
@@ -89,6 +90,30 @@ class TestInfonceCore:
         assert np.all(np.isfinite(dpos)) and np.all(np.isfinite(dneg))
 
 
+def pin_negatives(monkeypatch, *rows):
+    """Substitute the one negative draw: every call returns ``rows``, one
+    per anchor in draw order."""
+
+    def draw(n_items, exclusion_lists, k, rng):
+        assert len(exclusion_lists) == len(rows)
+        return [np.asarray(row, dtype=np.int64) for row in rows]
+
+    monkeypatch.setattr(losses, "_batched_negatives", draw)
+
+
+def spy_negatives(monkeypatch):
+    """Record the arguments and result of every negative draw."""
+    calls = []
+    original = losses._batched_negatives
+
+    def spy(n_items, exclusion_lists, k, rng):
+        calls.append((exclusion_lists, original(n_items, exclusion_lists, k, rng)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(losses, "_batched_negatives", spy)
+    return calls
+
+
 def zero_out(params, prefixes):
     p = params.copy()
     for name in p.arrays:
@@ -147,26 +172,26 @@ class TestLossMatching:
 
 
 class TestLossFeature:
-    def test_uniform_scores_give_log_k_plus_one(self, tiny):
+    def test_uniform_scores_give_log_k_plus_one(self, tiny, monkeypatch):
         anchors = np.array([0, 1, 4])
         for k in (10, 20, 50):
             params = zero_out(tiny["params"], ("proj_f.",))
-            negs = np.stack([np.resize([j for j in range(6) if j != a], k) for a in anchors])
-            batch = ContrastiveBatch(
-                anchors=anchors, tau=1.0, num_negatives=k, feature_negatives=negs
-            )
+            # the 6-item catalog holds 5 candidates, so the k draws repeat
+            pin_negatives(monkeypatch, *[np.resize([j for j in range(6) if j != a], k) for a in anchors])
+            batch = ContrastiveBatch(anchors=anchors, tau=1.0, num_negatives=k)
             value, _ = loss_feature_cl(
                 params, tiny["enc"], batch, tiny["plan"], substream(0, "t", "fea"), substream(0, "t", "drop")
             )
             assert abs(value - 3 * math.log(k + 1)) < 1e-9
 
-    def test_matches_scalar_recomputation(self, tiny):
+    def test_matches_scalar_recomputation(self, tiny, monkeypatch):
         from itemcl.model import embed_items_augmented
 
         params, enc, plan = tiny["params"], tiny["enc"], tiny["plan"]
         anchors = np.array([0, 2, 5])
         negs = np.array([[1, 3], [4, 5], [0, 1]])
-        batch = ContrastiveBatch(anchors=anchors, tau=0.5, num_negatives=2, feature_negatives=negs)
+        pin_negatives(monkeypatch, *negs)
+        batch = ContrastiveBatch(anchors=anchors, tau=0.5, num_negatives=2)
         value, _ = loss_feature_cl(
             params, enc, batch, plan, substream(1, "f"), substream(1, "d")
         )
@@ -187,27 +212,23 @@ class TestLossFeature:
         assert abs(value - expected) < 1e-10
 
     def test_negatives_never_hit_the_anchor(self, tiny, monkeypatch):
-        # both draw branches of the feature task: one vectorized draw while
-        # the catalog holds k other items, the shortfall sampler once not
-        import itemcl.losses as losses
-
+        # one draw through the shared sampler, the anchor its row's only
+        # exclusion: a vectorized draw while the catalog holds k other
+        # items (k=5), the shortfall path, which draws nothing, once not
         anchors = np.arange(6)
-        for k, branch in ((5, "sample_distinct_rows"), (8, "uniform_excluding")):
-            drawn = []
-            original = getattr(losses, branch)
-
-            def spy(*args, original=original, drawn=drawn, **kwargs):
-                drawn.append(original(*args, **kwargs))
-                return drawn[-1]
-
-            monkeypatch.setattr(losses, branch, spy)
+        calls = spy_negatives(monkeypatch)
+        for k in (5, 8):
             rng = substream(3, "check")
             batch = ContrastiveBatch(anchors=anchors, num_negatives=k)
             for _ in range(20):
-                drawn.clear()
+                calls.clear()
+                before = rng.bit_generator.state
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", ItemclWarning)
-                    loss_feature_cl(tiny["params"], tiny["enc"], batch, tiny["plan"], rng)
+                    loss_feature_cl(tiny["params"], tiny["enc"], batch, tiny["plan"], rng, substream(3, "drop"))
+                ((exclusions, drawn),) = calls
+                assert [e.tolist() for e in exclusions] == [[a] for a in anchors]
+                assert (rng.bit_generator.state == before) == (k > 5)
                 negs = np.vstack(drawn)
                 assert negs.shape == (6, min(k, 5))
                 for a, row in zip(anchors, negs):
@@ -250,10 +271,10 @@ class TestBatchedNegatives:
 
 
 class TestLossSemantic:
-    def test_anchor_with_two_positives_sums_two_terms(self, tiny):
+    def test_anchor_with_two_positives_sums_two_terms(self, tiny, monkeypatch):
         params, enc, pool = tiny["params"], tiny["enc"], tiny["pool"]
-        fixed = {0: np.array([3, 5])}
-        both = ContrastiveBatch(anchors=np.array([0]), num_negatives=2, semantic_negatives=fixed)
+        pin_negatives(monkeypatch, [3, 5])
+        both = ContrastiveBatch(anchors=np.array([0]), num_negatives=2)
         value_both, _ = loss_semantic_cl(params, enc, both, pool, substream(0, "x"))
 
         import copy
@@ -273,24 +294,21 @@ class TestLossSemantic:
         value, _ = loss_semantic_cl(params, tiny["enc"], batch, tiny["pool"], substream(0, "y"))
         assert abs(value - 2 * math.log(4)) < 1e-9  # item 0 only: 2 terms of ln(3+1)
 
-    def test_empty_pool_anchor_contributes_zero(self, tiny):
+    def test_empty_pool_anchor_contributes_zero(self, tiny, monkeypatch):
         params, enc, pool = tiny["params"], tiny["enc"], tiny["pool"]
-        fixed = {0: np.array([3, 5]), 1: np.array([4, 5])}
-        with_empty = ContrastiveBatch(
-            anchors=np.array([0, 1, 5]), num_negatives=2, semantic_negatives=fixed
-        )
-        without = ContrastiveBatch(
-            anchors=np.array([0, 1]), num_negatives=2, semantic_negatives=fixed
-        )
+        pin_negatives(monkeypatch, [3, 5], [4, 5])  # anchors 0 and 1; item 5 draws none
+        with_empty = ContrastiveBatch(anchors=np.array([0, 1, 5]), num_negatives=2)
+        without = ContrastiveBatch(anchors=np.array([0, 1]), num_negatives=2)
         v1, g1 = loss_semantic_cl(params, enc, with_empty, pool, substream(0, "z"))
         v2, g2 = loss_semantic_cl(params, enc, without, pool, substream(0, "z"))
         assert v1 == v2
         assert all(np.array_equal(g1[k], g2[k]) for k in g1)
 
-    def test_matches_scalar_recomputation(self, tiny):
+    def test_matches_scalar_recomputation(self, tiny, monkeypatch):
         params, enc, pool = tiny["params"], tiny["enc"], tiny["pool"]
         fixed = {0: np.array([3, 5]), 2: np.array([4, 1])}
-        batch = ContrastiveBatch(anchors=np.array([0, 2]), num_negatives=2, semantic_negatives=fixed)
+        pin_negatives(monkeypatch, fixed[0], fixed[2])
+        batch = ContrastiveBatch(anchors=np.array([0, 2]), num_negatives=2)
         value, _ = loss_semantic_cl(params, enc, batch, pool, substream(0, "w"))
 
         raw, _ = embed_items(params, enc, np.arange(6))
@@ -323,15 +341,15 @@ class TestLossSession:
         )
         assert abs(value - 2 * math.log(3)) < 1e-9
 
-    def test_matches_scalar_recomputation(self, tiny):
+    def test_matches_scalar_recomputation(self, tiny, monkeypatch):
+        class PinnedPositives:
+            def sample(self, item, rng):
+                return {0: 1, 3: 4}[item]
+
         params, enc = tiny["params"], tiny["enc"]
-        batch = ContrastiveBatch(
-            anchors=np.array([0, 3]),
-            num_negatives=2,
-            session_positives={0: 1, 3: 4},
-            session_negatives={0: np.array([3, 5]), 3: np.array([1, 5])},
-        )
-        value, _ = loss_session_cl(params, enc, batch, tiny["sampler"], tiny["table"], substream(0, "q"))
+        pin_negatives(monkeypatch, [3, 5], [1, 5])
+        batch = ContrastiveBatch(anchors=np.array([0, 3]), num_negatives=2)
+        value, _ = loss_session_cl(params, enc, batch, PinnedPositives(), tiny["table"], substream(0, "q"))
         raw, _ = embed_items(params, enc, np.arange(6))
         d, _ = item_tower(params, raw)
         p = d @ params.arrays["proj_s.W"] + params.arrays["proj_s.b"]
@@ -412,8 +430,6 @@ class TestLossJoint:
             np.testing.assert_allclose(shared[name], 0.25 * alone[name], rtol=1e-12, atol=1e-15)
 
     def test_one_item_pass_and_one_grads_dict_per_step(self, tiny, monkeypatch):
-        import itemcl.losses as losses
-
         calls = {"item_tower": 0, "zero_grads": 0}
 
         def counted(name):
@@ -430,6 +446,13 @@ class TestLossJoint:
         _, components, _ = loss_joint(tiny["params"], tiny["enc"], self.inputs(tiny), (1.0, 0.3, 0.1), self.rngs())
         assert all(components[task] > 0 for task in ("feature", "semantic", "session"))
         assert calls == {"item_tower": 1, "zero_grads": 1}
+
+    @pytest.mark.parametrize("lambdas", [(1.0, 0.3, 0.1), (0.0, 0.3, 0.1), (1.0, 0.0, 0.1), (1.0, 0.3, 0.0)])
+    def test_one_negative_draw_per_active_contrastive_task(self, tiny, monkeypatch, lambdas):
+        calls = spy_negatives(monkeypatch)
+        _, components, _ = loss_joint(tiny["params"], tiny["enc"], self.inputs(tiny), lambdas, self.rngs())
+        assert all((components[task] > 0) == (w > 0) for task, w in zip(("feature", "semantic", "session"), lambdas))
+        assert len(calls) == sum(w > 0 for w in lambdas)
 
     def test_negative_weights_rejected(self, tiny):
         with pytest.raises(ValueError, match="nonnegative"):

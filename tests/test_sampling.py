@@ -41,7 +41,9 @@ class TestSampleDistinctRows:
     def test_respects_single_exclusion_and_distinctness(self):
         rng = np.random.default_rng(1)
         anchors = np.arange(50) % 10
-        draws = sample_distinct_rows(10, 5, rng, exclude_single=anchors)
+        mask = np.zeros((50, 10), dtype=bool)
+        mask[np.arange(50), anchors] = True  # one excluded index per row
+        draws = sample_distinct_rows(10, 5, rng, exclude_mask=mask)
         for row, a in zip(draws, anchors):
             assert a not in row.tolist()
             assert len(set(row.tolist())) == 5

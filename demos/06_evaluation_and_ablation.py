@@ -32,7 +32,7 @@ results = {}
 for tag, cfg in {
     "full": config,
     "base": dataclasses.replace(
-        config, use_feature_cl=False, use_semantic_cl=False, use_session_cl=False
+        config, lambda_feature=0.0, lambda_semantic=0.0, lambda_session=0.0
     ),
 }.items():
     pool, sampler, table = mine_artifacts(cfg, split, data.catalog)

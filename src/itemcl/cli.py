@@ -52,7 +52,10 @@ def _config_from_args(args: argparse.Namespace) -> TrainConfig:
         key, _, value = assignment.partition("=")
         if not _:
             raise ValueError(f"--set expects key=value, got {assignment!r}")
-        overrides[key.strip()] = value.strip()
+        key = key.strip()
+        if key in overrides:
+            raise ValueError(f"--set gives config key {key!r} twice")
+        overrides[key] = value.strip()
     config = apply_settings(config, overrides)
     direct: dict = {}
     if getattr(args, "seed", None) is not None:
@@ -62,13 +65,14 @@ def _config_from_args(args: argparse.Namespace) -> TrainConfig:
     if getattr(args, "batch_size", None) is not None:
         direct["batch_size"] = args.batch_size
     if getattr(args, "no_fea", False):
-        direct["use_feature_cl"] = False
+        direct["lambda_feature"] = 0.0
     if getattr(args, "no_sem", False):
-        direct["use_semantic_cl"] = False
+        direct["lambda_semantic"] = 0.0
     if getattr(args, "no_sess", False):
-        direct["use_session_cl"] = False
+        direct["lambda_session"] = 0.0
     if direct:
         config = dataclasses.replace(config, **direct)
+    config.validate()
     return config
 
 
@@ -266,9 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)
-    p.add_argument("--no-fea", action="store_true", help="disable the feature-level task")
-    p.add_argument("--no-sem", action="store_true", help="disable the semantic-level task")
-    p.add_argument("--no-sess", action="store_true", help="disable the session-level task")
+    p.add_argument("--no-fea", action="store_true", help="ablate the feature-level task: set loss.lambda1 to 0")
+    p.add_argument("--no-sem", action="store_true", help="ablate the semantic-level task: set loss.lambda2 to 0")
+    p.add_argument("--no-sess", action="store_true", help="ablate the session-level task: set loss.lambda3 to 0")
     _add_config_flags(p)
     p.set_defaults(handler=_cmd_train)
 

@@ -3,8 +3,10 @@
 Defaults follow the production setting this toolkit ships with: Adam at
 0.001, batch size 4096, 20-behavior window, temperature 1, up to 50
 negatives per task, mask ratio 0.5, loss weights 1.0/0.3/0.1, 1-hour
-session window. CLI flags override file values; the effective config is
-embedded in every checkpoint and report.
+session window. A task's loss weight is its only switch: weight zero
+ablates the task, which then mines nothing and draws nothing. CLI flags
+override file values; the effective config is embedded in every
+checkpoint and report.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+from .augment import AugmentationPlan
 from .model import ModelDims
 
 
@@ -39,10 +42,6 @@ class TrainConfig:
     semantic_source: str = "title_knn"
     similarity: str = "dot"
 
-    use_feature_cl: bool = True
-    use_semantic_cl: bool = True
-    use_session_cl: bool = True
-
     d_field: int = 64
     hidden1: int = 128
     hidden2: int = 64
@@ -52,24 +51,26 @@ class TrainConfig:
     positional_encoding: bool = False
 
     def validate(self) -> None:
-        if self.learning_rate <= 0 or self.batch_size <= 0 or self.epochs <= 0:
-            raise ValueError("learning_rate, batch_size, and epochs must be positive")
-        if self.tau <= 0 or self.negatives <= 0 or self.behavior_window <= 0:
-            raise ValueError("tau, negatives, and behavior_window must be positive")
-        if min(self.lambda_feature, self.lambda_semantic, self.lambda_session) < 0:
-            raise ValueError("loss weights must be nonnegative")
+        """Range-check the options; a message names the option's config key."""
+        for attr in (
+            "learning_rate", "batch_size", "epochs", "behavior_window", "tau", "negatives",
+            "session_window", "k_session", "k_semantic",
+            "d_field", "hidden1", "hidden2", "d_out", "ffn_dim", "d_proj",
+        ):
+            if not getattr(self, attr) > 0:  # NaN fails too
+                raise ValueError(f"{_KEY_OF[attr]} must be positive")
+        for attr in ("lambda_feature", "lambda_semantic", "lambda_session"):
+            if not getattr(self, attr) >= 0:  # NaN would ablate the task unnoticed
+                raise ValueError(f"{_KEY_OF[attr]} must be nonnegative")
         if self.semantic_source not in ("title_knn", "taxonomy"):
-            raise ValueError("semantic_source must be title_knn or taxonomy")
+            raise ValueError("mine.semantic_source must be title_knn or taxonomy")
         if self.similarity not in ("dot", "cosine"):
-            raise ValueError("similarity must be dot or cosine")
-
-    def effective_lambdas(self) -> tuple[float, float, float]:
-        """A disabled task counts as weight zero."""
-        return (
-            self.lambda_feature if self.use_feature_cl else 0.0,
-            self.lambda_semantic if self.use_semantic_cl else 0.0,
-            self.lambda_session if self.use_session_cl else 0.0,
-        )
+            raise ValueError("eval.similarity must be dot or cosine")
+        for attr, plan_field in (("augment_strategy", "strategy"), ("mask_ratio", "mask_ratio")):
+            try:
+                AugmentationPlan(**{plan_field: getattr(self, attr)})
+            except ValueError as exc:
+                raise ValueError(f"{_KEY_OF[attr]}: {exc}") from None
 
     def model_dims(self) -> ModelDims:
         return ModelDims(
@@ -83,10 +84,6 @@ class TrainConfig:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
 
 
 def _parse_bool(text: str) -> bool:
@@ -105,9 +102,6 @@ KEYMAP: dict[str, tuple[str, type | object]] = {
     "train.epochs": ("epochs", int),
     "train.seed": ("seed", int),
     "train.behavior_window": ("behavior_window", int),
-    "train.feature_cl": ("use_feature_cl", _parse_bool),
-    "train.semantic_cl": ("use_semantic_cl", _parse_bool),
-    "train.session_cl": ("use_session_cl", _parse_bool),
     "loss.lambda1": ("lambda_feature", float),
     "loss.lambda2": ("lambda_semantic", float),
     "loss.lambda3": ("lambda_session", float),
@@ -129,12 +123,13 @@ KEYMAP: dict[str, tuple[str, type | object]] = {
     "model.d_proj": ("d_proj", int),
     "model.positional_encoding": ("positional_encoding", _parse_bool),
 }
+_KEY_OF = {attr: key for key, (attr, _) in KEYMAP.items()}
 
 
 def parse_config_file(path: str) -> dict[str, str]:
     """Read ``key = value`` lines; '#' starts a comment. A malformed line,
-    an unknown key, a value its key cannot parse or a key given twice
-    raises ``ValueError`` naming ``path:line``."""
+    an unknown key, a value its key cannot parse or ``validate`` rejects,
+    or a key given twice raises ``ValueError`` naming ``path:line``."""
     settings: dict[str, str] = {}
     first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as handle:
@@ -148,7 +143,7 @@ def parse_config_file(path: str) -> dict[str, str]:
             if key in first_line:
                 raise ValueError(f"{path}:{lineno}: config key {key!r} repeats line {first_line[key]}")
             try:
-                apply_settings(TrainConfig(), {key: value})
+                apply_settings(TrainConfig(), {key: value}).validate()
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             first_line[key] = lineno

@@ -408,8 +408,9 @@ def loss_joint(
     """Weighted multi-task objective.
 
     A task with weight zero is skipped outright and consumes none of its
-    random streams, which is exactly what makes an ablated run reproduce
-    the corresponding zero-weight run step for step. All tasks share one
+    random streams or inputs, so ablating it leaves the other tasks'
+    draws untouched; an active task whose input is missing raises a
+    ``ValueError`` naming the task. All tasks share one
     ``ItemPass``, so the step runs the item tower once forward and once
     backward and returns one gradient dict.
     """

@@ -82,8 +82,11 @@ def mine_taxonomy(
     """Items sharing a taxonomy key become each other's positives.
 
     Groups larger than ``cap`` are uniformly subsampled to exactly ``cap``
-    positives per item; items without a taxonomy get empty lists.
+    positives per item by draws from ``rng``, which a ``cap`` requires;
+    items without a taxonomy get empty lists.
     """
+    if cap is not None and rng is None:
+        raise ValueError("cap needs rng")
     groups: dict[str, list[int]] = {}
     for i in range(len(catalog)):
         taxonomy = catalog[i].taxonomy
@@ -91,8 +94,6 @@ def mine_taxonomy(
             groups.setdefault(taxonomy, []).append(i)
     if not groups:
         raise ValueError("no items carry a taxonomy key")
-    if cap is not None and rng is None:
-        rng = np.random.default_rng(0)
 
     positives: list[np.ndarray] = [np.empty(0, dtype=np.int64) for _ in range(len(catalog))]
     for members in groups.values():

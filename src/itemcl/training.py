@@ -3,8 +3,8 @@ orchestration, Adam updates, and checkpointing.
 
 Every randomized stage draws from its own named substream of the config
 seed (shuffling, matching negatives, per-task contrastive sampling,
-dropout masks), so toggling one task never perturbs the draws of the
-others and runs are bit-reproducible under a fixed seed.
+dropout masks), so zeroing one task's loss weight never perturbs the
+draws of the others and runs are bit-reproducible under a fixed seed.
 """
 
 from __future__ import annotations
@@ -67,13 +67,14 @@ class TrainReport:
 def mine_artifacts(
     config: TrainConfig, split: SplitDataset, catalog: ItemCatalog
 ) -> tuple[SemanticPositivePool | None, SessionPositiveSampler | None, CooccurrenceTable | None]:
-    """Mine exactly the artifacts the config's active tasks need."""
+    """Mine exactly the artifacts the config's active tasks (loss weight
+    above zero) need."""
     pool = None
     sampler = None
     table = None
-    if config.use_semantic_cl and config.lambda_semantic > 0:
+    if config.lambda_semantic > 0:
         pool = mine_semantic_pool(catalog, config.semantic_source, config.k_semantic, config.seed)
-    if config.use_session_cl and config.lambda_session > 0:
+    if config.lambda_session > 0:
         sessions = segment_sessions(split, config.session_window)
         table = build_cooccurrence(sessions, len(catalog), config.k_session)
         sampler = SessionPositiveSampler(table)
@@ -113,11 +114,7 @@ def train(
     config.validate()
     if not split.train_interactions:
         raise ValueError("train split is empty")
-    lambdas = config.effective_lambdas()
-    if lambdas[1] > 0 and pool is None:
-        raise ValueError("semantic task is active but no positive pool was supplied")
-    if lambdas[2] > 0 and (sampler is None or table is None):
-        raise ValueError("session task is active but no co-occurrence artifacts were supplied")
+    lambdas = (config.lambda_feature, config.lambda_semantic, config.lambda_session)
 
     meta = build_meta(catalog, profiles, config.model_dims())
     enc = EncodedCatalog(catalog, meta)

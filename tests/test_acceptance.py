@@ -243,11 +243,11 @@ def _bench_variants(config):
     return {
         "full": config,
         "base": dataclasses.replace(
-            config, use_feature_cl=False, use_semantic_cl=False, use_session_cl=False
+            config, lambda_feature=0.0, lambda_semantic=0.0, lambda_session=0.0
         ),
-        "nofea": dataclasses.replace(config, use_feature_cl=False),
-        "nosem": dataclasses.replace(config, use_semantic_cl=False),
-        "nosess": dataclasses.replace(config, use_session_cl=False),
+        "nofea": dataclasses.replace(config, lambda_feature=0.0),
+        "nosem": dataclasses.replace(config, lambda_semantic=0.0),
+        "nosess": dataclasses.replace(config, lambda_session=0.0),
     }
 
 

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from itemcl.cli import main
@@ -122,7 +123,7 @@ class TestPipeline:
         )
         assert code == 0
         catalog = load_catalog(str(pipeline_dir / "data" / "catalog.jsonl"))
-        config = TrainConfig(semantic_source="taxonomy", k_semantic=3, seed=5, use_session_cl=False)
+        config = TrainConfig(semantic_source="taxonomy", k_semantic=3, seed=5, lambda_session=0.0)
         pool, _, _ = mine_artifacts(config, assemble_split([], [], behavior_window=1), catalog)
         dump_semantic_pool(pool, catalog, str(tmp_path / "trainer_pool.tsv"))
         assert out_path.read_bytes() == (tmp_path / "trainer_pool.tsv").read_bytes()
@@ -194,6 +195,43 @@ class TestPipeline:
         assert all(e["loss_session"] == 0.0 for e in epochs)
         assert all(e["loss_feature"] > 0.0 for e in epochs)
 
+        # --no-sess is exactly loss.lambda3 = 0, down to the checkpoint bytes
+        code, _, _ = run_cli(
+            capsys,
+            "train",
+            "--catalog", str(pipeline_dir / "data" / "catalog.jsonl"),
+            "--train", str(pipeline_dir / "splits" / "train.tsv"),
+            "--checkpoint", str(pipeline_dir / "lambda3_zero.ckpt"),
+            "--seed", "0",
+            "--epochs", "1",
+            "--batch-size", "512",
+            "--set", "loss.lambda3=0",
+            *SMALL_MODEL,
+        )
+        assert code == 0
+        from itemcl.model import load_checkpoint
+
+        flag_params, flag_config = load_checkpoint(str(pipeline_dir / "nosess.ckpt"))
+        set_params, _ = load_checkpoint(str(pipeline_dir / "lambda3_zero.ckpt"))
+        assert flag_params.arrays.keys() == set_params.arrays.keys()
+        assert all(np.array_equal(flag_params.arrays[k], set_params.arrays[k]) for k in flag_params.arrays)
+        assert flag_config["lambda_session"] == 0.0
+
+        # the per-task on/off keys are gone; a config file still using one fails by name
+        old_config = pipeline_dir / "old_toggle.conf"
+        for task in ("feature", "semantic", "session"):
+            old_config.write_text(f"train.seed = 0\ntrain.{task}_cl = false\n", encoding="utf-8")
+            code, _, err = run_cli(
+                capsys,
+                "train",
+                "--catalog", str(pipeline_dir / "data" / "catalog.jsonl"),
+                "--train", str(pipeline_dir / "splits" / "train.tsv"),
+                "--checkpoint", str(pipeline_dir / "old_toggle.ckpt"),
+                "--config", str(old_config),
+            )
+            assert code == 2
+            assert f"{old_config}:2: unknown config key 'train.{task}_cl'" in err
+
 
 class TestGradcheckCommand:
     def test_passes_and_reports(self, capsys):
@@ -237,8 +275,9 @@ class TestErrors:
             ("train.seed = 0\ntrain.epoch = 2\n", ":2: unknown config key 'train.epoch'"),
             ("train.epochs = two\n", ":1: bad value for config key 'train.epochs': invalid literal"),
             ("train.seed = 0\n\ntrain.seed = 1\n", ":3: config key 'train.seed' repeats line 1"),
+            ("augment.mask_ratio = 1.5\n", ":1: augment.mask_ratio: mask_ratio must lie in [0, 1)"),
         ],
-        ids=["unknown-key", "bad-value", "repeated-key"],
+        ids=["unknown-key", "bad-value", "repeated-key", "out-of-range"],
     )
     def test_bad_config_file_names_path_line_and_key(self, pipeline_dir, capsys, tmp_path, body, message):
         config_file = tmp_path / "bad.conf"
@@ -265,6 +304,43 @@ class TestErrors:
         )
         assert code == 2
         assert "bad value for config key 'loss.negatives'" in err
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("augment.strategy=bogus", "augment.strategy: strategy must be one of"),
+            ("mine.k_sem=0", "mine.k_sem must be positive"),
+            ("train.epochs=0", "train.epochs must be positive"),
+            ("loss.lambda1=nan", "loss.lambda1 must be nonnegative"),
+            ("model.d_field=0", "model.d_field must be positive"),
+        ],
+    )
+    def test_out_of_range_setting_fails_before_mining(self, pipeline_dir, capsys, setting, message):
+        code, _, err = run_cli(
+            capsys,
+            "train",
+            "--catalog", str(pipeline_dir / "data" / "catalog.jsonl"),
+            "--train", str(pipeline_dir / "splits" / "train.tsv"),
+            "--checkpoint", str(pipeline_dir / "bad.ckpt"),
+            "--seed", "0",
+            "--set", setting,
+        )
+        assert code == 2
+        assert message in json.loads(err.strip().split("\n")[-1])["error"]
+        assert "mining" not in err and "training for" not in err
+
+    def test_repeated_set_key_rejected(self, pipeline_dir, capsys):
+        code, _, err = run_cli(
+            capsys,
+            "train",
+            "--catalog", str(pipeline_dir / "data" / "catalog.jsonl"),
+            "--train", str(pipeline_dir / "splits" / "train.tsv"),
+            "--checkpoint", str(pipeline_dir / "bad.ckpt"),
+            "--set", "train.epochs=1",
+            "--set", "train.epochs=2",
+        )
+        assert code == 2
+        assert "ValueError: --set gives config key 'train.epochs' twice" in err
 
     def test_config_file_applies(self, pipeline_dir, capsys, tmp_path):
         config_file = tmp_path / "train.conf"

@@ -116,6 +116,11 @@ class TestTaxonomy:
         pool = mine_taxonomy(catalog)
         assert pool.positives[1].size == 0
 
+    def test_cap_without_rng_rejected(self):
+        catalog = catalog_with_vectors([None] * 4, taxonomies=["g"] * 4)
+        with pytest.raises(ValueError, match="cap needs rng"):
+            mine_taxonomy(catalog, cap=2)
+
     def test_large_group_capped_by_subsample(self):
         catalog = catalog_with_vectors([None] * 1000, taxonomies=["g"] * 1000)
         pool = mine_taxonomy(catalog, cap=50, rng=np.random.default_rng(0))

@@ -243,11 +243,22 @@ def save_profiles(profiles: UserProfileTable, path: str) -> None:
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
+def _time_ordered(events: list[Interaction]) -> tuple[list[Interaction], np.ndarray]:
+    """``events`` as a new list stably sorted by timestamp (ties keep input
+    order), and their timestamps. Input already in order is not sorted."""
+    ts = np.fromiter((ev.timestamp for ev in events), dtype=np.int64, count=len(events))
+    if (ts[1:] < ts[:-1]).any():
+        order = np.argsort(ts, kind="stable")
+        return [events[i] for i in order.tolist()], ts[order]
+    return list(events), ts
+
+
 def build_histories(
     train: list[Interaction], behavior_window: int
 ) -> dict[str, list[int]]:
     """Most recent ``behavior_window`` train item indices per user,
-    most-recent-last. ``train`` must already be time-ordered."""
+    most-recent-last, keyed in order of first appearance. ``train`` must
+    already be time-ordered."""
     histories: dict[str, list[int]] = {}
     for ev in train:
         histories.setdefault(ev.user_id, []).append(ev.item_index)
@@ -264,12 +275,8 @@ def assemble_split(
 ) -> SplitDataset:
     """Build a SplitDataset from already-separated train/test click lists
     (each gets stably time-ordered)."""
-    def ordered(events: list[Interaction]) -> list[Interaction]:
-        ts = np.asarray([ev.timestamp for ev in events], dtype=np.int64)
-        return [events[i] for i in np.argsort(ts, kind="stable")]
-
-    train = ordered(train)
-    test = ordered(test)
+    train, _ = _time_ordered(train)
+    test, _ = _time_ordered(test)
     split_time = test[0].timestamp if test else (train[-1].timestamp + 1 if train else 0)
     return SplitDataset(train, test, build_histories(train, behavior_window), behavior_window, split_time)
 
@@ -283,19 +290,16 @@ def chronological_split(
     after) and build per-user behavior histories from the train side only.
 
     Events are ordered by timestamp with ties resolved by stable input
-    order. Users that only appear in the test side get an empty history.
+    order. Users that only appear in the test side get no history entry.
     """
     if not interactions:
         raise ValueError("interactions must be non-empty")
     if behavior_window <= 0:
         raise ValueError("behavior_window must be positive")
 
-    timestamps = np.asarray([ev.timestamp for ev in interactions], dtype=np.int64)
-    order = np.argsort(timestamps, kind="stable")
-    ordered = [interactions[i] for i in order]
-
-    train = [ev for ev in ordered if ev.timestamp < split_time]
-    test = [ev for ev in ordered if ev.timestamp >= split_time]
+    ordered, ts = _time_ordered(interactions)
+    cut = int(np.searchsorted(ts, split_time, side="left"))
+    train, test = ordered[:cut], ordered[cut:]
     if not train:
         warn("chronological split produced an empty train set")
     if not test:

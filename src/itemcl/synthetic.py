@@ -2,24 +2,44 @@
 
 Items fall into clusters that leave three recoverable footprints: title
 vectors near the cluster centroid, cluster-specific tags and taxonomy
-keys, and user click streams biased toward preferred clusters. Two kinds
-of purely behavioral structure are planted on top, invisible to features
-and titles, so the session-level task has something of its own to find:
-every cluster has a companion cluster whose items leak into its sessions
-at a configured rate, and explicit cross-cluster motif pairs are
-injected into sessions.
+keys, and user click streams biased toward preferred clusters. Purely
+behavioral structure is planted on top, invisible to features and
+titles, so the session-level task has something of its own to find:
+explicit cross-cluster motif pairs are injected into sessions.
+(``companion_rate`` is validated but plants nothing and draws nothing.)
 
-Everything is a pure function of the spec and its seed.
+Everything is a pure function of the spec and its seed. Each stage draws
+from its own named substream, and the click stream's draw order is part
+of the contract: a weighted item draw takes exactly one ``random()``
+double and bisects the cluster's popularity CDF, built as
+``Generator.choice(p=)`` builds it (``cdf = p.cumsum(); cdf /= cdf[-1]``,
+then ``searchsorted(side="right")``), so it is the same draw ``choice``
+would make, without re-validating ``p`` on every click.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
 from .data import Interaction, Item, ItemCatalog, UserProfileTable
 from .rng import substream
+
+
+_POSITIVE_COUNTS = (
+    "n_users",
+    "n_items",
+    "n_interactions",
+    "title_dim",
+    "tags_per_cluster",
+    "n_providers",
+    "max_session_length",
+    "session_gap_seconds",
+)
 
 
 @dataclass(frozen=True)
@@ -44,8 +64,21 @@ class SyntheticSpec:
     seed: int = 0
 
     def validate(self) -> None:
-        if min(self.n_users, self.n_items, self.n_clusters, self.n_interactions) <= 0:
-            raise ValueError("counts must be positive")
+        for name in _POSITIVE_COUNTS:
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be positive")
+        if not self.n_clusters >= 2:
+            raise ValueError("n_clusters must be at least 2: each user prefers two clusters")
+        if not self.n_motif_pairs >= 0:
+            raise ValueError("n_motif_pairs must be non-negative")
+        if not self.seed >= 0:
+            raise ValueError("seed must be non-negative")
+        if not (1.0 <= self.mean_session_length < math.inf):
+            raise ValueError("mean_session_length must be finite and at least 1")
+        if not (0.0 <= self.title_noise < math.inf):
+            raise ValueError("title_noise must be finite and non-negative")
+        if not math.isfinite(self.zipf_exponent):
+            raise ValueError("zipf_exponent must be finite")
         if not (0.0 < self.intra_cluster_bias < 1.0):
             raise ValueError("intra_cluster_bias must lie in (0, 1)")
         if not (0.0 <= self.motif_rate < 1.0):
@@ -126,13 +159,22 @@ def generate(spec: SyntheticSpec) -> SyntheticDataset:
         )
     catalog = ItemCatalog(items)
 
-    # popularity within each cluster: Zipf over the cluster's member rank
-    cluster_members = [np.flatnonzero(clusters == k) for k in range(spec.n_clusters)]
-    cluster_weights = []
-    for members in cluster_members:
+    # popularity within each cluster: Zipf over the cluster's member rank,
+    # held as the CDF Generator.choice(p=) would build from it
+    cluster_members: list[list[int]] = []
+    cluster_cdfs: list[list[float]] = []
+    for k in range(spec.n_clusters):
+        members = np.flatnonzero(clusters == k)
         ranks = np.arange(1, members.size + 1, dtype=np.float64)
-        w = ranks ** (-spec.zipf_exponent)
-        cluster_weights.append(w / w.sum())
+        with np.errstate(over="ignore"):  # an overflow is raised as a ValueError below
+            w = ranks ** (-spec.zipf_exponent)
+        total = w.sum()
+        if not np.isfinite(total):
+            raise ValueError(f"zipf_exponent {spec.zipf_exponent} overflows the popularity weights")
+        cdf = (w / total).cumsum()
+        cdf /= cdf[-1]
+        cluster_members.append(members.tolist())
+        cluster_cdfs.append(cdf.tolist())
 
     rng_users = substream(spec.seed, "synth", "users")
     preferred = np.stack(
@@ -147,53 +189,44 @@ def generate(spec: SyntheticSpec) -> SyntheticDataset:
     profiles = UserProfileTable(("cohort", "group"), profile_rows)
 
     rng_clicks = substream(spec.seed, "synth", "clicks")
+    random, integers, poisson = rng_clicks.random, rng_clicks.integers, rng_clicks.poisson
+    n_clusters, gap = spec.n_clusters, spec.session_gap_seconds
+    inject_motifs = spec.motif_rate > 0 and bool(motifs)
     interactions: list[Interaction] = []
     base_quota = spec.n_interactions // spec.n_users
     horizon = 90 * 24 * 3600
-    for j in range(spec.n_users):
+    for j, (first, second) in enumerate(preferred.tolist()):
         quota = base_quota + (1 if j < spec.n_interactions % spec.n_users else 0)
         if quota == 0:
             continue
         user_id = f"u{j:05d}"
         n_sessions = max(1, int(round(quota / spec.mean_session_length)))
-        starts = np.sort(rng_clicks.integers(0, horizon, size=n_sessions))
+        starts = np.sort(integers(0, horizon, size=n_sessions)).tolist()
         remaining = quota
         last_end = -(10**9)
-        for s in range(n_sessions):
+        for session_start in starts:
             if remaining <= 0:
                 break
-            length = int(
-                min(
-                    remaining,
-                    spec.max_session_length,
-                    1 + rng_clicks.poisson(spec.mean_session_length - 1.0),
-                )
-            )
-            start = max(int(starts[s]), last_end + 2 * 3600 + 1)
+            length = int(min(remaining, spec.max_session_length, 1 + poisson(spec.mean_session_length - 1.0)))
+            t = max(session_start, last_end + 2 * 3600 + 1)
             # session items lean on one cluster for within-session coherence
-            if rng_clicks.random() < spec.intra_cluster_bias:
-                session_cluster = int(preferred[j, 0] if rng_clicks.random() < 0.7 else preferred[j, 1])
+            if random() < spec.intra_cluster_bias:
+                session_cluster = first if random() < 0.7 else second
             else:
-                session_cluster = int(rng_clicks.integers(spec.n_clusters))
-            t = start
+                session_cluster = int(integers(n_clusters))
             session_items: list[int] = []
             for _ in range(length):
-                if rng_clicks.random() < 0.9:
-                    k = session_cluster
-                else:
-                    k = int(rng_clicks.integers(spec.n_clusters))
-                item = int(rng_clicks.choice(cluster_members[k], p=cluster_weights[k]))
-                session_items.append(item)
-            if spec.motif_rate > 0 and motifs and rng_clicks.random() < spec.motif_rate:
-                a, b = motifs[int(rng_clicks.integers(len(motifs)))]
-                session_items.extend((a, b))
+                k = session_cluster if random() < 0.9 else int(integers(n_clusters))
+                session_items.append(cluster_members[k][bisect_right(cluster_cdfs[k], random())])
+            if inject_motifs and random() < spec.motif_rate:
+                session_items.extend(motifs[int(integers(len(motifs)))])
             for item in session_items:
                 interactions.append(Interaction(user_id, item, t))
-                t += 1 + int(rng_clicks.integers(spec.session_gap_seconds))
+                t += 1 + int(integers(gap))
             last_end = t
             remaining -= len(session_items)
 
-    interactions.sort(key=lambda ev: ev.timestamp)
+    interactions.sort(key=attrgetter("timestamp"))
     return SyntheticDataset(catalog, interactions, profiles, clusters, motifs)
 
 
@@ -202,5 +235,5 @@ def default_split_time(interactions: list[Interaction], train_fraction: float = 
     splitting."""
     if not interactions:
         raise ValueError("interactions must be non-empty")
-    ts = np.asarray([ev.timestamp for ev in interactions], dtype=np.int64)
+    ts = np.fromiter((ev.timestamp for ev in interactions), dtype=np.int64, count=len(interactions))
     return int(np.quantile(ts, train_fraction, method="higher"))

@@ -256,6 +256,12 @@ class TestErrors:
         payload = json.loads(err.strip().split("\n")[-1])
         assert "error" in payload
 
+    def test_generate_bad_count_names_the_field(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "generate", "--out-dir", str(tmp_path / "data"), "--seed", "0", "--users", "0")
+        assert code == 2
+        assert "n_users must be positive" in last_json(err)["error"]
+        assert not (tmp_path / "data").exists()
+
     def test_unknown_config_key_rejected(self, pipeline_dir, capsys):
         code, _, err = run_cli(
             capsys,

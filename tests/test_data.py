@@ -6,6 +6,7 @@ import pytest
 from itemcl.data import (
     DataFormatError,
     Interaction,
+    assemble_split,
     chronological_split,
     load_catalog,
     load_interactions,
@@ -115,6 +116,26 @@ def ev(user, item, ts):
     return Interaction(user, item, ts)
 
 
+def reference_split(events, split_time, window):
+    """Brute force: stable sort, two filters, per-user append then trim."""
+    ordered = sorted(events, key=lambda e: e.timestamp)
+    train = [e for e in ordered if e.timestamp < split_time]
+    test = [e for e in ordered if e.timestamp >= split_time]
+    histories = {}
+    for e in train:
+        histories.setdefault(e.user_id, []).append(e.item_index)
+    return train, test, {user: items[-window:] for user, items in histories.items()}
+
+
+def shuffled_clicks_with_ties(seed):
+    """Clicks on few distinct timestamps, so ties span users, in shuffled
+    order; user "late" clicks only at or after 900."""
+    rng = np.random.default_rng(seed)
+    events = [ev(f"u{int(rng.integers(12))}", int(rng.integers(50)), int(rng.integers(60)) * 20) for _ in range(600)]
+    events += [ev("late", 7, 900), ev("late", 8, 1100)]
+    return [events[i] for i in rng.permutation(len(events))]
+
+
 class TestChronologicalSplit:
     def test_four_events_split_at_three(self):
         events = [ev("u", 0, 1), ev("u", 1, 2), ev("u", 2, 3), ev("u", 3, 4)]
@@ -162,3 +183,32 @@ class TestChronologicalSplit:
             rows.sort(key=lambda r: (r[0], r[1]))
             expected = [r[2] for r in rows][-window:]
             assert split.behavior_histories[user] == expected
+
+    @pytest.mark.parametrize("presorted", [False, True])
+    def test_shuffled_ties_match_bruteforce_reference(self, presorted):
+        events = shuffled_clicks_with_ties(3)
+        if presorted:
+            events = sorted(events, key=lambda e: e.timestamp)
+        window = 6
+        split = chronological_split(events, split_time=900, behavior_window=window)
+        train, test, histories = reference_split(events, 900, window)
+        # identity, not equality: equal clicks must keep their input order
+        assert [id(e) for e in split.train_interactions] == [id(e) for e in train]
+        assert [id(e) for e in split.test_interactions] == [id(e) for e in test]
+        assert split.behavior_histories == histories
+        assert list(split.behavior_histories) == list(histories)
+        assert "late" not in split.behavior_histories and any(e.user_id == "late" for e in test)
+
+
+class TestAssembleSplit:
+    def test_orders_each_side_and_shares_the_history_rule(self):
+        events = shuffled_clicks_with_ties(4)
+        train_in = [e for e in events if e.timestamp < 900]
+        test_in = [e for e in events if e.timestamp >= 900]
+        split = assemble_split(train_in, test_in, behavior_window=6)
+        train, test, histories = reference_split(events, 900, 6)
+        assert [id(e) for e in split.train_interactions] == [id(e) for e in train]
+        assert [id(e) for e in split.test_interactions] == [id(e) for e in test]
+        assert split.behavior_histories == histories
+        assert list(split.behavior_histories) == list(histories)
+        assert split.split_time == test[0].timestamp

@@ -1,5 +1,9 @@
 """Planted-structure recovery and determinism of the synthetic generator."""
 
+import dataclasses
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
@@ -28,8 +32,6 @@ def cooccurrence_of(data, spec):
 
 class TestPlantedClusters:
     def test_zero_noise_title_cosines(self):
-        import dataclasses
-
         spec = dataclasses.replace(SMALL_SPEC, title_noise=0.0, n_items=40, n_clusters=2, n_users=20, n_interactions=500)
         data = generate(spec)
         vectors = np.stack([item.title_vector for item in data.catalog.items])
@@ -39,8 +41,6 @@ class TestPlantedClusters:
         assert sims[~same].max() < 1.0
 
     def test_title_knn_recovers_only_same_cluster(self):
-        import dataclasses
-
         spec = dataclasses.replace(SMALL_SPEC, title_noise=0.0, n_items=60, n_clusters=6, n_users=20, n_interactions=500)
         data = generate(spec)
         pool = mine_title_knn(data.catalog, k=5)
@@ -51,8 +51,6 @@ class TestPlantedClusters:
 
 class TestMotifs:
     def test_planted_motifs_rank_above_background_median(self):
-        import dataclasses
-
         spec = dataclasses.replace(SMALL_SPEC, motif_rate=0.10)
         data = generate(spec)
         table = cooccurrence_of(data, spec)
@@ -62,8 +60,6 @@ class TestMotifs:
         assert np.mean(motif_counts) > np.mean(background) + 3 * _stderr(background)
 
     def test_rate_zero_matches_background(self):
-        import dataclasses
-
         spec = dataclasses.replace(SMALL_SPEC, motif_rate=0.0)
         data = generate(spec)
         table = cooccurrence_of(data, spec)
@@ -108,11 +104,102 @@ class TestDeterminism:
             assert (tmp_path / "x" / name).read_bytes() == (tmp_path / "y" / name).read_bytes()
 
     def test_different_seed_differs(self):
-        import dataclasses
-
         a = generate(SMALL_SPEC)
         b = generate(dataclasses.replace(SMALL_SPEC, seed=6))
         assert [e.item_index for e in a.interactions] != [e.item_index for e in b.interactions]
+
+
+# SHA-256 of the files the save_* functions write. The click stream's draw
+# order is a contract (see the synthetic module docstring): a change that
+# moves any draw changes these.
+GOLDEN_SPECS = {
+    "small": SMALL_SPEC,
+    "motif_pairs": dataclasses.replace(
+        SMALL_SPEC,
+        n_users=120,
+        n_items=95,
+        n_clusters=9,
+        n_interactions=4000,
+        motif_pairs=((0, 1), (7, 40), (94, 3)),
+        motif_rate=0.3,
+        seed=11,
+    ),
+    "no_motifs": dataclasses.replace(SMALL_SPEC, n_interactions=5000, motif_rate=0.0, seed=12),
+}
+GOLDEN_SHA256 = {
+    "small": {
+        "catalog.jsonl": "c8a13e342dbba9e03ec6ef3ce1cf0744f4543a2af3ac0a78c13b6fdc281de229",
+        "interactions.tsv": "85405e231c2426d4c41fd77f6af4ed3888939853246aef6e7e6485a081ec0df9",
+        "profiles.jsonl": "1f8fc48e4a90353175dfb430e6a83f1407ec68edfa86c5b260062934e53be893",
+    },
+    "motif_pairs": {
+        "catalog.jsonl": "18374d2fcd3a0662be36b81997ebce9146eb08b97986cb1fde727df92605a857",
+        "interactions.tsv": "7475f331635b5bd87c99809e93e959f7121a2d6098b57d416bc191f99fc2744d",
+        "profiles.jsonl": "8fb5c593fa64cc93d6e99a6f894d8438d718288dd27a3d024124eff3a7fea86f",
+    },
+    "no_motifs": {
+        "catalog.jsonl": "8f23ffe7e9d0a116e6ce212a56c739513a6a386d28fb4842dfbc476e2c27a2f5",
+        "interactions.tsv": "da60869c6429880532a500898baa63e7ebb9ef43abc9c721330953d553c22e23",
+        "profiles.jsonl": "7be985f42501e0a355a4735317c85e6b03a3e7553c8662537346695fecaf2ce7",
+    },
+}
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
+    def test_saved_files_match_pinned_hashes(self, name, tmp_path):
+        data = generate(GOLDEN_SPECS[name])
+        save_catalog(data.catalog, str(tmp_path / "catalog.jsonl"))
+        save_interactions(data.interactions, data.catalog, str(tmp_path / "interactions.tsv"))
+        save_profiles(data.profiles, str(tmp_path / "profiles.jsonl"))
+        hashes = {
+            file: hashlib.sha256((tmp_path / file).read_bytes()).hexdigest() for file in GOLDEN_SHA256[name]
+        }
+        assert hashes == GOLDEN_SHA256[name]
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_users", 0),
+            ("n_items", 0),
+            ("n_clusters", 0),
+            ("n_clusters", 1),
+            ("n_interactions", -1),
+            ("title_dim", 0),
+            ("tags_per_cluster", 0),
+            ("n_providers", 0),
+            ("max_session_length", 0),
+            ("session_gap_seconds", 0),
+            ("n_motif_pairs", -1),
+            ("seed", -1),
+            ("mean_session_length", 0.5),
+            ("mean_session_length", math.nan),
+            ("title_noise", -0.1),
+            ("title_noise", math.inf),
+            ("zipf_exponent", math.nan),
+            ("zipf_exponent", -math.inf),
+            ("intra_cluster_bias", 1.0),
+            ("motif_rate", math.nan),
+            ("companion_rate", -0.1),
+        ],
+    )
+    def test_bad_field_rejected_by_name(self, field, value):
+        spec = dataclasses.replace(SMALL_SPEC, **{field: value})
+        with pytest.raises(ValueError, match=f"^{field} "):
+            spec.validate()
+        with pytest.raises(ValueError, match=f"^{field} "):
+            generate(spec)
+
+    def test_weights_that_overflow_rejected(self):
+        spec = dataclasses.replace(SMALL_SPEC, zipf_exponent=-1000.0)
+        with pytest.raises(ValueError, match="zipf_exponent"):
+            generate(spec)
+
+    def test_more_clusters_than_items_rejected(self):
+        with pytest.raises(ValueError, match="item per cluster"):
+            dataclasses.replace(SMALL_SPEC, n_clusters=SMALL_SPEC.n_items + 1).validate()
 
 
 class TestShape:

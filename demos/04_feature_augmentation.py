@@ -9,12 +9,9 @@ draws the same masks for a whole batch of items in one
 
 import numpy as np
 
-from itemcl import AugmentationPlan, FieldLayout, augmentation_masks
+from itemcl import AugmentationPlan, augmentation_masks
 
-layout = FieldLayout.build(
-    [("item_id", "single_categorical"), ("tags", "multi_categorical"), ("provider", "single_categorical")],
-    d_field=4,
-)
+N_FIELDS, D_FIELD = 3, 4
 rng = np.random.default_rng(0)
 
 tag_values = np.array([[1.0, 1.0, 1.0, 1.0], [3.0, 3.0, 3.0, 3.0]])  # two tags, pre-pooling
@@ -25,7 +22,9 @@ print(f"clean embedding:        {raw}")
 def view(strategy: str, ratio: float = 0.5) -> np.ndarray:
     """One augmented view: pool the surviving tag values, then zero the
     masked coordinates."""
-    keep, zero_mask = augmentation_masks(layout, AugmentationPlan(strategy, ratio), np.array([len(tag_values)]), rng)
+    keep, zero_mask = augmentation_masks(
+        N_FIELDS, D_FIELD, AugmentationPlan(strategy, ratio), np.array([len(tag_values)]), rng
+    )
     out = raw.copy()
     out[4:8] = tag_values[keep].mean(axis=0) if keep.any() else 0.0
     return np.where(zero_mask[0], 0.0, out)
@@ -43,6 +42,6 @@ assert np.array_equal(element[kept], raw[kept])
 print("surviving coordinates are bit-identical to the clean embedding")
 
 # the field strategy never returns an all-zero view
-_, zero_mask = augmentation_masks(layout, AugmentationPlan("field", 0.9), np.zeros(2000, dtype=np.int64), rng)
+_, zero_mask = augmentation_masks(N_FIELDS, D_FIELD, AugmentationPlan("field", 0.9), np.zeros(2000, dtype=np.int64), rng)
 assert (~zero_mask).any(axis=1).all()
 print("field dropout always leaves at least one field unmasked (checked over 2000 draws)")

@@ -7,7 +7,7 @@ the mining pipelines that manufacture the contrastive positives and a
 brute-force HIT@N / item-coverage evaluator.
 """
 
-from .augment import AugmentationPlan, FieldLayout, augmentation_masks
+from .augment import AugmentationPlan, augmentation_masks
 from .config import TrainConfig, apply_settings, parse_config_file
 from .data import (
     Interaction,

@@ -1,6 +1,6 @@
 """Dropout-style augmentation of concatenated item feature embeddings.
 
-Three strategies, applied to the raw concatenated field embedding before
+Four strategies, applied to the raw concatenated field embedding before
 the item tower:
 
 * ``element``: each scalar is independently zeroed with the mask ratio.
@@ -22,47 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 STRATEGIES = ("element", "field", "categorial", "field_plus_categorial")
-
-SINGLE_CATEGORICAL = "single_categorical"
-MULTI_CATEGORICAL = "multi_categorical"
-
-
-@dataclass(frozen=True)
-class FieldSlot:
-    name: str
-    kind: str
-    start: int
-    end: int
-
-
-class FieldLayout:
-    """Ordered feature fields tiling the concatenated raw embedding."""
-
-    def __init__(self, fields: list[FieldSlot]):
-        if not fields:
-            raise ValueError("layout needs at least one field")
-        width = fields[0].end - fields[0].start
-        cursor = 0
-        for f in fields:
-            if f.kind not in (SINGLE_CATEGORICAL, MULTI_CATEGORICAL):
-                raise ValueError(f"unknown field kind {f.kind!r}")
-            if f.start != cursor or f.end - f.start != width:
-                raise ValueError("field slices must tile the embedding with equal widths")
-            cursor = f.end
-        self.fields = tuple(fields)
-        self.d_field = width
-        self.width = cursor
-
-    @classmethod
-    def build(cls, names_kinds: list[tuple[str, str]], d_field: int) -> "FieldLayout":
-        fields = [
-            FieldSlot(name, kind, i * d_field, (i + 1) * d_field)
-            for i, (name, kind) in enumerate(names_kinds)
-        ]
-        return cls(fields)
-
-    def __len__(self) -> int:
-        return len(self.fields)
 
 
 @dataclass(frozen=True)
@@ -98,36 +57,39 @@ def draw_value_keep(n_values: int, ratio: float, rng: np.random.Generator) -> np
 
 
 def augmentation_masks(
-    layout: FieldLayout,
+    n_fields: int,
+    d_field: int,
     plan: AugmentationPlan,
     tag_lens: np.ndarray,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Every mask of one augmented view per item.
+    """Every mask of one augmented view per item whose raw embedding is
+    ``n_fields`` fields of ``d_field`` coordinates each, in order.
 
     ``tag_lens`` holds each item's number of multi-valued (tag) values.
     Returns ``value_keep``, True at each of the ``sum(tag_lens)`` values
     that survives pooling (all of them unless the strategy is
-    categorial), and ``zero_mask`` of shape (items, ``layout.width``),
-    True where a coordinate gets zeroed. Draw order is fixed: every
-    value keep, items in order, then the element masks of all items or
-    one field mask per item.
+    categorial), and ``zero_mask`` of shape (items, ``n_fields *
+    d_field``), True where a coordinate gets zeroed. Draw order is fixed:
+    every value keep, items in order, then the element masks of all items
+    or one field mask per item.
     """
     tag_lens = np.asarray(tag_lens, dtype=np.int64)
     m = tag_lens.size
+    width = n_fields * d_field
     n_values = int(tag_lens.sum())
     if plan.strategy in ("categorial", "field_plus_categorial"):
         value_keep = draw_value_keep(n_values, plan.mask_ratio, rng)
     else:
         value_keep = np.ones(n_values, dtype=bool)
     if plan.strategy == "element":
-        zero_mask = draw_element_mask((m, layout.width), plan.mask_ratio, rng)
+        zero_mask = draw_element_mask((m, width), plan.mask_ratio, rng)
     elif plan.strategy in ("field", "field_plus_categorial"):
         # the field restore draw is conditional, so field masks stay per item
-        fields = np.empty((m, len(layout)), dtype=bool)
+        fields = np.empty((m, n_fields), dtype=bool)
         for i in range(m):
-            fields[i] = draw_field_mask(len(layout), plan.mask_ratio, rng)
-        zero_mask = np.repeat(fields, layout.d_field, axis=1)  # fields tile in order
+            fields[i] = draw_field_mask(n_fields, plan.mask_ratio, rng)
+        zero_mask = np.repeat(fields, d_field, axis=1)
     else:
-        zero_mask = np.zeros((m, layout.width), dtype=bool)
+        zero_mask = np.zeros((m, width), dtype=bool)
     return value_keep, zero_mask

@@ -96,9 +96,6 @@ class UserProfileTable:
     field_names: tuple[str, ...] = ()
     rows: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
-    def values_for(self, user_id: str) -> tuple[str, ...] | None:
-        return self.rows.get(user_id)
-
 
 @dataclass
 class SplitDataset:

@@ -75,6 +75,8 @@ def retrieve_topn(
     Already-clicked items stay retrievable by default (matching-stage
     systems usually re-expose them); ``exclude_history`` filters them.
     """
+    if n < 1:
+        raise ValueError(f"n = {n} must be at least 1")
     if n > enc.n_items:
         raise ValueError(f"n = {n} exceeds catalog size {enc.n_items}")
     if items is None:
@@ -115,6 +117,8 @@ def evaluate(
         raise ValueError("test split is empty")
     ns = tuple(sorted(set(int(n) for n in ns)))
     n_max = ns[-1]
+    if ns[0] < 1:
+        raise ValueError(f"N = {ns[0]} must be at least 1")
     if n_max > enc.n_items:
         raise ValueError(f"largest N = {n_max} exceeds catalog size {enc.n_items}")
     if similarity not in ("dot", "cosine"):

@@ -45,13 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .augment import (
-    MULTI_CATEGORICAL,
-    SINGLE_CATEGORICAL,
-    AugmentationPlan,
-    FieldLayout,
-    augmentation_masks,
-)
+from .augment import AugmentationPlan, augmentation_masks
 from .data import ItemCatalog, UserProfileTable
 from .rng import substream
 
@@ -98,11 +92,7 @@ class ModelDims:
         )
 
 
-ITEM_FIELD_SPECS = (
-    ("item_id", SINGLE_CATEGORICAL),
-    ("tags", MULTI_CATEGORICAL),
-    ("provider", SINGLE_CATEGORICAL),
-)
+ITEM_FIELDS = ("item_id", "tags", "provider")  # the raw item embedding's d_field-wide slices, in order
 
 
 @dataclass
@@ -122,7 +112,7 @@ class ModelMeta:
 
     @property
     def raw_item_width(self) -> int:
-        return len(ITEM_FIELD_SPECS) * self.dims.d_field
+        return len(ITEM_FIELDS) * self.dims.d_field
 
     @property
     def user_other_width(self) -> int:
@@ -131,9 +121,6 @@ class ModelMeta:
     @property
     def user_input_width(self) -> int:
         return self.dims.behavior_window * self.dims.d_field + self.user_other_width
-
-    def item_layout(self) -> FieldLayout:
-        return FieldLayout.build(list(ITEM_FIELD_SPECS), self.dims.d_field)
 
     def to_dict(self) -> dict:
         return {
@@ -360,8 +347,9 @@ class EncodedProfiles:
 @dataclass
 class EmbedTrace:
     ids: np.ndarray
-    flat_tags: np.ndarray
+    flat_tags: np.ndarray  # the tags pooled per item, kept ones only in an augmented view
     tag_lens: np.ndarray
+    zero_mask: np.ndarray | None = None  # (m, width) True where an augmented view was zeroed
 
 
 def _concat_fields(
@@ -401,25 +389,13 @@ def embed_items_backward(
     _scatter_rows(grads["emb.provider"], enc.provider_idx[ids], grad_raw[:, 2 * d :])
 
 
-# ---------------------------------------------------------------------------
-# augmented item embeddings
-
-
-@dataclass
-class AugmentedTrace:
-    ids: np.ndarray
-    zero_mask: np.ndarray  # (m, width) True where the output was zeroed
-    kept_flat_tags: np.ndarray
-    kept_lens: np.ndarray
-
-
 def embed_items_augmented(
     params: ModelParams,
     enc: EncodedCatalog,
     ids: np.ndarray,
     plan: AugmentationPlan,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, AugmentedTrace]:
+) -> tuple[np.ndarray, EmbedTrace]:
     """Augmented view of each item's raw embedding under ``plan``.
 
     Every mask comes from one ``augmentation_masks`` call over the items
@@ -428,30 +404,22 @@ def embed_items_augmented(
     """
     ids = np.asarray(ids, dtype=np.int64)
     flat_tags, lens = enc.tag_rows(ids)
-    keep, zero_mask = augmentation_masks(params.meta.item_layout(), plan, lens, rng)
+    keep, zero_mask = augmentation_masks(len(ITEM_FIELDS), params.meta.dims.d_field, plan, lens, rng)
     kept_flat = flat_tags[keep]
     kept_lens = np.bincount(np.repeat(np.arange(len(ids)), lens)[keep], minlength=len(ids))
     raw = _concat_fields(params, enc, ids, kept_flat, kept_lens)
     out = np.where(zero_mask, 0.0, raw)
-    return out, AugmentedTrace(ids, zero_mask, kept_flat, kept_lens)
+    return out, EmbedTrace(ids, kept_flat, kept_lens, zero_mask)
 
 
 def embed_items_augmented_backward(
     params: ModelParams,
     enc: EncodedCatalog,
-    trace: AugmentedTrace,
+    trace: EmbedTrace,
     grad_out: np.ndarray,
     grads: dict[str, np.ndarray],
 ) -> None:
-    d = params.meta.dims.d_field
-    g = np.where(trace.zero_mask, 0.0, grad_out)
-    _scatter_rows(grads["emb.item_id"], trace.ids, g[:, :d])
-    if trace.kept_flat_tags.size:
-        per_tag = g[:, d : 2 * d] / np.maximum(trace.kept_lens, 1)[:, None]
-        _scatter_rows(
-            grads["emb.tags"], trace.kept_flat_tags, np.repeat(per_tag, trace.kept_lens, axis=0)
-        )
-    _scatter_rows(grads["emb.provider"], enc.provider_idx[trace.ids], g[:, 2 * d :])
+    embed_items_backward(params, enc, trace, np.where(trace.zero_mask, 0.0, grad_out), grads)
 
 
 # ---------------------------------------------------------------------------

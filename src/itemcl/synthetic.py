@@ -6,7 +6,6 @@ keys, and user click streams biased toward preferred clusters. Purely
 behavioral structure is planted on top, invisible to features and
 titles, so the session-level task has something of its own to find:
 explicit cross-cluster motif pairs are injected into sessions.
-(``companion_rate`` is validated but plants nothing and draws nothing.)
 
 Everything is a pure function of the spec and its seed. Each stage draws
 from its own named substream, and the click stream's draw order is part
@@ -57,7 +56,6 @@ class SyntheticSpec:
     mean_session_length: float = 3.0
     max_session_length: int = 8
     session_gap_seconds: int = 300
-    companion_rate: float = 0.15  # chance a session click leaks into the companion cluster
     motif_pairs: tuple[tuple[int, int], ...] | None = None  # None -> auto-pick
     n_motif_pairs: int = 60
     motif_rate: float = 0.15
@@ -83,8 +81,6 @@ class SyntheticSpec:
             raise ValueError("intra_cluster_bias must lie in (0, 1)")
         if not (0.0 <= self.motif_rate < 1.0):
             raise ValueError("motif_rate must lie in [0, 1)")
-        if not (0.0 <= self.companion_rate < 1.0):
-            raise ValueError("companion_rate must lie in [0, 1)")
         if self.n_clusters > self.n_items:
             raise ValueError("need at least one item per cluster")
         if self.motif_pairs is not None:

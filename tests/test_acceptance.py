@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from itemcl.augment import AugmentationPlan, FieldLayout, augmentation_masks
+from itemcl.augment import AugmentationPlan, augmentation_masks
 from itemcl.config import TrainConfig
 from itemcl.data import Item, ItemCatalog, chronological_split
 from itemcl.evaluation import evaluate, item_matrix
@@ -171,9 +171,8 @@ def test_criterion_4_sampler_statistics():
     freq = np.bincount(draws, minlength=10) / 100_000
     gap_sem_neg = float(np.abs(freq[3:] - 1 / 7).max() + freq[:3].sum())
 
-    layout = FieldLayout.build([(f"f{i}", "single_categorical") for i in range(3)], 64)
     plan = AugmentationPlan("element", 0.5)
-    _, zero_mask = augmentation_masks(layout, plan, np.zeros(10_000, dtype=np.int64), rng)
+    _, zero_mask = augmentation_masks(3, 64, plan, np.zeros(10_000, dtype=np.int64), rng)
     fractions = zero_mask.mean(axis=1)
     gap_drop = abs(float(np.mean(fractions)) - 0.5)
 

@@ -7,7 +7,6 @@ import pytest
 from itemcl.augment import (
     STRATEGIES,
     AugmentationPlan,
-    FieldLayout,
     augmentation_masks,
     draw_element_mask,
     draw_field_mask,
@@ -15,26 +14,24 @@ from itemcl.augment import (
 )
 from itemcl.model import embed_items, embed_items_augmented
 
-LAYOUT = FieldLayout.build(
-    [("item_id", "single_categorical"), ("tags", "multi_categorical"), ("provider", "single_categorical")],
-    d_field=4,
-)
+N_FIELDS, D_FIELD = 3, 4  # item_id | tags | provider
+WIDTH = N_FIELDS * D_FIELD
 
 
-def masks(strategy, ratio, tag_lens, rng, layout=LAYOUT):
-    return augmentation_masks(layout, AugmentationPlan(strategy, ratio), np.asarray(tag_lens), rng)
+def masks(strategy, ratio, tag_lens, rng, d_field=D_FIELD):
+    return augmentation_masks(N_FIELDS, d_field, AugmentationPlan(strategy, ratio), np.asarray(tag_lens), rng)
 
 
 class TestFieldStrategy:
     def test_masked_field_becomes_zero_others_untouched(self):
         rng = np.random.default_rng(5)
-        raw = rng.normal(size=(100, LAYOUT.width))
+        raw = rng.normal(size=(100, WIDTH))
         _, zero_mask = masks("field", 0.5, np.zeros(100), rng)
         out = np.where(zero_mask, 0.0, raw)
         for row, source in zip(out, raw):
-            for f in LAYOUT.fields:
-                chunk = row[f.start : f.end]
-                assert np.all(chunk == 0.0) or np.array_equal(chunk, source[f.start : f.end])
+            for start in range(0, WIDTH, D_FIELD):
+                chunk = row[start : start + D_FIELD]
+                assert np.all(chunk == 0.0) or np.array_equal(chunk, source[start : start + D_FIELD])
 
     def test_at_least_one_field_survives(self):
         _, zero_mask = masks("field", 0.9, np.zeros(2000), np.random.default_rng(0))
@@ -53,10 +50,7 @@ class TestFieldStrategy:
 
 class TestElementStrategy:
     def test_zeroed_fraction_matches_ratio(self):
-        layout = FieldLayout.build(
-            [("a", "single_categorical"), ("b", "single_categorical"), ("c", "single_categorical")], 64
-        )
-        _, zero_mask = masks("element", 0.5, np.zeros(10_000), np.random.default_rng(2), layout)
+        _, zero_mask = masks("element", 0.5, np.zeros(10_000), np.random.default_rng(2), d_field=64)
         assert zero_mask.shape == (10_000, 192)
         assert abs(zero_mask.mean() - 0.5) < 0.02
 
@@ -64,7 +58,7 @@ class TestElementStrategy:
         for strategy in STRATEGIES:
             keep, zero_mask = masks(strategy, 0.0, [2, 0, 3], np.random.default_rng(3))
             assert keep.shape == (5,) and keep.all()
-            assert zero_mask.shape == (3, LAYOUT.width) and not zero_mask.any()
+            assert zero_mask.shape == (3, WIDTH) and not zero_mask.any()
 
     def test_unmasked_coordinates_bit_identical(self, tiny):
         params, enc = tiny["params"], tiny["enc"]
@@ -123,7 +117,7 @@ class TestCategorial:
         assert keep.shape == (400,) and keep.any() and not keep.all()
 
 
-def per_item_masks(layout, plan, tag_lens, rng):
+def per_item_masks(plan, tag_lens, rng):
     """Reference: the same masks drawn one item at a time through the
     primitives, every item's value keeps first, then one element or
     field mask per item, in item order."""
@@ -131,16 +125,16 @@ def per_item_masks(layout, plan, tag_lens, rng):
     keep = np.ones(int(np.sum(tag_lens)), dtype=bool)
     if plan.strategy in ("categorial", "field_plus_categorial") and m:
         keep = np.concatenate([draw_value_keep(int(n), plan.mask_ratio, rng) for n in tag_lens])
-    zero_mask = np.zeros((m, layout.width), dtype=bool)
+    zero_mask = np.zeros((m, WIDTH), dtype=bool)
     if plan.strategy == "element":
         for i in range(m):
-            zero_mask[i] = draw_element_mask(layout.width, plan.mask_ratio, rng)
+            zero_mask[i] = draw_element_mask(WIDTH, plan.mask_ratio, rng)
     elif plan.strategy in ("field", "field_plus_categorial"):
         for i in range(m):
-            fmask = draw_field_mask(len(layout), plan.mask_ratio, rng)
-            for f, masked in zip(layout.fields, fmask):
+            fmask = draw_field_mask(N_FIELDS, plan.mask_ratio, rng)
+            for f, masked in enumerate(fmask):
                 if masked:
-                    zero_mask[i, f.start : f.end] = True
+                    zero_mask[i, f * D_FIELD : (f + 1) * D_FIELD] = True
     return keep, zero_mask
 
 
@@ -153,8 +147,8 @@ class TestMatchesPerItemLoop:
         tag_lens = np.random.default_rng(m).integers(0, 4, size=m) if tags == "mixed" else np.zeros(m, dtype=np.int64)
         plan = AugmentationPlan(strategy, ratio)
         rng, expected_rng = np.random.default_rng(11), np.random.default_rng(11)
-        keep, zero_mask = augmentation_masks(LAYOUT, plan, tag_lens, rng)
-        expected_keep, expected_zero = per_item_masks(LAYOUT, plan, tag_lens, expected_rng)
+        keep, zero_mask = augmentation_masks(N_FIELDS, D_FIELD, plan, tag_lens, rng)
+        expected_keep, expected_zero = per_item_masks(plan, tag_lens, expected_rng)
         np.testing.assert_array_equal(keep, expected_keep)
         np.testing.assert_array_equal(zero_mask, expected_zero)
         assert keep.dtype == bool and zero_mask.dtype == bool
@@ -169,9 +163,3 @@ class TestValidation:
     def test_bad_ratio(self):
         with pytest.raises(ValueError, match="mask_ratio"):
             AugmentationPlan("field", 1.0)
-
-    def test_layout_must_tile(self):
-        from itemcl.augment import FieldSlot
-
-        with pytest.raises(ValueError, match="tile"):
-            FieldLayout([FieldSlot("a", "single_categorical", 0, 4), FieldSlot("b", "single_categorical", 5, 9)])

@@ -348,6 +348,29 @@ class TestErrors:
         assert code == 2
         assert "ValueError: --set gives config key 'train.epochs' twice" in err
 
+    def test_evaluate_n_below_one_names_n(self, pipeline_dir, capsys, tmp_path):
+        from itemcl.data import load_catalog, load_profiles
+        from itemcl.model import ModelDims, build_meta, init_params, save_checkpoint
+
+        data = pipeline_dir / "data"
+        dims = ModelDims(d_field=4, tower_dims=(8, 4, 4), behavior_window=5, ffn_dim=4, d_proj=4)
+        catalog, profiles = load_catalog(str(data / "catalog.jsonl")), load_profiles(str(data / "profiles.jsonl"))
+        meta = build_meta(catalog, profiles, dims)
+        ckpt = tmp_path / "untrained.ckpt"
+        save_checkpoint(init_params(meta, 0), str(ckpt))
+        code, _, err = run_cli(
+            capsys,
+            "evaluate",
+            "--checkpoint", str(ckpt),
+            "--catalog", str(data / "catalog.jsonl"),
+            "--train", str(pipeline_dir / "splits" / "train.tsv"),
+            "--test", str(pipeline_dir / "splits" / "test.tsv"),
+            "--profiles", str(data / "profiles.jsonl"),
+            "--n", "-5",
+        )
+        assert code == 2
+        assert "ValueError: N = -5 must be at least 1" in last_json(err)["error"]
+
     def test_config_file_applies(self, pipeline_dir, capsys, tmp_path):
         config_file = tmp_path / "train.conf"
         config_file.write_text(

@@ -100,7 +100,7 @@ class TestProfiles:
         )
         table = load_profiles(path)
         assert table.field_names == ("age", "geo")
-        assert table.values_for("u2") == ("a40", "g2")
+        assert table.rows["u2"] == ("a40", "g2")
 
     def test_schema_mismatch(self, tmp_path):
         path = write(

@@ -96,6 +96,12 @@ class TestRetrieve:
         with pytest.raises(ValueError, match="catalog"):
             retrieve_topn(params, enc, [1], prof.rows(["u00000"])[0], 21)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_n_below_one_rejected(self, n):
+        data, params, enc, prof = random_model(n_items=20, n_users=5)
+        with pytest.raises(ValueError, match=f"n = {n} must be at least 1"):
+            retrieve_topn(params, enc, [1], prof.rows(["u00000"])[0], n)
+
     def test_cosine_option_changes_ranking_scale_free(self):
         data, params, enc, prof = random_model(n_items=50, n_users=5)
         row = prof.rows(["u00000"])[0]
@@ -191,6 +197,13 @@ class TestEvaluate:
         values = [report.hit[n] for n in ns]
         assert values == sorted(values)
         assert report.item_coverage >= max(ns) / 120
+
+    @pytest.mark.parametrize("ns", [(-5,), (0, 10), (10, -1)])
+    def test_n_below_one_rejected(self, ns):
+        data, params, enc, prof = random_model(n_items=100, n_users=4)
+        split = build_eval_split(data, params, enc, prof, {"u00000": [0]})
+        with pytest.raises(ValueError, match=f"N = {min(ns)} must be at least 1"):
+            evaluate(params, enc, prof, split, ns=ns)
 
 
 class TestPermutationInvariance:

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from itemcl.augment import STRATEGIES, AugmentationPlan
 from itemcl.gradcheck import (
     build_fixture,
     finite_difference_gradient,
@@ -12,8 +13,9 @@ from itemcl.gradcheck import (
     gradcheck_suite,
     max_relative_error,
 )
-from itemcl.losses import loss_matching
+from itemcl.losses import loss_feature_cl, loss_matching
 from itemcl.model import pad_histories, user_tower
+from itemcl.rng import substream
 
 
 def test_fixture_stays_under_200_parameters():
@@ -25,6 +27,26 @@ def test_all_losses_match_finite_differences():
     assert set(errors) == {"matching", "feature", "semantic", "session", "joint"}
     for name, err in errors.items():
         assert err < 1e-5, f"{name}: {err:.3e}"
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_feature_gradient_under_every_strategy(strategy):
+    # coordinate masks (element, field) and dropped tags (categorial)
+    # each reach the embedding tables through the augmented view's backward
+    fix = build_fixture(0)
+    params, enc = fix["params"], fix["enc"]
+    plan = AugmentationPlan(strategy, 0.5)
+
+    def loss(p):
+        return loss_feature_cl(
+            p, enc, fix["contrastive"], plan, substream(0, "fd", "fea"), substream(0, "fd", "drop")
+        )
+
+    _, grads = loss(params)
+    for name in ("emb.item_id", "emb.tags", "emb.provider", "proj_f.W"):
+        assert np.abs(grads[name]).max() > 1e-5, name  # ten times the error floor
+    numeric = finite_difference_gradient(lambda p: loss(p)[0], params)
+    assert max_relative_error(flatten(grads), numeric) < 1e-5
 
 
 def test_max_relative_error_handles_zeros():

@@ -5,6 +5,7 @@ import pytest
 
 from itemcl.data import Item, ItemCatalog, UserProfileTable
 from itemcl.model import (
+    ITEM_FIELDS,
     EncodedCatalog,
     EncodedProfiles,
     ModelDims,
@@ -351,17 +352,16 @@ class TestAugmentedEmbedding:
         rng = np.random.default_rng(3)
         out, trace = embed_items_augmented(params, enc, ids, AugmentationPlan(strategy, 0.5), rng)
         raw, embed_trace = embed_items(params, enc, ids)
-        np.testing.assert_array_equal(trace.kept_flat_tags, embed_trace.flat_tags)
-        np.testing.assert_array_equal(trace.kept_lens, embed_trace.tag_lens)
+        np.testing.assert_array_equal(trace.flat_tags, embed_trace.flat_tags)
+        np.testing.assert_array_equal(trace.tag_lens, embed_trace.tag_lens)
         np.testing.assert_array_equal(out, np.where(trace.zero_mask, 0.0, raw))
         # the generator moved by the per-item mask draws alone
         expected = np.random.default_rng(3)
-        layout = params.meta.item_layout()
         for _ in ids:
             if strategy == "element":
-                draw_element_mask(layout.width, 0.5, expected)
+                draw_element_mask(params.meta.raw_item_width, 0.5, expected)
             else:
-                draw_field_mask(len(layout), 0.5, expected)
+                draw_field_mask(len(ITEM_FIELDS), 0.5, expected)
         assert rng.bit_generator.state == expected.bit_generator.state
 
 

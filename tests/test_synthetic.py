@@ -182,7 +182,6 @@ class TestValidation:
             ("zipf_exponent", -math.inf),
             ("intra_cluster_bias", 1.0),
             ("motif_rate", math.nan),
-            ("companion_rate", -0.1),
         ],
     )
     def test_bad_field_rejected_by_name(self, field, value):

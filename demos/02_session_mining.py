@@ -34,10 +34,10 @@ print(f"median planted-motif count = {np.median(motif_counts):.0f} vs overall me
 sampler = SessionPositiveSampler(table)
 rng = np.random.default_rng(0)
 anchor = data.motif_pairs[0][0]
-draws = [sampler.sample(anchor, rng) for _ in range(2000)]
+_, draws = sampler.sample_many(np.full(2000, anchor), rng)
 partner = data.motif_pairs[0][1]
 print(f"item {anchor}: top co-occurred neighbors {table.topk[anchor][:3]}")
-print(f"  weighted sampling hit its motif partner {partner} in {draws.count(partner)}/2000 draws")
+print(f"  weighted sampling hit its motif partner {partner} in {int((draws == partner).sum())}/2000 draws")
 
 negatives = uniform_excluding(table.n_items, table.excluded(anchor), 8, rng)
 assert not (set(negatives.tolist()) & set(table.neighbors(anchor)))

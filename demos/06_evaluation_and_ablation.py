@@ -45,10 +45,10 @@ for tag, cfg in {
         export_embeddings(params, enc, data.catalog, out)
         print(f"exported {len(data.catalog)} item embeddings to {out}")
 
-print(f"\n{'model':<6} " + " ".join(f"{'hit@' + str(n):>8}" for n in (10, 20, 50, 100)) + f" {'coverage':>9}")
+print(f"\n{'model':<6} " + " ".join(f"{'hit@' + str(n):>8}" for n in (10, 20, 50, 100)) + f" {'cov@100':>9}")
 for tag, rep in results.items():
     row = " ".join(f"{rep.hit[n]:>8.4f}" for n in (10, 20, 50, 100))
-    print(f"{tag:<6} {row} {rep.item_coverage:>9.3f}")
+    print(f"{tag:<6} {row} {rep.coverage[100]:>9.3f}")
 
 gain = results["full"].hit[50] - results["base"].hit[50]
 print(f"\nthree contrastive tasks move HIT@50 by {gain:+.4f} on this run")

@@ -22,7 +22,6 @@ _EVAL_CHUNK = 1024
 @dataclass
 class EvalReport:
     hit: dict[int, float]
-    item_coverage: float  # coverage of the largest-N lists
     coverage: dict[int, float]  # coverage of each N-prefix of the same lists
     n_test_users: int
     n_test_interactions: int
@@ -31,7 +30,6 @@ class EvalReport:
     def to_dict(self) -> dict:
         out = {f"hit@{n}": self.hit[n] for n in sorted(self.hit)}
         out.update({f"coverage@{n}": self.coverage[n] for n in sorted(self.coverage)})
-        out["item_coverage"] = self.item_coverage
         out["n_test_users"] = self.n_test_users
         out["n_test_interactions"] = self.n_test_interactions
         out["similarity"] = self.similarity
@@ -106,16 +104,19 @@ def evaluate(
     ns: tuple[int, ...] = (50, 100, 200, 500),
     similarity: str = "dot",
 ) -> EvalReport:
-    """HIT@N over test clicks plus item coverage.
-
-    One retrieval of the largest N per distinct test user; smaller-N hit
-    rates reuse prefixes of the same ranking. The HIT@N denominator is the
-    test interaction count, and coverage is the fraction of the catalog
-    appearing in at least one retrieved list.
+    """HIT@N over test clicks plus item coverage, from one retrieval of
+    the largest N, ``n_max``, per distinct test user. ``test_rank`` holds
+    each test click's position in its user's top-``n_max`` list, or
+    ``n_max`` when the item is absent; ``first_rank`` holds each item's
+    lowest position in any user's list, or ``n_max``. HIT@N is
+    ``count(test_rank < N) / n_test`` and coverage@N is
+    ``count(first_rank < N) / n_items``.
     """
     if not split.test_interactions:
         raise ValueError("test split is empty")
     ns = tuple(sorted(set(int(n) for n in ns)))
+    if not ns:
+        raise ValueError("no N given: evaluation needs at least one N")
     n_max = ns[-1]
     if ns[0] < 1:
         raise ValueError(f"N = {ns[0]} must be at least 1")
@@ -124,42 +125,34 @@ def evaluate(
     if similarity not in ("dot", "cosine"):
         raise ValueError("similarity must be dot or cosine")
 
-    users = sorted({ev.user_id for ev in split.test_interactions})
+    users, user_row = np.unique([ev.user_id for ev in split.test_interactions], return_inverse=True)
+    test_item = np.array([ev.item_index for ev in split.test_interactions], dtype=np.int64)
     items = item_matrix(params, enc)
     if similarity == "cosine":
         items = _normalize_rows(items)
 
-    rank_of: dict[str, dict[int, int]] = {}
-    covered: dict[int, set[int]] = {n: set() for n in ns}
+    test_rank = np.full(len(test_item), n_max)
+    first_rank = np.full(enc.n_items, n_max)
     window = params.meta.dims.behavior_window
     for lo in range(0, len(users), _EVAL_CHUNK):
-        block = users[lo : lo + _EVAL_CHUNK]
+        block = users[lo : lo + _EVAL_CHUNK].tolist()
         hist = pad_histories([split.behavior_histories.get(u, []) for u in block], window)
         prof = prof_enc.rows(block)
         u_vecs, _ = user_tower(params, hist, prof)
         if similarity == "cosine":
             u_vecs = _normalize_rows(u_vecs)
         top = _top_n(u_vecs @ items.T, n_max)
-        for row, user_id in enumerate(block):
-            ranking = top[row]
-            rank_of[user_id] = {int(item): pos for pos, item in enumerate(ranking)}
-            for n in ns:
-                covered[n].update(int(x) for x in ranking[:n])
+        clicks = np.flatnonzero((user_row >= lo) & (user_row < lo + _EVAL_CHUNK))
+        found = top[user_row[clicks] - lo] == test_item[clicks, None]
+        test_rank[clicks] = np.where(found.any(axis=1), found.argmax(axis=1), n_max)
+        # flat operands: numpy 2.4's ufunc.at misreads values broadcast against 2-D indices
+        np.minimum.at(first_rank, top.ravel(), np.tile(np.arange(n_max), len(block)))
 
-    hits = {n: 0 for n in ns}
-    for ev in split.test_interactions:
-        pos = rank_of[ev.user_id].get(ev.item_index)
-        if pos is None:
-            continue
-        for n in ns:
-            if pos < n:
-                hits[n] += 1
-    n_test = len(split.test_interactions)
+    n_test = len(test_item)
     return EvalReport(
-        hit={n: hits[n] / n_test for n in ns},
-        item_coverage=len(covered[n_max]) / enc.n_items,
-        coverage={n: len(covered[n]) / enc.n_items for n in ns},
-        n_test_users=len(users),
+        hit={n: int(np.count_nonzero(test_rank < n)) / n_test for n in ns},
+        coverage={n: int(np.count_nonzero(first_rank < n)) / enc.n_items for n in ns},
+        n_test_users=users.size,
         n_test_interactions=n_test,
         similarity=similarity,
     )

@@ -375,14 +375,10 @@ def loss_session_cl(
     Isolated anchors contribute exactly zero."""
     own = items is None
     items = items or ItemPass(params, enc)
-    anchors, positives = [], []
-    for a in batch.anchors:
-        a = int(a)
-        pos = sampler.sample(a, rng)
-        if pos is not None:
-            anchors.append(a)
-            positives.append([pos])
-    value = _item_pair_infonce(items, "s", batch, anchors, positives, table.excluded, table.n_items, rng, weight)
+    anchors, positives = sampler.sample_many(batch.anchors, rng)
+    value = _item_pair_infonce(
+        items, "s", batch, anchors.tolist(), positives[:, None], table.excluded, table.n_items, rng, weight
+    )
     return _result(value, items, own)
 
 

@@ -114,23 +114,30 @@ def build_cooccurrence(sessions: list[Session], n_items: int, k: int = 10) -> Co
 
 class SessionPositiveSampler:
     """Weighted sampler over each item's top-k co-occurred neighbors,
-    proportional to co-occurrence counts."""
+    proportional to co-occurrence counts. Row ``i`` of the padded
+    (items x k) arrays holds item ``i``'s neighbors and their cumulative
+    counts, padded with +inf."""
 
     def __init__(self, table: CooccurrenceTable):
-        self._neighbors: dict[int, np.ndarray] = {}
-        self._cumweights: dict[int, np.ndarray] = {}
+        width = max((len(pairs) for pairs in table.topk.values()), default=0)
+        self._length = np.zeros(table.n_items, dtype=np.int64)
+        self._neighbors = np.zeros((table.n_items, width), dtype=np.int64)
+        self._cumweights = np.full((table.n_items, width), np.inf)
         for item, pairs in table.topk.items():
-            self._neighbors[item] = np.asarray([nb for nb, _ in pairs], dtype=np.int64)
-            self._cumweights[item] = np.cumsum([c for _, c in pairs]).astype(np.float64)
+            self._length[item] = len(pairs)
+            self._neighbors[item, : len(pairs)] = [nb for nb, _ in pairs]
+            self._cumweights[item, : len(pairs)] = np.cumsum([c for _, c in pairs])
 
-    def sample(self, item: int, rng: np.random.Generator) -> int | None:
-        cum = self._cumweights.get(item)
-        if cum is None:
-            return None
-        u = rng.random() * cum[-1]
-        pos = int(np.searchsorted(cum, u, side="right"))
-        pos = min(pos, len(cum) - 1)
-        return int(self._neighbors[item][pos])
+    def sample_many(self, anchors: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """The anchors that have neighbors, in order, and one positive for
+        each, from one uniform double per such anchor."""
+        anchors = np.asarray(anchors, dtype=np.int64)
+        anchors = anchors[self._length[anchors] > 0]
+        last = self._length[anchors] - 1
+        cum = self._cumweights[anchors]
+        u = rng.random(anchors.size) * cum[np.arange(anchors.size), last]
+        pos = np.minimum((cum <= u[:, None]).sum(axis=1), last)
+        return anchors, self._neighbors[anchors, pos]
 
 
 def dump_cooccurrence(table: CooccurrenceTable, catalog: ItemCatalog, path: str) -> None:

@@ -163,7 +163,8 @@ class TestPipeline:
         assert code == 0
         report = last_json(out)
         assert report["hit@5"] <= report["hit@10"] <= report["hit@20"]
-        assert 0.0 < report["item_coverage"] <= 1.0
+        assert 0.0 < report["coverage@20"] <= 1.0
+        assert "item_coverage" not in report
 
         code, out, _ = run_cli(
             capsys,

@@ -145,47 +145,50 @@ class TestEvaluate:
 
     def test_rank_sixty_hits_at_100_not_50(self):
         data, params, enc, prof = random_model(n_items=200, n_users=4)
-        split = build_eval_split(data, params, enc, prof, {"u00000": [59]})
-        report = evaluate(params, enc, prof, split, ns=(50, 100))
-        assert report.hit[50] == 0.0
-        assert report.hit[100] == 1.0
+        for rank, hit_at_50 in ((59, 0.0), (49, 1.0), (50, 0.0)):  # 49 and 50 straddle N = 50
+            split = build_eval_split(data, params, enc, prof, {"u00000": [rank]})
+            report = evaluate(params, enc, prof, split, ns=(50, 100))
+            assert report.hit == {50: hit_at_50, 100: 1.0}
 
-    def test_fifty_user_fixture_matches_membership_recount(self):
+    def test_fifty_user_fixture_matches_membership_recount(self, monkeypatch):
         data, params, enc, prof = random_model(n_items=300, n_users=50, seed=3)
-        rng = np.random.default_rng(5)
         split = assemble_split(
             data.interactions[: len(data.interactions) * 4 // 5],
             data.interactions[len(data.interactions) * 4 // 5 :],
             behavior_window=5,
         )
         ns = (10, 50, 100)
-        report = evaluate(params, enc, prof, split, ns=ns)
+        # the default chunk holds all fifty users; 7 gives eight chunks, the last partial
+        for similarity, chunk in (("dot", 1024), ("dot", 7), ("cosine", 7)):
+            monkeypatch.setattr("itemcl.evaluation._EVAL_CHUNK", chunk)
+            report = evaluate(params, enc, prof, split, ns=ns, similarity=similarity)
 
-        # independent recount: recompute each user's list, then count
-        # membership per interaction
-        items = item_matrix(params, enc)
-        lists = {}
-        for user in {ev.user_id for ev in split.test_interactions}:
-            hist = split.behavior_histories.get(user, [])
-            u, _ = user_tower(
-                params, pad_histories([hist], 5), prof.rows([user])
-            )
-            lists[user] = np.argsort(-(items @ u[0]), kind="stable")[: max(ns)]
-        for n in ns:
-            hits = sum(
-                1
-                for ev in split.test_interactions
-                if ev.item_index in set(lists[ev.user_id][:n].tolist())
-            )
-            assert report.hit[n] == hits / len(split.test_interactions)
-        for n in ns:
-            covered = set()
-            for ranking in lists.values():
-                covered.update(int(x) for x in ranking[:n])
-            assert report.coverage[n] == len(covered) / 300
-        assert report.item_coverage == report.coverage[max(ns)]
-        assert report.n_test_users == len(lists)
-        assert report.n_test_interactions == len(split.test_interactions)
+            # independent recount: recompute each user's list, then count
+            # membership per interaction
+            items = item_matrix(params, enc)
+            if similarity == "cosine":
+                items = items / np.linalg.norm(items, axis=1, keepdims=True)
+            lists = {}
+            for user in {ev.user_id for ev in split.test_interactions}:
+                hist = split.behavior_histories.get(user, [])
+                u, _ = user_tower(params, pad_histories([hist], 5), prof.rows([user]))
+                if similarity == "cosine":
+                    u = u / np.linalg.norm(u)
+                lists[user] = np.argsort(-(items @ u[0]), kind="stable")[: max(ns)]
+            for n in ns:
+                hits = sum(
+                    1
+                    for ev in split.test_interactions
+                    if ev.item_index in set(lists[ev.user_id][:n].tolist())
+                )
+                assert report.hit[n] == hits / len(split.test_interactions)
+            for n in ns:
+                covered = set()
+                for ranking in lists.values():
+                    covered.update(int(x) for x in ranking[:n])
+                assert report.coverage[n] == len(covered) / 300
+            assert report.n_test_users == len(lists)
+            assert report.n_test_interactions == len(split.test_interactions)
 
     def test_hit_monotone_and_coverage_lower_bound(self):
         data, params, enc, prof = random_model(n_items=120, n_users=30, seed=7)
@@ -196,7 +199,7 @@ class TestEvaluate:
         report = evaluate(params, enc, prof, split, ns=ns)
         values = [report.hit[n] for n in ns]
         assert values == sorted(values)
-        assert report.item_coverage >= max(ns) / 120
+        assert report.coverage[max(ns)] >= max(ns) / 120
 
     @pytest.mark.parametrize("ns", [(-5,), (0, 10), (10, -1)])
     def test_n_below_one_rejected(self, ns):
@@ -204,6 +207,12 @@ class TestEvaluate:
         split = build_eval_split(data, params, enc, prof, {"u00000": [0]})
         with pytest.raises(ValueError, match=f"N = {min(ns)} must be at least 1"):
             evaluate(params, enc, prof, split, ns=ns)
+
+    def test_no_n_rejected(self):
+        data, params, enc, prof = random_model(n_items=100, n_users=4)
+        split = build_eval_split(data, params, enc, prof, {"u00000": [0]})
+        with pytest.raises(ValueError, match="no N given"):
+            evaluate(params, enc, prof, split, ns=())
 
 
 class TestPermutationInvariance:

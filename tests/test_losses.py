@@ -343,8 +343,8 @@ class TestLossSession:
 
     def test_matches_scalar_recomputation(self, tiny, monkeypatch):
         class PinnedPositives:
-            def sample(self, item, rng):
-                return {0: 1, 3: 4}[item]
+            def sample_many(self, anchors, rng):
+                return anchors, np.array([{0: 1, 3: 4}[int(a)] for a in anchors])
 
         params, enc = tiny["params"], tiny["enc"]
         pin_negatives(monkeypatch, [3, 5], [1, 5])

@@ -172,18 +172,36 @@ class TestSessionSampling:
     def test_weighted_frequencies(self):
         sampler = SessionPositiveSampler(self.table())
         rng = np.random.default_rng(0)
-        draws = np.array([sampler.sample(0, rng) for _ in range(100_000)])
+        anchors, draws = sampler.sample_many(np.zeros(100_000, dtype=np.int64), rng)
+        assert anchors.size == 100_000
         assert abs((draws == 1).mean() - 0.75) < 0.01
         assert abs((draws == 2).mean() - 0.25) < 0.01
 
     def test_single_neighbor_always_returned(self):
         sampler = SessionPositiveSampler(CooccurrenceTable({(0, 1): 5}, 3, k=10))
         rng = np.random.default_rng(0)
-        assert all(sampler.sample(0, rng) == 1 for _ in range(50))
+        assert sampler.sample_many(np.zeros(50, dtype=np.int64), rng)[1].tolist() == [1] * 50
 
     def test_isolated_item_signals_no_positive(self):
         sampler = SessionPositiveSampler(self.table())
-        assert sampler.sample(7, np.random.default_rng(0)) is None
+        anchors, positives = sampler.sample_many(np.array([7, 0, 7, 2]), np.random.default_rng(0))
+        assert anchors.tolist() == [0, 2]
+        assert positives[0] in (1, 2) and positives[1] == 0
+
+    def test_matches_one_searchsorted_draw_per_anchor(self):
+        table = CooccurrenceTable({(0, 1): 3, (0, 2): 1, (1, 2): 7, (3, 4): 2, (2, 5): 5}, 9, k=2)
+        anchors = np.random.default_rng(1).integers(0, 9, size=500)
+        got_anchors, got = SessionPositiveSampler(table).sample_many(anchors, np.random.default_rng(2))
+        rng = np.random.default_rng(2)
+        expected_anchors, expected = [], []
+        for a in anchors.tolist():
+            if a in table.topk:
+                cum = np.cumsum([c for _, c in table.topk[a]]).astype(np.float64)
+                pos = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+                expected_anchors.append(a)
+                expected.append(table.topk[a][min(pos, len(cum) - 1)][0])
+        assert got_anchors.tolist() == expected_anchors
+        assert got.tolist() == expected
 
     def test_excluded_is_neighbors_and_self_sorted(self):
         table = CooccurrenceTable({(2, 5): 1, (0, 5): 2, (5, 9): 1}, 10, k=10)

@@ -48,7 +48,6 @@ class TrainConfig:
     d_out: int = 64
     ffn_dim: int = 64
     d_proj: int = 64
-    positional_encoding: bool = False
 
     def validate(self) -> None:
         """Range-check the options; a message names the option's config key."""
@@ -79,7 +78,6 @@ class TrainConfig:
             behavior_window=self.behavior_window,
             ffn_dim=self.ffn_dim,
             d_proj=self.d_proj,
-            positional_encoding=self.positional_encoding,
         )
 
     def to_dict(self) -> dict:
@@ -121,7 +119,6 @@ KEYMAP: dict[str, tuple[str, type | object]] = {
     "model.d_out": ("d_out", int),
     "model.ffn_dim": ("ffn_dim", int),
     "model.d_proj": ("d_proj", int),
-    "model.positional_encoding": ("positional_encoding", _parse_bool),
 }
 _KEY_OF = {attr: key for key, (attr, _) in KEYMAP.items()}
 

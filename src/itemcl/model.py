@@ -13,10 +13,9 @@ contribute exactly zero to the flattened behavior representation, so
 appending padding to a history cannot change the user vector.
 
 A history slot's attention query, key and value depend only on the item
-in the slot (plus, with positional encoding, the slot's position), so the
-user tower projects each distinct item of a call once and gathers the
-projections per slot; its backward pass sums the slot gradients per
-distinct item before the projection weights see them.
+in the slot, so the user tower projects each distinct item of a call once
+and gathers the projections per slot; its backward pass sums the slot
+gradients per distinct item before the projection weights see them.
 
 Between attention and the feed-forward ReLU everything is affine, and
 every attention row sums to 1 (an all-padding row spreads uniform weight
@@ -40,7 +39,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy import sparse
@@ -64,7 +63,6 @@ class ModelDims:
     behavior_window: int = 20
     ffn_dim: int = 64
     d_proj: int = 64
-    positional_encoding: bool = False
 
     @property
     def d_out(self) -> int:
@@ -77,18 +75,20 @@ class ModelDims:
             "behavior_window": self.behavior_window,
             "ffn_dim": self.ffn_dim,
             "d_proj": self.d_proj,
-            "positional_encoding": self.positional_encoding,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelDims":
+        # a switch the model has since dropped loads only in its off state
+        for key in sorted(d.keys() - {f.name for f in fields(cls)}):
+            if d[key] is not False:
+                raise ValueError(f"dims.{key} is {d[key]!r}, an option this model does not have")
         return cls(
             d_field=int(d["d_field"]),
             tower_dims=tuple(int(x) for x in d["tower_dims"]),
             behavior_window=int(d["behavior_window"]),
             ffn_dim=int(d["ffn_dim"]),
             d_proj=int(d["d_proj"]),
-            positional_encoding=bool(d["positional_encoding"]),
         )
 
 
@@ -507,14 +507,6 @@ def pad_histories(histories: list[list[int]], window: int) -> np.ndarray:
     return out
 
 
-def _sinusoidal_positions(window: int, d: int) -> np.ndarray:
-    pos = np.arange(window)[:, None]
-    i = np.arange(d)[None, :]
-    angles = pos / np.power(10000.0, (2 * (i // 2)) / d)
-    table = np.where(i % 2 == 0, np.sin(angles), np.cos(angles))
-    return table
-
-
 @dataclass
 class UserTrace:
     hist: np.ndarray
@@ -523,9 +515,8 @@ class UserTrace:
     items: np.ndarray  # (n_distinct,) sorted distinct history entries, padding included
     slot_item: np.ndarray  # (m, window) row of ``items`` holding each slot's entry
     # per chain of _SLOT_CHAINS, each stage's input per distinct item (the
-    # first is the item embedding, zero for padding) and, with positional
-    # encoding, per position
-    chain_in: list[tuple[list[np.ndarray], list[np.ndarray] | None]]
+    # first is the item embedding, zero for padding)
+    chain_in: list[list[np.ndarray]]
     q: np.ndarray
     k: np.ndarray
     f: np.ndarray  # (m, window, ffn) value chain per slot
@@ -545,31 +536,24 @@ _SLOT_CHAINS = (
 )
 
 
-def _chain_forward(
-    a: dict[str, np.ndarray], stages: tuple, x: np.ndarray, biased: bool
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """``x`` through each (weight, bias) stage, the biases left out unless
-    ``biased``; returns the output and every stage's input."""
+def _chain_forward(a: dict[str, np.ndarray], stages: tuple, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``x`` through each (weight, bias) stage; returns the output and
+    every stage's input."""
     inputs = []
     for w, b in stages:
         inputs.append(x)
         x = x @ a[w]
-        if biased and b is not None:
+        if b is not None:
             x += a[b]
     return x, inputs
 
 
 def _chain_backward(
-    a: dict[str, np.ndarray],
-    stages: tuple,
-    inputs: list[np.ndarray],
-    g: np.ndarray,
-    grads: dict[str, np.ndarray],
-    biased: bool,
+    a: dict[str, np.ndarray], stages: tuple, inputs: list[np.ndarray], g: np.ndarray, grads: dict[str, np.ndarray]
 ) -> np.ndarray:
     for (w, b), x in zip(reversed(stages), reversed(inputs)):
         grads[w] += x.T @ g
-        if biased and b is not None:
+        if b is not None:
             grads[b] += g.sum(axis=0)
         g = g @ a[w].T
     return g
@@ -587,11 +571,9 @@ def user_tower(
     zeroed after the feed-forward, so they contribute nothing downstream.
 
     Each slot chain runs once per distinct entry of ``histories`` and is
-    gathered per slot; with positional encoding the chain of ``PE``
-    without biases is added on valid slots, which equals running
-    ``x + PE`` by linearity. Padding runs a zero row, so its query is
-    exactly ``bq``, its key exactly zero and its value chain that of
-    ``bv``, whatever else the call holds.
+    gathered per slot. Padding runs a zero row, so its query is exactly
+    ``bq``, its key exactly zero and its value chain that of ``bv``,
+    whatever else the call holds.
     """
     meta = params.meta
     d = meta.dims.d_field
@@ -608,17 +590,11 @@ def user_tower(
     slot_item = np.searchsorted(items, histories)
     item_x = a["emb.item_id"].take(items, axis=0)
     item_x[: np.searchsorted(items, 0)] = 0.0  # padding entries sort first
-    positions = _sinusoidal_positions(window, d) if meta.dims.positional_encoding else None
     per_slot, chain_in = [], []
     for stages in _SLOT_CHAINS:
-        per_item, item_in = _chain_forward(a, stages, item_x, biased=True)
-        slots = per_item.take(slot_item, axis=0)
-        position_in = None
-        if positions is not None:
-            position_term, position_in = _chain_forward(a, stages, positions, biased=False)
-            slots += np.where(valid[:, :, None], position_term, 0.0)
-        per_slot.append(slots)
-        chain_in.append((item_in, position_in))
+        per_item, item_in = _chain_forward(a, stages, item_x)
+        per_slot.append(per_item.take(slot_item, axis=0))
+        chain_in.append(item_in)
     q, k, f = per_slot
 
     scores = np.matmul(q, k.transpose(0, 2, 1))
@@ -702,11 +678,9 @@ def user_tower_backward(
     # biases see every slot, the weights and embeddings the item rows
     per_item = _segment_matrix(trace.slot_item.ravel(), trace.items.size)
     g_x = 0.0
-    for stages, (item_in, position_in), g_slot in zip(_SLOT_CHAINS, trace.chain_in, (g_q, g_k, g_f)):
+    for stages, item_in, g_slot in zip(_SLOT_CHAINS, trace.chain_in, (g_q, g_k, g_f)):
         g_item = per_item @ g_slot.reshape(m * window, -1)
-        g_x = g_x + _chain_backward(a, stages, item_in, g_item, grads, biased=True)
-        if position_in is not None:
-            _chain_backward(a, stages, position_in, (g_slot * trace.valid[:, :, None]).sum(axis=0), grads, biased=False)
+        g_x = g_x + _chain_backward(a, stages, item_in, g_item, grads)
     n_pad = np.searchsorted(trace.items, 0)
     grads["emb.item_id"][trace.items[n_pad:]] += g_x[n_pad:]
 
@@ -767,7 +741,8 @@ def save_checkpoint(params: ModelParams, path: str, config: dict | None = None) 
 
 def load_checkpoint(path: str, expect_meta: ModelMeta | None = None) -> tuple[ModelParams, dict]:
     """Load a checkpoint; optionally validate its shapes against the meta
-    derived from the current catalog, naming the first mismatch."""
+    derived from the current catalog, naming the first mismatch. A file
+    that does not parse raises ``ValueError`` naming ``path``."""
     with open(path, "rb") as handle:
         blob = handle.read()
     if not blob.startswith(_CHECKPOINT_MAGIC):
@@ -776,18 +751,26 @@ def load_checkpoint(path: str, expect_meta: ModelMeta | None = None) -> tuple[Mo
     newline = body.find(b"\n")
     if newline < 0:
         raise ValueError(f"{path}: truncated checkpoint (missing manifest)")
-    manifest = json.loads(body[:newline].decode("utf-8"))
-    meta = ModelMeta.from_dict(manifest["meta"])
+    try:
+        manifest = json.loads(body[:newline].decode("utf-8"))
+        meta = ModelMeta.from_dict(manifest["meta"])
+        entries = [(entry["name"], tuple(int(x) for x in entry["shape"])) for entry in manifest["arrays"]]
+        config = manifest["config"]
+    except KeyError as exc:
+        raise ValueError(f"{path}: checkpoint manifest lacks key {exc}") from None
+    except (ValueError, TypeError, AttributeError) as exc:  # bad JSON or UTF-8 are ValueErrors too
+        raise ValueError(f"{path}: bad checkpoint manifest: {exc}") from None
     arrays: dict[str, np.ndarray] = {}
     cursor = newline + 1
-    for entry in manifest["arrays"]:
-        shape = tuple(int(x) for x in entry["shape"])
+    for name, shape in entries:
         nbytes = int(np.prod(shape)) * 8
         block = body[cursor : cursor + nbytes]
         if len(block) != nbytes:
-            raise ValueError(f"{path}: truncated checkpoint (array {entry['name']})")
-        arrays[entry["name"]] = np.frombuffer(block, dtype="<f8").reshape(shape).copy()
+            raise ValueError(f"{path}: truncated checkpoint (array {name})")
+        arrays[name] = np.frombuffer(block, dtype="<f8").reshape(shape).copy()
         cursor += nbytes
+    if cursor != len(body):
+        raise ValueError(f"{path}: {len(body) - cursor} bytes after the last array")
     params = ModelParams(meta, arrays)
     if expect_meta is not None:
         expected = dict(_array_shapes(expect_meta))
@@ -801,4 +784,4 @@ def load_checkpoint(path: str, expect_meta: ModelMeta | None = None) -> tuple[Mo
         for name in arrays:
             if name not in expected:
                 raise ValueError(f"{path}: checkpoint has unexpected array {name!r}")
-    return params, manifest["config"]
+    return params, config

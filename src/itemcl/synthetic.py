@@ -2,7 +2,7 @@
 
 Items fall into clusters that leave three recoverable footprints: title
 vectors near the cluster centroid, cluster-specific tags and taxonomy
-keys, and user click streams biased toward preferred clusters. Purely
+keys, and user click streams skewed toward preferred clusters. Purely
 behavioral structure is planted on top, invisible to features and
 titles, so the session-level task has something of its own to find:
 explicit cross-cluster motif pairs are injected into sessions.

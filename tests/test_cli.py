@@ -1,11 +1,14 @@
 """End-to-end operator pipeline through the command line."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from itemcl.cli import main
+from itemcl.config import KEYMAP, TrainConfig
 
 SMALL_MODEL = [
     "--set", "model.d_field=4",
@@ -283,8 +286,10 @@ class TestErrors:
             ("train.epochs = two\n", ":1: bad value for config key 'train.epochs': invalid literal"),
             ("train.seed = 0\n\ntrain.seed = 1\n", ":3: config key 'train.seed' repeats line 1"),
             ("augment.mask_ratio = 1.5\n", ":1: augment.mask_ratio: mask_ratio must lie in [0, 1)"),
+            # sinusoidal positions were an option once; older config files may still name it
+            ("train.seed = 0\nmodel.positional_encoding = false\n", ":2: unknown config key 'model.positional_encoding'"),
         ],
-        ids=["unknown-key", "bad-value", "repeated-key", "out-of-range"],
+        ids=["unknown-key", "bad-value", "repeated-key", "out-of-range", "removed-key"],
     )
     def test_bad_config_file_names_path_line_and_key(self, pipeline_dir, capsys, tmp_path, body, message):
         config_file = tmp_path / "bad.conf"
@@ -396,3 +401,25 @@ class TestErrors:
 
         _, saved = load_checkpoint(str(ckpt))
         assert saved["epochs"] == 1 and saved["d_field"] == 4
+
+
+def test_readme_config_table_lists_every_key_with_its_default():
+    """The README's "Configuration keys" table names exactly the config
+    keys, each with its default. A row naming `a.x` / `y` with default
+    `1 / 2` stands for the keys a.x = 1 and a.y = 2."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration keys", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        if not line.startswith("| `"):
+            continue
+        key_cell, default_cell = line.strip("|").split("|")[:2]
+        names = re.findall(r"`([^`]+)`", key_cell)
+        values = [value.strip() for value in default_cell.split(" / ")]
+        assert len(names) == len(values), line
+        prefix = names[0].rsplit(".", 1)[0]
+        rows += [(name if "." in name else f"{prefix}.{name}", value) for name, value in zip(names, values)]
+    assert sorted(key for key, _ in rows) == sorted(KEYMAP)
+    for key, text in rows:
+        attr, parser = KEYMAP[key]
+        assert parser(text) == getattr(TrainConfig(), attr), key

@@ -7,6 +7,7 @@ import pytest
 
 from itemcl.augment import STRATEGIES, AugmentationPlan
 from itemcl.gradcheck import (
+    _loss_closures,
     build_fixture,
     finite_difference_gradient,
     flatten,
@@ -27,6 +28,18 @@ def test_all_losses_match_finite_differences():
     assert set(errors) == {"matching", "feature", "semantic", "session", "joint"}
     for name, err in errors.items():
         assert err < 1e-5, f"{name}: {err:.3e}"
+
+
+@pytest.mark.parametrize("name", ["feature", "semantic", "session", "joint"])
+def test_negatives_only_denominator_matches_finite_differences(name):
+    # the paper's form of the contrastive loss; the suite above checks the
+    # default, whose denominator also holds the positive
+    fix = build_fixture(0)
+    fix["contrastive"] = dataclasses.replace(fix["contrastive"], include_positive=False)
+    closure = _loss_closures(fix)[name]
+    _, grads = closure(fix["params"])
+    numeric = finite_difference_gradient(lambda p: closure(p)[0], fix["params"])
+    assert max_relative_error(flatten(grads), numeric) < 1e-5
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -66,21 +79,22 @@ def test_finite_difference_on_quadratic():
     np.testing.assert_allclose(numeric, flatten(params.arrays), atol=1e-8)
 
 
-def assert_matching_gradient(positional, **batch):
+def assert_matching_gradient(reverse_slots, **batch):
     """Gradcheck ``loss_matching`` on the fixture with ``batch`` replacing
-    fields of its match batch. The fixture's user-tower first layer and
-    attention feed-forward are inactive for every user (all
-    pre-activations negative), which leaves every gradient below them
-    zero; their biases are raised until some units are active (none
-    within 0.03 of its kink), so the value chain, the feed-forward and
-    the profile embeddings get checked."""
+    fields of its match batch, each history's slots reversed when
+    ``reverse_slots`` so the padding leads instead of trailing. The
+    fixture's user-tower first layer and attention feed-forward are
+    inactive for every user (all pre-activations negative), which leaves
+    every gradient below them zero; their biases are raised until some
+    units are active (none within 0.03 of its kink), so the value chain,
+    the feed-forward and the profile embeddings get checked."""
     fix = build_fixture(0)
     params = fix["params"]
-    dims = dataclasses.replace(params.meta.dims, positional_encoding=positional)
-    params.meta = dataclasses.replace(params.meta, dims=dims)
     params.arrays["user_tower.b0"] += 1.0
     params.arrays["attn.bf1"] += 0.3
     match = dataclasses.replace(fix["match"], **batch)
+    if reverse_slots:
+        match.histories = match.histories[:, ::-1].copy()
     _, trace = user_tower(params, match.histories, match.profile_idx)
 
     def value(p):
@@ -94,19 +108,19 @@ def assert_matching_gradient(positional, **batch):
     return trace
 
 
-@pytest.mark.parametrize("positional", [False, True])
-def test_matching_gradient_with_repeated_history_items(positional):
+@pytest.mark.parametrize("reverse_slots", [False, True])
+def test_matching_gradient_with_repeated_history_items(reverse_slots):
     # item 2 repeats within each user and across both, next to padding
-    trace = assert_matching_gradient(positional, histories=pad_histories([[2, 0, 2], [2, 2]], 3))
+    trace = assert_matching_gradient(reverse_slots, histories=pad_histories([[2, 0, 2], [2, 2]], 3))
     assert not trace.folded
 
 
-@pytest.mark.parametrize("positional", [False, True])
-def test_matching_gradient_through_the_folded_first_layer(positional):
+@pytest.mark.parametrize("reverse_slots", [False, True])
+def test_matching_gradient_through_the_folded_first_layer(reverse_slots):
     # five users against a first hidden layer of three units: the user
     # tower folds attn.Wf2 into that layer's weight
     trace = assert_matching_gradient(
-        positional,
+        reverse_slots,
         user_rows=np.array([0, 1, 2, 3, 4, 1]),
         histories=pad_histories([[2, 0, 2], [1, 3, 4], [], [5, 5], [4, 1]], 3),
         profile_idx=np.array([[0], [1], [0], [1], [0]]),

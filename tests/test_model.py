@@ -1,5 +1,8 @@
 """Forward passes, masking conventions, and checkpoint serialization."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,6 @@ from itemcl.model import (
     EncodedProfiles,
     ModelDims,
     _scatter_rows,
-    _sinusoidal_positions,
     build_meta,
     embed_items,
     embed_items_augmented,
@@ -139,6 +141,19 @@ class TestUserTower:
         ffn_h = np.maximum(((probs @ v) @ a["attn.Wo"] + a["attn.bo"]) @ a["attn.Wf1"] + a["attn.bf1"], 0.0)
         np.testing.assert_allclose(trace.ffn_h[0], ffn_h, atol=1e-10)
 
+    def test_padding_slot_runs_the_bias_chains(self, tiny):
+        # a padding slot runs a zero input: its query is exactly the bias,
+        # its key exactly zero (keys take no bias) and its value chain the
+        # bias's
+        params = tiny["params"]
+        _, trace = user_tower(params, [[0, 2]], tiny["prof_enc"].rows(["u1"]))
+        assert not trace.valid[0, 0]
+        a = params.arrays
+        np.testing.assert_array_equal(trace.q[0, 0], a["attn.bq"])
+        np.testing.assert_array_equal(trace.k[0, 0], 0.0)
+        bias_chain = (a["attn.bv"] @ a["attn.Wo"] + a["attn.bo"]) @ a["attn.Wf1"] + a["attn.bf1"]
+        np.testing.assert_allclose(trace.f[0, 0], bias_chain, rtol=1e-12)
+
     def test_padding_invariance_is_exact(self, tiny):
         params, prof = tiny["params"], tiny["prof_enc"]
         profile_idx = prof.rows(["u1"])
@@ -174,12 +189,11 @@ def slot_by_slot_user_tower(params, hist, profile_idx, grad_u):
     d, window = dims.d_field, dims.behavior_window
     m = hist.shape[0]
     valid = hist >= 0
-    pos = _sinusoidal_positions(window, d) if dims.positional_encoding else np.zeros((window, d))
     x = np.zeros((m, window, d))
     for i in range(m):
         for s in range(window):
             if valid[i, s]:
-                x[i, s] = a["emb.item_id"][hist[i, s]] + pos[s]
+                x[i, s] = a["emb.item_id"][hist[i, s]]
     q = x @ a["attn.Wq"] + a["attn.bq"]
     k = x @ a["attn.Wk"]
     v = x @ a["attn.Wv"] + a["attn.bv"]
@@ -257,23 +271,24 @@ class TestUserTowerMatchesSlotBySlotReference:
     }
 
     @classmethod
-    def params_and_inputs(cls, tiny, positional, case):
-        dims = ModelDims(d_field=4, tower_dims=(6, 4, 4), behavior_window=5, ffn_dim=3, d_proj=2,
-                         positional_encoding=positional)
+    def params_and_inputs(cls, tiny, case, reverse_slots=False):
+        dims = ModelDims(d_field=4, tower_dims=(6, 4, 4), behavior_window=5, ffn_dim=3, d_proj=2)
         meta = build_meta(tiny["catalog"], UserProfileTable(("seg",), {"u1": ("s1",), "u2": ("s2",)}), dims)
         params = init_params(meta, 0)
         rng = np.random.default_rng(11)
         for arr in params.arrays.values():
             arr[...] = rng.uniform(-0.6, 0.6, size=arr.shape)
         hist = np.asarray(cls.HISTORIES[case], dtype=np.int64)
+        if reverse_slots:  # each padding layout also runs mirrored
+            hist = hist[:, ::-1].copy()
         profile_idx = rng.integers(0, 3, size=(len(hist), 1))
         grad_u = rng.normal(size=(len(hist), dims.d_out))
         return params, hist, profile_idx, grad_u
 
-    @pytest.mark.parametrize("positional", [False, True])
+    @pytest.mark.parametrize("reverse_slots", [False, True])
     @pytest.mark.parametrize("case", sorted(HISTORIES))
-    def test_output_and_every_gradient(self, tiny, positional, case):
-        params, hist, profile_idx, grad_u = self.params_and_inputs(tiny, positional, case)
+    def test_output_and_every_gradient(self, tiny, case, reverse_slots):
+        params, hist, profile_idx, grad_u = self.params_and_inputs(tiny, case, reverse_slots)
         u, trace = user_tower(params, hist, profile_idx)
         assert trace.folded == (case == "folded")
         grads = zero_grads(params)
@@ -284,9 +299,8 @@ class TestUserTowerMatchesSlotBySlotReference:
             assert_relative(grads[name], ref_grads[name])
         assert np.abs(grads["emb.item_id"][[0, 1, 2, 3, 5]]).max() > 0.0
 
-    @pytest.mark.parametrize("positional", [False, True])
-    def test_user_alone_matches_user_in_folded_batch(self, tiny, positional):
-        params, hist, profile_idx, _ = self.params_and_inputs(tiny, positional, "folded")
+    def test_user_alone_matches_user_in_folded_batch(self, tiny):
+        params, hist, profile_idx, _ = self.params_and_inputs(tiny, "folded")
         u_batch, _ = user_tower(params, hist, profile_idx)
         for row in range(len(hist)):
             u_alone, trace = user_tower(params, hist[row : row + 1], profile_idx[row : row + 1])
@@ -365,6 +379,24 @@ class TestAugmentedEmbedding:
         assert rng.bit_generator.state == expected.bit_generator.state
 
 
+def rewrite_manifest(path, edit):
+    """Replace a checkpoint's manifest line with ``edit`` of its bytes,
+    keeping the magic line and the array blocks."""
+    magic, manifest, arrays = path.read_bytes().split(b"\n", 2)
+    path.write_bytes(magic + b"\n" + edit(manifest) + b"\n" + arrays)
+
+
+def edit_json(edit):
+    """A manifest edit that applies ``edit`` to the parsed manifest."""
+
+    def apply(manifest):
+        loaded = json.loads(manifest)
+        edit(loaded)
+        return json.dumps(loaded, sort_keys=True).encode("utf-8")
+
+    return apply
+
+
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tiny, tmp_path):
         params = tiny["params"]
@@ -409,6 +441,57 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="unexpected array 'attn.bk'"):
             load_checkpoint(path, tiny["params"].meta)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m: m[:-1], "bad checkpoint manifest"),
+            (lambda m: b"\xff" + m, "bad checkpoint manifest"),
+            (edit_json(lambda m: m.pop("meta")), "manifest lacks key 'meta'"),
+            (edit_json(lambda m: m["meta"]["dims"].pop("ffn_dim")), "manifest lacks key 'ffn_dim'"),
+            (edit_json(lambda m: m["meta"].update(user_field_vocabs=[])), "bad checkpoint manifest"),
+        ],
+        ids=["not-json", "not-utf8", "no-meta", "no-ffn-dim", "vocabs-not-a-dict"],
+    )
+    def test_malformed_manifest_named(self, tiny, tmp_path, edit, message):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(tiny["params"], str(path))
+        rewrite_manifest(path, edit)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{message}"):
+            load_checkpoint(str(path))
+
+    def test_stray_bytes_after_last_array_rejected(self, tiny, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(tiny["params"], str(path))
+        path.write_bytes(path.read_bytes() + bytes(16))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: 16 bytes after the last array"):
+            load_checkpoint(str(path))
+
+    def test_positional_encoding_off_of_older_checkpoints_loads(self, tiny, tmp_path):
+        # checkpoints written while sinusoidal positions were an option
+        # carry the switch in their dims; off, it is the model of today
+        params = tiny["params"]
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, str(path))
+        arrays_before = path.read_bytes().split(b"\n", 2)[2]
+        rewrite_manifest(path, edit_json(lambda m: m["meta"]["dims"].update(positional_encoding=False)))
+        loaded, _ = load_checkpoint(str(path), params.meta)
+        assert loaded.meta.dims == params.meta.dims
+        save_checkpoint(loaded, str(tmp_path / "again.ckpt"))
+        assert (tmp_path / "again.ckpt").read_bytes().split(b"\n", 2)[2] == arrays_before
+        hist = pad_histories([[0, 2], [1, 3, 4]], params.meta.dims.behavior_window)
+        profile_idx = tiny["prof_enc"].rows(["u1", "u2"])
+        np.testing.assert_array_equal(
+            user_tower(loaded, hist, profile_idx)[0], user_tower(params, hist, profile_idx)[0]
+        )
+
+    def test_positional_encoding_on_of_older_checkpoints_named(self, tiny, tmp_path):
+        # such a model would otherwise be served without its positions
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(tiny["params"], str(path))
+        rewrite_manifest(path, edit_json(lambda m: m["meta"]["dims"].update(positional_encoding=True)))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*dims.positional_encoding is True"):
+            load_checkpoint(str(path))
+
 
 class TestEncodings:
     def test_catalog_item_mismatch_rejected(self, tiny):
@@ -433,24 +516,3 @@ class TestEncodings:
         enc = EncodedCatalog(renamed, meta)
         flat, lens = enc.tag_rows(np.array([1]))
         assert flat.tolist() == [len(meta.tag_vocab)]
-
-    def test_positional_encoding_changes_output_only_when_enabled(self, tiny):
-        import dataclasses
-
-        params = tiny["params"]
-        meta_pe = dataclasses.replace(params.meta.dims, positional_encoding=True)
-        params_pe = params.copy()
-        params_pe.meta = dataclasses.replace(params.meta, dims=meta_pe)
-        prof = tiny["prof_enc"].rows(["u1"])
-        _, trace_plain = user_tower(params, [[0, 2]], prof)
-        _, trace_pe = user_tower(params_pe, [[0, 2]], prof)
-        assert not np.array_equal(trace_plain.f, trace_pe.f)
-        # padding positions run a zero input either way: their query is
-        # exactly the bias and their key exactly zero (keys take no bias),
-        # and their value chain is the bias's, with no positional term
-        a = params_pe.arrays
-        np.testing.assert_array_equal(trace_pe.q[0, 0], a["attn.bq"])
-        np.testing.assert_array_equal(trace_pe.k[0, 0], 0.0)
-        np.testing.assert_array_equal(trace_pe.f[0, 0], trace_plain.f[0, 0])
-        bias_chain = (a["attn.bv"] @ a["attn.Wo"] + a["attn.bo"]) @ a["attn.Wf1"] + a["attn.bf1"]
-        np.testing.assert_allclose(trace_pe.f[0, 0], bias_chain, rtol=1e-12)

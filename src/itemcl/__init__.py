@@ -50,8 +50,8 @@ from .rng import substream
 from .semantics import SemanticPositivePool, mine_taxonomy, mine_title_knn
 from .sessions import (
     CooccurrenceTable,
-    Session,
     SessionPositiveSampler,
+    Sessions,
     build_cooccurrence,
     segment_sessions,
 )

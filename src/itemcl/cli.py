@@ -145,7 +145,7 @@ def _cmd_mine_sessions(args: argparse.Namespace) -> int:
             "out": args.out,
             "n_sessions": len(sessions),
             "n_pairs": len(table.counts),
-            "n_items_with_neighbors": len(table.topk),
+            "n_items_with_neighbors": int((table.indptr[1:] > table.indptr[:-1]).sum()),
         }
     )
     return 0

@@ -108,7 +108,7 @@ def build_fixture(seed: int = 0) -> dict:
     enc = EncodedCatalog(catalog, meta)
     prof_enc = EncodedProfiles(profiles, meta)
     pool = mine_taxonomy(catalog)
-    table = CooccurrenceTable({(0, 1): 3, (0, 2): 1, (1, 2): 2, (3, 4): 2, (2, 4): 1}, 6, k=10)
+    table = CooccurrenceTable([(0, 1), (0, 2), (1, 2), (3, 4), (2, 4)], [3, 1, 2, 2, 1], 6, k=10)
     sampler = SessionPositiveSampler(table)
 
     histories = pad_histories([[0, 2], [1, 3, 4]], dims.behavior_window)

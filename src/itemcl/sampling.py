@@ -3,6 +3,7 @@
 :func:`sample_distinct_rows` is the one rejection loop for distinct
 negatives, with each row's exclusions given as one row of a boolean
 mask; :func:`uniform_excluding` draws one row through it.
+:func:`exclusion_rows` builds every item's sorted exclusion list at once.
 """
 
 from __future__ import annotations
@@ -37,6 +38,16 @@ def uniform_excluding(
         warn("eligible set smaller than requested sample size; returning the whole eligible set")
         return eligible
     return sample_distinct_rows(n_items, n, rng, exclude_mask=mask)[0]
+
+
+def exclusion_rows(rows: np.ndarray, cols: np.ndarray, n_items: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each item's exclusions as CSR ``(indptr, excluded)``: item ``i``
+    excludes itself and every ``cols[j]`` with ``rows[j] == i``, sorted,
+    in the read-only slice ``excluded[indptr[i]:indptr[i + 1]]``."""
+    every = np.arange(n_items)
+    excluded = np.sort(np.concatenate([rows, every]) * n_items + np.concatenate([cols, every])) % n_items
+    excluded.flags.writeable = False
+    return np.append(0, np.cumsum(np.bincount(rows, minlength=n_items) + 1)), excluded
 
 
 def _mark_row_duplicates(draws: np.ndarray) -> np.ndarray:

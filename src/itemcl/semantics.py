@@ -7,12 +7,13 @@ peers; taxonomy mode groups items sharing a taxonomy key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import DataFormatError, ItemCatalog
 from .rng import substream
+from .sampling import exclusion_rows
 from .util import atomic_write_text, top_k, warn
 
 _KNN_CHUNK = 512
@@ -21,10 +22,17 @@ _KNN_CHUNK = 512
 @dataclass
 class SemanticPositivePool:
     """Per-item semantic positives; ``positives[i]`` holds distinct items
-    and never i."""
+    and never i. Every item's exclusions are built once, as CSR rows."""
 
     positives: list[np.ndarray]
     source: str  # "title_knn" or "taxonomy"
+    _excluded_ptr: np.ndarray = field(init=False, repr=False, compare=False)
+    _excluded: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        rows = np.repeat(np.arange(self.n_items), [p.size for p in self.positives])
+        cols = np.concatenate([np.empty(0, dtype=np.int64), *self.positives])
+        self._excluded_ptr, self._excluded = exclusion_rows(rows, cols, self.n_items)
 
     @property
     def n_items(self) -> int:
@@ -35,8 +43,8 @@ class SemanticPositivePool:
 
     def excluded(self, item: int) -> np.ndarray:
         """The items a semantic negative of ``item`` may not be: its
-        positives and itself, sorted, no duplicates."""
-        return np.sort(np.append(self.positives[item], item))
+        positives and itself, sorted, no duplicates; read-only."""
+        return self._excluded[self._excluded_ptr[item] : self._excluded_ptr[item + 1]]
 
 
 def mine_title_knn(catalog: ItemCatalog, k: int = 10) -> SemanticPositivePool:

@@ -5,6 +5,9 @@ not exceed the window (a gap exactly equal to the window stays inside).
 Within a session, every unordered pair of distinct items counts one
 co-occurrence; repeated clicks on the same item within a session neither
 self-pair nor inflate a pair beyond one count per session.
+
+Sessions are offsets over one item column; the table is sorted pair and
+count arrays plus per-item CSR rows (``values[indptr[i]:indptr[i + 1]]``).
 """
 
 from __future__ import annotations
@@ -14,16 +17,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataFormatError, ItemCatalog, SplitDataset
+from .sampling import exclusion_rows
 from .util import atomic_write_text
 
 
-@dataclass
-class Session:
-    user_id: str
-    items: list[int]
+@dataclass(frozen=True)
+class Sessions:
+    """Train clicks cut into sessions. Session ``s`` is the items
+    ``items[offsets[s]:offsets[s + 1]]`` in click order, clicked by
+    ``user_ids[user[s]]``; sessions run in sorted user order, then time."""
+
+    offsets: np.ndarray
+    items: np.ndarray
+    user: np.ndarray
+    user_ids: list[str]
+
+    def __len__(self) -> int:
+        return self.user.size
 
 
-def segment_sessions(split: SplitDataset, window_seconds: int = 3600) -> list[Session]:
+def segment_sessions(split: SplitDataset, window_seconds: int = 3600) -> Sessions:
     """Greedily segment each user's train clicks into sessions.
 
     Users are processed in sorted order and clicks in time order, so the
@@ -32,84 +45,91 @@ def segment_sessions(split: SplitDataset, window_seconds: int = 3600) -> list[Se
     """
     if window_seconds <= 0:
         raise ValueError("window_seconds must be positive")
-    per_user: dict[str, list[tuple[int, int]]] = {}
-    for ev in split.train_interactions:
-        per_user.setdefault(ev.user_id, []).append((ev.timestamp, ev.item_index))
-
-    sessions: list[Session] = []
-    for user_id in sorted(per_user):
-        events = per_user[user_id]  # train_interactions are already time-ordered
-        current: list[int] = [events[0][1]]
-        last_ts = events[0][0]
-        for ts, item in events[1:]:
-            if ts - last_ts > window_seconds:
-                sessions.append(Session(user_id, current))
-                current = []
-            current.append(item)
-            last_ts = ts
-        sessions.append(Session(user_id, current))
-    return sessions
-
-
-def count_pairs(sessions: list[Session]) -> dict[tuple[int, int], int]:
-    """Raw unordered pair counts; keys are (low, high) index tuples."""
-    counts: dict[tuple[int, int], int] = {}
-    for session in sessions:
-        distinct = sorted(set(session.items))
-        for i, a in enumerate(distinct):
-            for b in distinct[i + 1 :]:
-                key = (a, b)
-                counts[key] = counts.get(key, 0) + 1
-    return counts
+    train = split.train_interactions  # already time-ordered
+    n = len(train)
+    names = [ev.user_id for ev in train]
+    stamps = np.fromiter((ev.timestamp for ev in train), dtype=np.int64, count=n)
+    items = np.fromiter((ev.item_index for ev in train), dtype=np.int64, count=n)
+    user_ids = sorted(set(names))
+    code_of = {user_id: code for code, user_id in enumerate(user_ids)}
+    user = np.fromiter(map(code_of.__getitem__, names), dtype=np.int64, count=n)
+    order = np.argsort(user, kind="stable")  # each user's clicks stay in time order
+    user, stamps, items = user[order], stamps[order], items[order]
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = (user[1:] != user[:-1]) | (np.diff(stamps) > window_seconds)
+    heads = np.flatnonzero(starts)
+    return Sessions(np.append(heads, n), items, user[heads], user_ids)
 
 
 class CooccurrenceTable:
-    """Sparse symmetric session co-occurrence counts with per-item top-k
-    neighbor lists (ordered by count descending, index ascending)."""
+    """Sparse symmetric session co-occurrence counts.
 
-    def __init__(self, counts: dict[tuple[int, int], int], n_items: int, k: int = 10):
+    ``pairs`` (one ``a < b`` row per distinct pair) and ``counts`` are
+    aligned and sorted by (a, b). Row ``i`` of the neighbor layout
+    (``indptr``, ``neighbors``, ``neighbor_counts``) holds every item that
+    co-occurred with ``i``, by count descending, index ascending, so its
+    first ``k`` entries are ``i``'s top-k.
+    """
+
+    def __init__(self, pairs: np.ndarray, counts: np.ndarray, n_items: int, k: int = 10):
         if k <= 0:
             raise ValueError("k must be positive")
-        self.n_items = n_items
-        self.k = k
-        self.counts = dict(counts)
-        neighbor_lists: dict[int, list[tuple[int, int]]] = {}
-        for (a, b), c in counts.items():
-            if not (0 <= a < b < n_items):
-                raise ValueError(f"bad pair key ({a}, {b}) for catalog of size {n_items}")
-            if c <= 0:
-                raise ValueError(f"nonpositive count for pair ({a}, {b})")
-            neighbor_lists.setdefault(a, []).append((b, c))
-            neighbor_lists.setdefault(b, []).append((a, c))
-        self._excluded: dict[int, np.ndarray] = {}
-        self.topk: dict[int, list[tuple[int, int]]] = {}
-        for item, pairs in neighbor_lists.items():
-            excluded = np.sort(np.asarray([nb for nb, _ in pairs] + [item], dtype=np.int64))
-            excluded.flags.writeable = False
-            self._excluded[item] = excluded
-            pairs.sort(key=lambda pair: (-pair[1], pair[0]))
-            self.topk[item] = pairs[:k]
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        keys = pairs[:, 0] * n_items + pairs[:, 1]
+        order = np.argsort(keys, kind="stable")
+        self.n_items, self.k, self._keys = n_items, k, keys[order]
+        self.pairs, self.counts = pairs[order], np.asarray(counts, dtype=np.int64)[order]
+        a, b = self.pairs.T
+        bad = (a < 0) | (a >= b) | (b >= n_items) | (self.counts <= 0)
+        bad[1:] |= self._keys[1:] == self._keys[:-1]
+        if bad.any():
+            at = int(np.argmax(bad))
+            raise ValueError(f"bad or repeated pair ({a[at]}, {b[at]}), count {self.counts[at]}, of {n_items} items")
+
+        rows, cols = np.concatenate([a, b]), np.concatenate([b, a])
+        both = np.concatenate([self.counts, self.counts])
+        layout = np.lexsort((cols, -both, rows))
+        self.neighbors, self.neighbor_counts = cols[layout], both[layout]
+        self._excluded_ptr, self._excluded = exclusion_rows(rows, cols, n_items)
+        self.indptr = self._excluded_ptr - np.arange(n_items + 1)  # the same rows without the item itself
 
     def count(self, a: int, b: int) -> int:
-        if a == b:
-            return 0
-        key = (a, b) if a < b else (b, a)
-        return self.counts.get(key, 0)
+        lo, hi = min(a, b), max(a, b)
+        key = lo * self.n_items + hi
+        at = int(np.searchsorted(self._keys, key))
+        found = 0 <= lo < hi < self.n_items and at < self._keys.size and self._keys[at] == key
+        return int(self.counts[at]) if found else 0
 
-    def neighbors(self, item: int) -> frozenset[int]:
-        return frozenset(self.excluded(item).tolist()) - {item}
+    def topk(self, item: int) -> tuple[np.ndarray, np.ndarray]:
+        """``item``'s top-k neighbors and their counts, by count
+        descending, index ascending."""
+        lo = self.indptr[item]
+        hi = min(self.indptr[item + 1], lo + self.k)
+        return self.neighbors[lo:hi], self.neighbor_counts[lo:hi]
 
     def excluded(self, item: int) -> np.ndarray:
         """The items a session negative of ``item`` may not be: its
         co-occurred neighbors and itself, sorted, no duplicates. Built
         once per table; read-only."""
-        excluded = self._excluded.get(item)
-        return np.array([item], dtype=np.int64) if excluded is None else excluded
+        return self._excluded[self._excluded_ptr[item] : self._excluded_ptr[item + 1]]
 
 
-def build_cooccurrence(sessions: list[Session], n_items: int, k: int = 10) -> CooccurrenceTable:
-    """Scan all sessions and build the co-occurrence table."""
-    return CooccurrenceTable(count_pairs(sessions), n_items, k)
+def build_cooccurrence(sessions: Sessions, n_items: int, k: int = 10) -> CooccurrenceTable:
+    """Count each session's distinct item pairs and build the table."""
+    items = sessions.items
+    if items.size and (items.min() < 0 or items.max() >= n_items):
+        raise ValueError(f"item index out of range for catalog of size {n_items}")
+    session = np.repeat(np.arange(len(sessions)), np.diff(sessions.offsets))
+    keys = np.sort(session * n_items + items)
+    # each session's distinct items; a sort and a mask, since np.unique
+    # without counts hashes, which is many times slower here
+    session, items = np.divmod(keys[np.diff(keys, prepend=-1) > 0], n_items)
+    # each distinct item pairs with every later distinct item of its session
+    later = np.searchsorted(session, session, side="right") - np.arange(session.size) - 1
+    first = np.repeat(np.arange(session.size), later)
+    second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
+    keys, counts = np.unique(items[first] * n_items + items[second], return_counts=True)
+    return CooccurrenceTable(np.stack(np.divmod(keys, n_items), axis=1), counts, n_items, k)
 
 
 class SessionPositiveSampler:
@@ -119,14 +139,13 @@ class SessionPositiveSampler:
     counts, padded with +inf."""
 
     def __init__(self, table: CooccurrenceTable):
-        width = max((len(pairs) for pairs in table.topk.values()), default=0)
-        self._length = np.zeros(table.n_items, dtype=np.int64)
-        self._neighbors = np.zeros((table.n_items, width), dtype=np.int64)
-        self._cumweights = np.full((table.n_items, width), np.inf)
-        for item, pairs in table.topk.items():
-            self._length[item] = len(pairs)
-            self._neighbors[item, : len(pairs)] = [nb for nb, _ in pairs]
-            self._cumweights[item, : len(pairs)] = np.cumsum([c for _, c in pairs])
+        self._length = np.minimum(np.diff(table.indptr), table.k)
+        width = int(self._length.max(initial=0))
+        padding = np.arange(width) >= self._length[:, None]
+        at = np.where(padding, 0, table.indptr[:-1, None] + np.arange(width))  # a row's top-k lead it
+        self._neighbors = np.where(padding, 0, table.neighbors[at])
+        counts = np.where(padding, 0, table.neighbor_counts[at])
+        self._cumweights = np.where(padding, np.inf, np.cumsum(counts, axis=1))
 
     def sample_many(self, anchors: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """The anchors that have neighbors, in order, and one positive for
@@ -143,13 +162,10 @@ class SessionPositiveSampler:
 def dump_cooccurrence(table: CooccurrenceTable, catalog: ItemCatalog, path: str) -> None:
     """Write ``item_id_a TAB item_id_b TAB count`` rows, each pair ordered
     and the file sorted lexicographically, for diffable golden files."""
-    rows = []
-    for (a, b), c in table.counts.items():
-        id_a, id_b = catalog[a].item_id, catalog[b].item_id
-        if id_b < id_a:
-            id_a, id_b = id_b, id_a
-        rows.append((id_a, id_b, c))
-    rows.sort()
+    ids = catalog.item_ids()
+    rows = sorted(
+        (*sorted((ids[a], ids[b])), c) for (a, b), c in zip(table.pairs.tolist(), table.counts.tolist())
+    )
     body = "".join(f"{a}\t{b}\t{c}\n" for a, b, c in rows)
     atomic_write_text(path, body)
 
@@ -157,8 +173,8 @@ def dump_cooccurrence(table: CooccurrenceTable, catalog: ItemCatalog, path: str)
 def load_cooccurrence(path: str, catalog: ItemCatalog, k: int = 10) -> CooccurrenceTable:
     """Read a ``dump_cooccurrence`` file; a malformed row, or a pair given
     twice in either order, raises ``DataFormatError`` naming ``path:line``."""
-    counts: dict[tuple[int, int], int] = {}
-    first_line: dict[tuple[int, int], int] = {}
+    counts: list[int] = []
+    first_line: dict[tuple[int, int], int] = {}  # in file order, as ``counts``
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
@@ -177,11 +193,10 @@ def load_cooccurrence(path: str, catalog: ItemCatalog, k: int = 10) -> Cooccurre
             if count <= 0:
                 raise DataFormatError(f"{path}:{lineno}: nonpositive count {count}")
             key = (a, b) if a < b else (b, a)
-            if key in counts:
+            if key in first_line:
                 raise DataFormatError(
                     f"{path}:{lineno}: pair {parts[0]!r} {parts[1]!r} repeats line {first_line[key]}"
                 )
-            counts[key] = count
             first_line[key] = lineno
-    return CooccurrenceTable(counts, len(catalog), k)
-
+            counts.append(count)
+    return CooccurrenceTable(list(first_line), counts, len(catalog), k)

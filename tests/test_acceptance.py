@@ -16,7 +16,7 @@ import pytest
 
 from itemcl.augment import AugmentationPlan, augmentation_masks
 from itemcl.config import TrainConfig
-from itemcl.data import Item, ItemCatalog, chronological_split
+from itemcl.data import Interaction, Item, ItemCatalog, assemble_split, chronological_split
 from itemcl.evaluation import evaluate, item_matrix
 from itemcl.gradcheck import build_fixture, gradcheck_suite
 from itemcl.losses import ContrastiveBatch, MatchBatch, _batched_negatives, loss_feature_cl, loss_matching
@@ -32,11 +32,11 @@ from itemcl.model import (
 from itemcl.rng import substream
 from itemcl.sessions import (
     CooccurrenceTable,
-    Session,
     SessionPositiveSampler,
     build_cooccurrence,
     dump_cooccurrence,
     load_cooccurrence,
+    segment_sessions,
 )
 from itemcl.semantics import mine_taxonomy
 from itemcl.synthetic import SyntheticSpec, default_split_time, generate
@@ -119,20 +119,23 @@ def test_criterion_2_loss_value_oracles(monkeypatch):
 def test_criterion_3_cooccurrence_oracle(tmp_path):
     started = time.perf_counter()
     rng = np.random.default_rng(33)
-    sessions = [
-        Session(f"u{i % 60}", [int(x) for x in rng.integers(0, 50, size=rng.integers(1, 7))])
-        for i in range(1000)
+    item_lists = [[int(x) for x in rng.integers(0, 50, size=rng.integers(1, 7))] for _ in range(1000)]
+    # session s of user u{s % 60}: clicks 1 s apart, sessions two windows apart
+    clicks = [
+        Interaction(f"u{s % 60}", item, (s // 60) * 7200 + j)
+        for s, items in enumerate(item_lists)
+        for j, item in enumerate(items)
     ]
-    table = build_cooccurrence(sessions, 50)
+    table = build_cooccurrence(segment_sessions(assemble_split(clicks, [], behavior_window=5), 3600), 50)
 
     recount: dict[tuple[int, int], int] = {}
-    for s in sessions:
-        distinct = sorted(set(s.items))
+    for items in item_lists:
+        distinct = sorted(set(items))
         for i in range(len(distinct)):
             for j in range(i + 1, len(distinct)):
                 key = (distinct[i], distinct[j])
                 recount[key] = recount.get(key, 0) + 1
-    exact = table.counts == recount
+    exact = dict(zip(map(tuple, table.pairs.tolist()), table.counts.tolist())) == recount
 
     catalog = ItemCatalog([Item(f"it{i:03d}") for i in range(50)])
     p1, p2 = tmp_path / "c1.tsv", tmp_path / "c2.tsv"
@@ -153,7 +156,7 @@ def test_criterion_3_cooccurrence_oracle(tmp_path):
 
 def test_criterion_4_sampler_statistics():
     rng = np.random.default_rng(44)
-    table = CooccurrenceTable({(0, 1): 3, (0, 2): 1}, 10, k=10)
+    table = CooccurrenceTable([(0, 1), (0, 2)], [3, 1], 10, k=10)
     sampler = SessionPositiveSampler(table)
     _, draws = sampler.sample_many(np.zeros(100_000, dtype=np.int64), rng)
     gap_pos = max(abs((draws == 1).mean() - 0.75), abs((draws == 2).mean() - 0.25))

@@ -1,5 +1,6 @@
 """End-to-end operator pipeline through the command line."""
 
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -235,6 +236,44 @@ class TestPipeline:
             )
             assert code == 2
             assert f"{old_config}:2: unknown config key 'train.{task}_cl'" in err
+
+
+# SHA-256 of the mine-* dumps for one small generated data set, taken before
+# mining became columnar; the dump format and the mined tables are a contract.
+GOLDEN_MINE_SHA256 = {
+    "cooc.tsv": "1f99373833dc81a250919a2d43785fbce3deba2098fe0c8ff721cedca5648cd0",
+    "title.tsv": "6ba9badc20644d010bfb59046c4da5df9297c8fd36a55ccb561ce9cd7570a3d0",
+    "taxonomy.tsv": "b206fb3e6be69125083832324edb2d52783eeb786d3f26f86f6d0641116ef609",
+}
+
+
+class TestGoldenBytes:
+    def test_mine_dumps_match_pinned_hashes(self, capsys, tmp_path):
+        data, splits = tmp_path / "data", tmp_path / "splits"
+        catalog = str(data / "catalog.jsonl")
+        steps = [
+            ["generate", "--out-dir", str(data), "--seed", "7", "--users", "80", "--items", "60",
+             "--clusters", "6", "--interactions", "4000"],
+            ["prepare", "--catalog", catalog, "--interactions", str(data / "interactions.tsv"),
+             "--out-dir", str(splits), "--behavior-window", "5"],
+            ["mine-sessions", "--catalog", catalog, "--train", str(splits / "train.tsv"),
+             "--out", str(tmp_path / "cooc.tsv"), "--k", "5"],
+            ["mine-semantic", "--catalog", catalog, "--out", str(tmp_path / "title.tsv"), "--k", "5"],
+            ["mine-semantic", "--catalog", catalog, "--out", str(tmp_path / "taxonomy.tsv"),
+             "--source", "taxonomy", "--k", "3", "--seed", "5"],
+        ]
+        reports = []
+        for argv in steps:
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            reports.append(last_json(out))
+        assert {key: reports[2][key] for key in ("n_sessions", "n_pairs", "n_items_with_neighbors")} == {
+            "n_sessions": 963,
+            "n_pairs": 1013,
+            "n_items_with_neighbors": 60,
+        }
+        hashes = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_MINE_SHA256}
+        assert hashes == GOLDEN_MINE_SHA256
 
 
 class TestGradcheckCommand:

@@ -147,6 +147,22 @@ class TestSemanticNegatives:
         assert pool.excluded(0).dtype == np.int64
         assert pool.excluded(1).tolist() == [1]
         assert pool.excluded(3).tolist() == [0, 3]
+        assert not pool.excluded(0).flags.writeable
+
+    @pytest.mark.parametrize("source", ["title_knn", "taxonomy", "loaded"])
+    def test_excluded_is_built_once_and_matches_the_per_anchor_sort(self, source, tmp_path):
+        rng = np.random.default_rng(9)
+        taxonomies = [f"g{int(g)}" if g < 4 else None for g in rng.integers(0, 5, size=30)]
+        catalog = catalog_with_vectors([tuple(v) for v in rng.normal(size=(30, 4))], taxonomies)
+        pool = mine_taxonomy(catalog) if source == "taxonomy" else mine_title_knn(catalog, k=4)
+        if source == "loaded":
+            dump_semantic_pool(pool, catalog, str(tmp_path / "pool.tsv"))
+            pool = load_semantic_pool(str(tmp_path / "pool.tsv"), catalog, "title_knn")
+        for item in range(30):
+            got = pool.excluded(item)
+            np.testing.assert_array_equal(got, np.sort(np.append(pool.positives[item], item)))
+            assert got.dtype == np.int64 and not got.flags.writeable
+            assert np.shares_memory(got, pool.excluded(item))
 
     def test_forced(self):
         catalog = catalog_with_vectors([None] * 3, taxonomies=["g", "g", None])

@@ -2,6 +2,7 @@
 """Build a small synthetic dataset, write it to disk in the toolkit's
 file formats, reload it, and split it chronologically."""
 
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -31,6 +32,7 @@ print(f"wrote catalog + interactions under {workdir}")
 
 catalog = load_catalog(str(workdir / "catalog.jsonl"))
 events = load_interactions(str(workdir / "interactions.tsv"), catalog)
+shutil.rmtree(workdir)
 assert catalog.index_of == data.catalog.index_of, "round trip must preserve indices"
 print("reload reproduces identical item indices")
 

@@ -10,6 +10,7 @@ brute-force HIT@N / item-coverage evaluator.
 from .augment import AugmentationPlan, augmentation_masks
 from .config import TrainConfig, apply_settings, parse_config_file
 from .data import (
+    ClickLog,
     Interaction,
     Item,
     ItemCatalog,

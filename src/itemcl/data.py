@@ -22,6 +22,7 @@ downstream artifact is reproducible byte for byte.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,11 +46,69 @@ class Item:
 
 @dataclass(frozen=True)
 class Interaction:
-    """One click event. ``item_index`` is resolved against the catalog."""
+    """One click, the row a ``ClickLog`` yields; ``item_index`` is resolved against the catalog."""
 
     user_id: str
     item_index: int
     timestamp: int
+
+
+@dataclass(frozen=True, eq=False)
+class ClickLog:
+    """A click log as int64 columns: click ``i`` is user
+    ``user_ids[user[i]]`` clicking item ``item[i]`` at ``time[i]``.
+    ``user_ids`` is sorted, so code order is user-id order, and may name
+    users with no click here. An int index yields an ``Interaction``, a
+    slice or index array a ``ClickLog`` over the same ``user_ids``."""
+
+    user: np.ndarray
+    item: np.ndarray
+    time: np.ndarray
+    user_ids: tuple[str, ...]
+
+    @classmethod
+    def of(cls, clicks: ClickLog | Iterable[Interaction]) -> ClickLog:
+        """``clicks`` unchanged if it is a ``ClickLog``, else its rows as one."""
+        if isinstance(clicks, ClickLog):
+            return clicks
+        return cls.from_rows((ev.user_id, ev.item_index, ev.timestamp) for ev in clicks)
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[tuple[str, int, int]]) -> ClickLog:
+        """``(user_id, item, time)`` rows as columns, in row order."""
+        code_of: dict[str, int] = {}
+        coded = [(code_of.setdefault(user_id, len(code_of)), item, time) for user_id, item, time in rows]
+        return cls.from_codes(list(code_of), *np.array(coded, dtype=np.int64).reshape(-1, 3).T)
+
+    @classmethod
+    def from_codes(cls, names: list[str], user, item, time) -> ClickLog:
+        """Columns whose ``user`` codes index ``names``, distinct ids in any
+        order; the codes are remapped to the sorted vocabulary."""
+        order = sorted(range(len(names)), key=names.__getitem__)
+        user, item, time = (np.asarray(c, dtype=np.int64) for c in (user, item, time))
+        return cls(np.argsort(order)[user], item, time, tuple(names[i] for i in order))
+
+    def __len__(self) -> int:
+        return self.user.size
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return Interaction(self.user_ids[self.user[key]], int(self.item[key]), int(self.time[key]))
+        return ClickLog(self.user[key], self.item[key], self.time[key], self.user_ids)
+
+    def __iter__(self) -> Iterator[Interaction]:
+        for u, i, t in zip(self.user.tolist(), self.item.tolist(), self.time.tolist()):
+            yield Interaction(self.user_ids[u], i, t)
+
+    def __eq__(self, other) -> bool:
+        """Equal rows, whatever the two vocabularies hold."""
+        return isinstance(other, ClickLog) and list(self) == list(other)
+
+    def users(self) -> tuple[list[str], np.ndarray]:
+        """The ids of the users that click here, sorted, and each click's
+        row among them."""
+        codes, rows = np.unique(self.user, return_inverse=True)
+        return [self.user_ids[c] for c in codes.tolist()], rows
 
 
 class ItemCatalog:
@@ -102,14 +161,19 @@ class SplitDataset:
     """Chronological train/test split plus per-user behavior histories.
 
     Histories contain each user's most recent train-time item indices,
-    most-recent-last, at most ``behavior_window`` long.
+    most-recent-last, at most ``behavior_window`` long. Clicks given as
+    ``Interaction`` rows are held as a ``ClickLog``.
     """
 
-    train_interactions: list[Interaction]
-    test_interactions: list[Interaction]
+    train_interactions: ClickLog
+    test_interactions: ClickLog
     behavior_histories: dict[str, list[int]]
     behavior_window: int
     split_time: int
+
+    def __post_init__(self):
+        self.train_interactions = ClickLog.of(self.train_interactions)
+        self.test_interactions = ClickLog.of(self.test_interactions)
 
 
 def load_catalog(path: str) -> ItemCatalog:
@@ -167,10 +231,10 @@ def save_catalog(catalog: ItemCatalog, path: str) -> None:
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
-def load_interactions(path: str, catalog: ItemCatalog) -> list[Interaction]:
+def load_interactions(path: str, catalog: ItemCatalog) -> ClickLog:
     """Parse a TSV click log; rows whose item_id is not in the catalog are
     dropped and reported in one warning with the rejected count."""
-    events: list[Interaction] = []
+    rows: list[tuple[str, int, int]] = []
     rejected = 0
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -181,6 +245,8 @@ def load_interactions(path: str, catalog: ItemCatalog) -> list[Interaction]:
             if len(parts) != 3:
                 raise DataFormatError(f"{path}:{lineno}: expected 3 tab-separated fields")
             user_id, item_id, ts_text = parts
+            if not user_id:
+                raise DataFormatError(f"{path}:{lineno}: empty user_id")
             try:
                 timestamp = int(ts_text)
             except ValueError:
@@ -189,16 +255,17 @@ def load_interactions(path: str, catalog: ItemCatalog) -> list[Interaction]:
             if index is None:
                 rejected += 1
                 continue
-            events.append(Interaction(user_id, index, timestamp))
+            rows.append((user_id, index, timestamp))
     if rejected:
         warn(f"dropped {rejected} interaction rows with item_ids missing from the catalog")
-    return events
+    return ClickLog.from_rows(rows)
 
 
-def save_interactions(interactions: list[Interaction], catalog: ItemCatalog, path: str) -> None:
+def save_interactions(interactions: ClickLog | Iterable[Interaction], catalog: ItemCatalog, path: str) -> None:
+    log = ClickLog.of(interactions)
+    names, ids = log.user_ids, catalog.item_ids()
     lines = [
-        f"{ev.user_id}\t{catalog[ev.item_index].item_id}\t{ev.timestamp}"
-        for ev in interactions
+        f"{names[u]}\t{ids[i]}\t{t}" for u, i, t in zip(log.user.tolist(), log.item.tolist(), log.time.tolist())
     ]
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
@@ -240,46 +307,44 @@ def save_profiles(profiles: UserProfileTable, path: str) -> None:
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
-def _time_ordered(events: list[Interaction]) -> tuple[list[Interaction], np.ndarray]:
-    """``events`` as a new list stably sorted by timestamp (ties keep input
-    order), and their timestamps. Input already in order is not sorted."""
-    ts = np.fromiter((ev.timestamp for ev in events), dtype=np.int64, count=len(events))
-    if (ts[1:] < ts[:-1]).any():
-        order = np.argsort(ts, kind="stable")
-        return [events[i] for i in order.tolist()], ts[order]
-    return list(events), ts
+def _time_ordered(log: ClickLog) -> ClickLog:
+    """``log`` stably sorted by timestamp (ties keep input order); a log
+    already in order is returned as it is."""
+    if (log.time[1:] < log.time[:-1]).any():
+        return log[np.argsort(log.time, kind="stable")]
+    return log
 
 
-def build_histories(
-    train: list[Interaction], behavior_window: int
-) -> dict[str, list[int]]:
+def build_histories(train: ClickLog, behavior_window: int) -> dict[str, list[int]]:
     """Most recent ``behavior_window`` train item indices per user,
     most-recent-last, keyed in order of first appearance. ``train`` must
     already be time-ordered."""
-    histories: dict[str, list[int]] = {}
-    for ev in train:
-        histories.setdefault(ev.user_id, []).append(ev.item_index)
-    for user_id, history in histories.items():
-        if len(history) > behavior_window:
-            histories[user_id] = history[-behavior_window:]
-    return histories
+    order = np.argsort(train.user, kind="stable")  # each user's clicks stay in time order
+    user, items = train.user[order], train.item[order].tolist()
+    heads = np.flatnonzero(np.diff(user, prepend=-1))
+    ends = np.append(heads[1:], user.size)
+    first = np.argsort(order[heads])  # users in order of their first click
+    return {
+        train.user_ids[user[lo]]: items[max(lo, hi - behavior_window) : hi]
+        for lo, hi in zip(heads[first].tolist(), ends[first].tolist())
+    }
 
 
 def assemble_split(
-    train: list[Interaction],
-    test: list[Interaction],
+    train: ClickLog | Iterable[Interaction],
+    test: ClickLog | Iterable[Interaction],
     behavior_window: int = 20,
 ) -> SplitDataset:
-    """Build a SplitDataset from already-separated train/test click lists
-    (each gets stably time-ordered)."""
-    train, _ = _time_ordered(train)
-    test, _ = _time_ordered(test)
-    split_time = test[0].timestamp if test else (train[-1].timestamp + 1 if train else 0)
+    """Build a SplitDataset from already-separated train/test clicks (each
+    gets stably time-ordered)."""
+    train = _time_ordered(ClickLog.of(train))
+    test = _time_ordered(ClickLog.of(test))
+    split_time = int(test.time[0]) if len(test) else (int(train.time[-1]) + 1 if len(train) else 0)
     return SplitDataset(train, test, build_histories(train, behavior_window), behavior_window, split_time)
 
 
 def chronological_split(
-    interactions: list[Interaction],
+    interactions: ClickLog | Iterable[Interaction],
     split_time: int,
     behavior_window: int = 20,
 ) -> SplitDataset:
@@ -289,17 +354,17 @@ def chronological_split(
     Events are ordered by timestamp with ties resolved by stable input
     order. Users that only appear in the test side get no history entry.
     """
-    if not interactions:
+    log = _time_ordered(ClickLog.of(interactions))
+    if not len(log):
         raise ValueError("interactions must be non-empty")
     if behavior_window <= 0:
         raise ValueError("behavior_window must be positive")
 
-    ordered, ts = _time_ordered(interactions)
-    cut = int(np.searchsorted(ts, split_time, side="left"))
-    train, test = ordered[:cut], ordered[cut:]
-    if not train:
+    cut = int(np.searchsorted(log.time, split_time, side="left"))
+    train, test = log[:cut], log[cut:]
+    if not len(train):
         warn("chronological split produced an empty train set")
-    if not test:
+    if not len(test):
         warn("chronological split produced an empty test set")
 
     return SplitDataset(train, test, build_histories(train, behavior_window), behavior_window, split_time)

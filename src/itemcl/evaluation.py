@@ -125,8 +125,8 @@ def evaluate(
     if similarity not in ("dot", "cosine"):
         raise ValueError("similarity must be dot or cosine")
 
-    users, user_row = np.unique([ev.user_id for ev in split.test_interactions], return_inverse=True)
-    test_item = np.array([ev.item_index for ev in split.test_interactions], dtype=np.int64)
+    users, user_row = split.test_interactions.users()
+    test_item = split.test_interactions.item
     items = item_matrix(params, enc)
     if similarity == "cosine":
         items = _normalize_rows(items)
@@ -135,7 +135,7 @@ def evaluate(
     first_rank = np.full(enc.n_items, n_max)
     window = params.meta.dims.behavior_window
     for lo in range(0, len(users), _EVAL_CHUNK):
-        block = users[lo : lo + _EVAL_CHUNK].tolist()
+        block = users[lo : lo + _EVAL_CHUNK]
         hist = pad_histories([split.behavior_histories.get(u, []) for u in block], window)
         prof = prof_enc.rows(block)
         u_vecs, _ = user_tower(params, hist, prof)
@@ -152,7 +152,7 @@ def evaluate(
     return EvalReport(
         hit={n: int(np.count_nonzero(test_rank < n)) / n_test for n in ns},
         coverage={n: int(np.count_nonzero(first_rank < n)) / enc.n_items for n in ns},
-        n_test_users=users.size,
+        n_test_users=len(users),
         n_test_interactions=n_test,
         similarity=similarity,
     )

@@ -61,6 +61,7 @@ from .model import (
 from .sampling import sample_distinct_rows, uniform_excluding
 from .semantics import SemanticPositivePool
 from .sessions import CooccurrenceTable, SessionPositiveSampler
+from .util import sorted_unique
 
 
 @dataclass
@@ -251,7 +252,7 @@ def loss_feature_cl(
         return _result(0.0, items, own)
     negs = np.stack(_batched_negatives(enc.n_items, list(anchors[:, None]), batch.num_negatives, rng))
 
-    aug_ids = np.unique(np.concatenate([anchors, negs.ravel()]))
+    aug_ids = sorted_unique(np.concatenate([anchors, negs.ravel()]))
     raw_aug, aug_trace = embed_items_augmented(params, enc, aug_ids, plan, dropout_rng)
     p_clean, p_clean_trace = project(params, "f", items.raw[anchors])
     p_aug, p_aug_trace = project(params, "f", raw_aug)

@@ -47,6 +47,7 @@ from scipy import sparse
 from .augment import AugmentationPlan, augmentation_masks
 from .data import ItemCatalog, UserProfileTable
 from .rng import substream
+from .util import sorted_unique
 
 PAD = -1
 
@@ -586,7 +587,7 @@ def user_tower(
     a = params.arrays
     m = histories.shape[0]
     valid = histories >= 0
-    items = np.unique(histories)
+    items = sorted_unique(histories)
     slot_item = np.searchsorted(items, histories)
     item_x = a["emb.item_id"].take(items, axis=0)
     item_x[: np.searchsorted(items, 0)] = 0.0  # padding entries sort first

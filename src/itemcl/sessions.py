@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import DataFormatError, ItemCatalog, SplitDataset
 from .sampling import exclusion_rows
-from .util import atomic_write_text
+from .util import atomic_write_text, sorted_unique
 
 
 @dataclass(frozen=True)
@@ -47,14 +47,9 @@ def segment_sessions(split: SplitDataset, window_seconds: int = 3600) -> Session
         raise ValueError("window_seconds must be positive")
     train = split.train_interactions  # already time-ordered
     n = len(train)
-    names = [ev.user_id for ev in train]
-    stamps = np.fromiter((ev.timestamp for ev in train), dtype=np.int64, count=n)
-    items = np.fromiter((ev.item_index for ev in train), dtype=np.int64, count=n)
-    user_ids = sorted(set(names))
-    code_of = {user_id: code for code, user_id in enumerate(user_ids)}
-    user = np.fromiter(map(code_of.__getitem__, names), dtype=np.int64, count=n)
+    user_ids, user = train.users()
     order = np.argsort(user, kind="stable")  # each user's clicks stay in time order
-    user, stamps, items = user[order], stamps[order], items[order]
+    user, stamps, items = user[order], train.time[order], train.item[order]
     starts = np.ones(n, dtype=bool)
     starts[1:] = (user[1:] != user[:-1]) | (np.diff(stamps) > window_seconds)
     heads = np.flatnonzero(starts)
@@ -120,10 +115,8 @@ def build_cooccurrence(sessions: Sessions, n_items: int, k: int = 10) -> Cooccur
     if items.size and (items.min() < 0 or items.max() >= n_items):
         raise ValueError(f"item index out of range for catalog of size {n_items}")
     session = np.repeat(np.arange(len(sessions)), np.diff(sessions.offsets))
-    keys = np.sort(session * n_items + items)
-    # each session's distinct items; a sort and a mask, since np.unique
-    # without counts hashes, which is many times slower here
-    session, items = np.divmod(keys[np.diff(keys, prepend=-1) > 0], n_items)
+    # each session's distinct items
+    session, items = np.divmod(sorted_unique(session * n_items + items), n_items)
     # each distinct item pairs with every later distinct item of its session
     later = np.searchsorted(session, session, side="right") - np.arange(session.size) - 1
     first = np.repeat(np.arange(session.size), later)

@@ -21,11 +21,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 import numpy as np
 
-from .data import Interaction, Item, ItemCatalog, UserProfileTable
+from .data import ClickLog, Interaction, Item, ItemCatalog, UserProfileTable
 from .rng import substream
 
 
@@ -92,7 +91,7 @@ class SyntheticSpec:
 @dataclass
 class SyntheticDataset:
     catalog: ItemCatalog
-    interactions: list[Interaction]
+    interactions: ClickLog
     profiles: UserProfileTable
     clusters: np.ndarray  # item index -> cluster
     motif_pairs: tuple[tuple[int, int], ...] = field(default_factory=tuple)
@@ -188,14 +187,13 @@ def generate(spec: SyntheticSpec) -> SyntheticDataset:
     random, integers, poisson = rng_clicks.random, rng_clicks.integers, rng_clicks.poisson
     n_clusters, gap = spec.n_clusters, spec.session_gap_seconds
     inject_motifs = spec.motif_rate > 0 and bool(motifs)
-    interactions: list[Interaction] = []
+    click_user, click_item, click_time = [], [], []
     base_quota = spec.n_interactions // spec.n_users
     horizon = 90 * 24 * 3600
     for j, (first, second) in enumerate(preferred.tolist()):
         quota = base_quota + (1 if j < spec.n_interactions % spec.n_users else 0)
         if quota == 0:
             continue
-        user_id = f"u{j:05d}"
         n_sessions = max(1, int(round(quota / spec.mean_session_length)))
         starts = np.sort(integers(0, horizon, size=n_sessions)).tolist()
         remaining = quota
@@ -216,20 +214,22 @@ def generate(spec: SyntheticSpec) -> SyntheticDataset:
                 session_items.append(cluster_members[k][bisect_right(cluster_cdfs[k], random())])
             if inject_motifs and random() < spec.motif_rate:
                 session_items.extend(motifs[int(integers(len(motifs)))])
-            for item in session_items:
-                interactions.append(Interaction(user_id, item, t))
+            click_user.extend([j] * len(session_items))
+            click_item.extend(session_items)
+            for _ in session_items:
+                click_time.append(t)
                 t += 1 + int(integers(gap))
             last_end = t
             remaining -= len(session_items)
 
-    interactions.sort(key=attrgetter("timestamp"))
-    return SyntheticDataset(catalog, interactions, profiles, clusters, motifs)
+    log = ClickLog.from_codes(list(profile_rows), click_user, click_item, click_time)
+    return SyntheticDataset(catalog, log[np.argsort(log.time, kind="stable")], profiles, clusters, motifs)
 
 
-def default_split_time(interactions: list[Interaction], train_fraction: float = 0.8) -> int:
+def default_split_time(interactions: ClickLog | list[Interaction], train_fraction: float = 0.8) -> int:
     """Timestamp at the given quantile of the click log, for chronological
     splitting."""
-    if not interactions:
+    ts = ClickLog.of(interactions).time
+    if not ts.size:
         raise ValueError("interactions must be non-empty")
-    ts = np.fromiter((ev.timestamp for ev in interactions), dtype=np.int64, count=len(interactions))
     return int(np.quantile(ts, train_fraction, method="higher"))

@@ -36,6 +36,7 @@ from .sessions import (
     build_cooccurrence,
     segment_sessions,
 )
+from .util import sorted_unique
 
 __all__ = [
     "TrainConfig",
@@ -121,14 +122,12 @@ def train(
     prof_enc = EncodedProfiles(profiles, meta)
     params = init_params(meta, config.seed)
 
-    user_ids = sorted({ev.user_id for ev in split.train_interactions})
-    user_row = {uid: i for i, uid in enumerate(user_ids)}
+    user_ids, ev_user = split.train_interactions.users()
+    ev_item = split.train_interactions.item
     histories_all = pad_histories(
         [split.behavior_histories.get(uid, []) for uid in user_ids], config.behavior_window
     )
     profiles_all = prof_enc.rows(user_ids)
-    ev_user = np.asarray([user_row[ev.user_id] for ev in split.train_interactions], dtype=np.int64)
-    ev_item = np.asarray([ev.item_index for ev in split.train_interactions], dtype=np.int64)
 
     rng_shuffle = substream(config.seed, "shuffle")
     rngs = {
@@ -145,7 +144,7 @@ def train(
     step_count = 0
 
     report = TrainReport(config.to_dict())
-    n = len(split.train_interactions)
+    n = ev_item.size
     for epoch in range(config.epochs):
         started = time.perf_counter()
         perm = rng_shuffle.permutation(n)
@@ -164,7 +163,7 @@ def train(
                 neg_items=_sample_match_negatives(step_items, len(catalog), config.negatives, rngs["match"]),
             )
             contrastive = ContrastiveBatch(
-                anchors=np.unique(step_items),
+                anchors=sorted_unique(step_items),
                 tau=config.tau,
                 num_negatives=config.negatives,
                 include_positive=config.include_positive_in_denominator,

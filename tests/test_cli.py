@@ -247,7 +247,33 @@ GOLDEN_MINE_SHA256 = {
 }
 
 
+GOLDEN_PREPARE_SHA256 = {
+    "train.tsv": "1fc75ac2964f5b91ae6b72904b3ab0ec9bb82df1566a818d503ee62eef46dc69",
+    "test.tsv": "0b1895e27af5fe965c9724ebdd2ae54969b3ea5cc71b77cf2b1af9eb1f31764c",
+}
+
+
 class TestGoldenBytes:
+    def test_prepare_splits_match_pinned_hashes(self, capsys, tmp_path):
+        data, splits = tmp_path / "data", tmp_path / "splits"
+        steps = [
+            ["generate", "--out-dir", str(data), "--seed", "7", "--users", "80", "--items", "60",
+             "--clusters", "6", "--interactions", "4000"],
+            ["prepare", "--catalog", str(data / "catalog.jsonl"), "--interactions", str(data / "interactions.tsv"),
+             "--out-dir", str(splits), "--behavior-window", "5"],
+        ]
+        for argv in steps:
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+        assert {key: last_json(out)[key] for key in ("n_train", "n_test", "n_users_with_history", "split_time")} == {
+            "n_train": 3164,
+            "n_test": 792,
+            "n_users_with_history": 80,
+            "split_time": 5661686,
+        }
+        hashes = {name: hashlib.sha256((splits / name).read_bytes()).hexdigest() for name in GOLDEN_PREPARE_SHA256}
+        assert hashes == GOLDEN_PREPARE_SHA256
+
     def test_mine_dumps_match_pinned_hashes(self, capsys, tmp_path):
         data, splits = tmp_path / "data", tmp_path / "splits"
         catalog = str(data / "catalog.jsonl")

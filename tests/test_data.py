@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from itemcl.data import (
+    ClickLog,
     DataFormatError,
     Interaction,
     assemble_split,
@@ -85,10 +86,68 @@ class TestLoadInteractions:
             events = load_interactions(path, catalog)
         assert len(events) == 1
 
+    def test_empty_user_id_names_line(self, tmp_path):
+        catalog = load_catalog(write(tmp_path / "cat.jsonl", CATALOG_3))
+        with pytest.raises(DataFormatError, match=r"ev\.tsv:2: empty user_id"):
+            load_interactions(write(tmp_path / "ev.tsv", "u1\ta\t1\n\ta\t100\n"), catalog)
+
+    def test_loads_columns_over_a_sorted_vocabulary(self, tmp_path):
+        catalog = load_catalog(write(tmp_path / "cat.jsonl", CATALOG_3))
+        log = load_interactions(write(tmp_path / "ev.tsv", "u9\tc\t5\nu10\ta\t1\nu9\tb\t3\n"), catalog)
+        assert log.user_ids == ("u10", "u9")
+        assert log.user.tolist() == [1, 0, 1]
+        assert log.item.tolist() == [2, 0, 1] and log.time.tolist() == [5, 1, 3]
+
     def test_bad_timestamp_names_line(self, tmp_path):
         catalog = load_catalog(write(tmp_path / "cat.jsonl", CATALOG_3))
         with pytest.raises(DataFormatError, match=r":1:"):
             load_interactions(write(tmp_path / "ev.tsv", "u1\ta\tnotanumber\n"), catalog)
+
+
+class TestClickLog:
+    ROWS = [Interaction("u9", 4, 30), Interaction("u10", 2, 10), Interaction("u9", 1, 20), Interaction("b", 0, 10)]
+
+    def test_vocabulary_is_sorted_when_id_widths_differ(self):
+        log = ClickLog.of(self.ROWS)
+        assert log.user_ids == ("b", "u10", "u9")
+        assert log.user.tolist() == [2, 1, 2, 0]
+        again = ClickLog.from_codes(["u9", "u10"], [0, 1, 0], [4, 2, 1], [30, 10, 20])
+        assert again.user_ids == ("u10", "u9") and list(again) == self.ROWS[:3]
+
+    def test_int_indices_yield_rows(self):
+        log = ClickLog.of(self.ROWS)
+        assert log[1] == Interaction("u10", 2, 10)
+        assert log[np.int64(2)] == log[np.int32(2)] == log[-2] == Interaction("u9", 1, 20)
+        assert type(log[np.int64(0)].item_index) is int and type(log[0].timestamp) is int
+        with pytest.raises(IndexError):
+            log[4]
+
+    def test_slices_and_index_arrays_share_the_vocabulary(self):
+        log = ClickLog.of(self.ROWS)
+        tail = log[1:3]
+        assert isinstance(tail, ClickLog) and tail.user_ids == log.user_ids
+        assert list(tail) == self.ROWS[1:3]
+        picked = log[np.array([3, 0])]
+        assert list(picked) == [self.ROWS[3], self.ROWS[0]]
+        assert picked.users()[0] == ["b", "u9"] and picked.users()[1].tolist() == [0, 1]
+
+    def test_iteration_round_trip_and_row_equality(self):
+        log = ClickLog.of(self.ROWS)
+        assert list(log) == self.ROWS
+        assert ClickLog.of(list(log)) == log
+        assert ClickLog.of(log) is log
+        assert log[:2] == ClickLog.of(self.ROWS[:2])  # vocabularies differ, rows do not
+        assert log != ClickLog.of(self.ROWS[::-1])
+
+    def test_empty_log(self):
+        log = ClickLog.of([])
+        assert len(log) == 0 and list(log) == [] and log.user_ids == ()
+        assert len(ClickLog.of(self.ROWS)[2:2]) == 0
+        split = assemble_split([], [], behavior_window=3)
+        assert len(split.train_interactions) == len(split.test_interactions) == 0
+        assert split.behavior_histories == {} and split.split_time == 0
+        with pytest.raises(ValueError, match="non-empty"):
+            chronological_split(log, split_time=0)
 
 
 class TestProfiles:
@@ -114,6 +173,10 @@ class TestProfiles:
 
 def ev(user, item, ts):
     return Interaction(user, item, ts)
+
+
+def rows(clicks):
+    return [(e.user_id, e.item_index, e.timestamp) for e in clicks]
 
 
 def reference_split(events, split_time, window):
@@ -152,7 +215,7 @@ class TestChronologicalSplit:
         events = [ev("u", 0, 1), ev("u", 1, 2)]
         with pytest.warns(ItemclWarning, match="empty test"):
             split = chronological_split(events, split_time=100)
-        assert split.test_interactions == []
+        assert len(split.test_interactions) == 0
 
     def test_test_only_user_gets_no_history(self):
         events = [ev("u1", 0, 1), ev("u2", 1, 50)]
@@ -192,9 +255,9 @@ class TestChronologicalSplit:
         window = 6
         split = chronological_split(events, split_time=900, behavior_window=window)
         train, test, histories = reference_split(events, 900, window)
-        # identity, not equality: equal clicks must keep their input order
-        assert [id(e) for e in split.train_interactions] == [id(e) for e in train]
-        assert [id(e) for e in split.test_interactions] == [id(e) for e in test]
+        # rows are yielded, not stored: tied clicks keep their input order as tuples
+        assert rows(split.train_interactions) == rows(train)
+        assert rows(split.test_interactions) == rows(test)
         assert split.behavior_histories == histories
         assert list(split.behavior_histories) == list(histories)
         assert "late" not in split.behavior_histories and any(e.user_id == "late" for e in test)
@@ -207,8 +270,8 @@ class TestAssembleSplit:
         test_in = [e for e in events if e.timestamp >= 900]
         split = assemble_split(train_in, test_in, behavior_window=6)
         train, test, histories = reference_split(events, 900, 6)
-        assert [id(e) for e in split.train_interactions] == [id(e) for e in train]
-        assert [id(e) for e in split.test_interactions] == [id(e) for e in test]
+        assert rows(split.train_interactions) == rows(train)
+        assert rows(split.test_interactions) == rows(test)
         assert split.behavior_histories == histories
         assert list(split.behavior_histories) == list(histories)
         assert split.split_time == test[0].timestamp

@@ -15,7 +15,7 @@ from itemcl.sessions import (
     segment_sessions,
 )
 from itemcl.losses import _batched_negatives
-from itemcl.util import ItemclWarning
+from itemcl.util import ItemclWarning, sorted_unique
 
 WINDOW = 3600
 
@@ -438,3 +438,20 @@ class TestSessionSampling:
         with pytest.warns(ItemclWarning):
             (negs,) = self.negatives(table, 0, 5, np.random.default_rng(0))
         assert negs.tolist() == [3]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.array([], dtype=np.int64),
+        np.array([7]),
+        np.array([3, -1, 3, 0, -1, 2**40, 5]),
+        np.random.default_rng(0).integers(-1, 50, size=(300, 20)),  # padded histories
+        np.random.default_rng(1).integers(0, 10**9, size=5000),
+    ],
+)
+def test_sorted_unique_equals_np_unique(values):
+    got = sorted_unique(values)
+    expected = np.unique(values)
+    assert got.dtype == expected.dtype
+    np.testing.assert_array_equal(got, expected)

@@ -61,6 +61,24 @@ class TestDeterminism:
         for ea, eb in zip(report_a.epochs, report_b.epochs):
             assert ea["loss_joint"] == eb["loss_joint"]
 
+    def test_split_replaced_with_a_click_list_trains_like_its_columns(self, tmp_path):
+        """Train clicks swapped in as a list of rows, as ``dataclasses.replace``
+        does, are held as a ``ClickLog`` equal to the same rows sliced from
+        the columns, and train to the same checkpoint bytes."""
+        data, split = tiny_dataset()
+        rows = np.arange(0, len(split.train_interactions), 3)
+        listed = dataclasses.replace(split, train_interactions=[split.train_interactions[i] for i in rows])
+        sliced = dataclasses.replace(split, train_interactions=split.train_interactions[rows])
+        assert listed.train_interactions.user_ids != sliced.train_interactions.user_ids
+        assert listed == sliced
+        pool, sampler, table = mine_artifacts(SMALL, split, data.catalog)
+        checkpoints = []
+        for name, each in (("listed", listed), ("sliced", sliced)):
+            params, _ = train(SMALL, each, data.catalog, data.profiles, pool, sampler, table)
+            checkpoints.append(tmp_path / f"{name}.ckpt")
+            save_checkpoint(params, str(checkpoints[-1]), SMALL.to_dict())
+        assert checkpoints[0].read_bytes() == checkpoints[1].read_bytes()
+
     def test_different_seed_differs(self):
         data, split = tiny_dataset()
         params_a, _ = run(SMALL, data, split)

@@ -25,9 +25,9 @@ from .data import (
     save_profiles,
     chronological_split,
 )
-from .evaluation import evaluate, export_embeddings
+from .evaluation import SIMILARITIES, evaluate, export_embeddings
 from .gradcheck import DEFAULT_STEP, DEFAULT_THRESHOLD, gradcheck_suite
-from .model import EncodedCatalog, EncodedProfiles, build_meta, load_checkpoint
+from .model import EncodedCatalog, EncodedProfiles, build_meta, check_shapes, load_checkpoint
 from .semantics import dump_semantic_pool, mine_semantic_pool
 from .sessions import build_cooccurrence, dump_cooccurrence, segment_sessions
 from .synthetic import SyntheticSpec, default_split_time, generate
@@ -183,8 +183,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     catalog = load_catalog(args.catalog)
     profiles = load_profiles(args.profiles) if args.profiles else None
     params, saved_config = load_checkpoint(args.checkpoint)
-    expect_meta = build_meta(catalog, profiles, params.meta.dims)
-    load_checkpoint(args.checkpoint, expect_meta)  # named mismatch check
+    check_shapes(params, build_meta(catalog, profiles, params.meta.dims), args.checkpoint)
     train_events = load_interactions(args.train, catalog)
     test_events = load_interactions(args.test, catalog)
     split = assemble_split(train_events, test_events, params.meta.dims.behavior_window)
@@ -283,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", required=True)
     p.add_argument("--profiles")
     p.add_argument("--n", default="50,100,200,500")
-    p.add_argument("--similarity", choices=("dot", "cosine"))
+    p.add_argument("--similarity", choices=SIMILARITIES)
     p.set_defaults(handler=_cmd_evaluate)
 
     p = sub.add_parser("export", help="write item embeddings as TSV")

@@ -15,6 +15,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from .augment import AugmentationPlan
+from .evaluation import check_similarity
 from .model import ModelDims
 
 
@@ -63,8 +64,10 @@ class TrainConfig:
                 raise ValueError(f"{_KEY_OF[attr]} must be nonnegative")
         if self.semantic_source not in ("title_knn", "taxonomy"):
             raise ValueError("mine.semantic_source must be title_knn or taxonomy")
-        if self.similarity not in ("dot", "cosine"):
-            raise ValueError("eval.similarity must be dot or cosine")
+        try:
+            check_similarity(self.similarity)
+        except ValueError as exc:
+            raise ValueError(f"eval.{exc}") from None
         for attr, plan_field in (("augment_strategy", "strategy"), ("mask_ratio", "mask_ratio")):
             try:
                 AugmentationPlan(**{plan_field: getattr(self, attr)})

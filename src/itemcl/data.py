@@ -261,8 +261,7 @@ def load_interactions(path: str, catalog: ItemCatalog) -> ClickLog:
     return ClickLog.from_rows(rows)
 
 
-def save_interactions(interactions: ClickLog | Iterable[Interaction], catalog: ItemCatalog, path: str) -> None:
-    log = ClickLog.of(interactions)
+def save_interactions(log: ClickLog, catalog: ItemCatalog, path: str) -> None:
     names, ids = log.user_ids, catalog.item_ids()
     lines = [
         f"{names[u]}\t{ids[i]}\t{t}" for u, i, t in zip(log.user.tolist(), log.item.tolist(), log.time.tolist())

@@ -2,8 +2,10 @@
 item coverage, and embedding export.
 
 Retrieval scans the whole catalog (no approximate index); ties break
-toward the lower item index. Items a user already clicked in train are
-not filtered out unless asked for.
+toward the lower item index. Items a user already clicked in train stay
+retrievable: matching-stage systems usually re-expose them. Scores are
+inner products (``dot``) or cosines (``cosine``), the names in
+``SIMILARITIES``; ``check_similarity`` rejects any other.
 """
 
 from __future__ import annotations
@@ -17,6 +19,14 @@ from .model import EncodedCatalog, EncodedProfiles, ModelParams, embed_items, it
 from .util import atomic_write_text, top_k
 
 _EVAL_CHUNK = 1024
+
+SIMILARITIES = ("dot", "cosine")
+
+
+def check_similarity(similarity: str) -> None:
+    """Reject a scoring rule that is not one of ``SIMILARITIES``."""
+    if similarity not in SIMILARITIES:
+        raise ValueError("similarity must be dot or cosine")
 
 
 @dataclass
@@ -38,13 +48,8 @@ class EvalReport:
 
 def item_matrix(params: ModelParams, enc: EncodedCatalog) -> np.ndarray:
     """Item-tower outputs for the whole catalog, in index order."""
-    blocks = []
-    for lo in range(0, enc.n_items, 4096):
-        ids = np.arange(lo, min(lo + 4096, enc.n_items))
-        raw, _ = embed_items(params, enc, ids)
-        d, _ = item_tower(params, raw)
-        blocks.append(d)
-    return np.concatenate(blocks, axis=0)
+    raw, _ = embed_items(params, enc, np.arange(enc.n_items))
+    return item_tower(params, raw)[0]
 
 
 def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
@@ -66,13 +71,10 @@ def retrieve_topn(
     n: int,
     similarity: str = "dot",
     items: np.ndarray | None = None,
-    exclude_history: bool = False,
 ) -> np.ndarray:
-    """Exact top-n catalog scan for one user.
-
-    Already-clicked items stay retrievable by default (matching-stage
-    systems usually re-expose them); ``exclude_history`` filters them.
-    """
+    """Exact top-n catalog scan for one user; ``items`` is the catalog's
+    ``item_matrix`` when the caller already has it."""
+    check_similarity(similarity)
     if n < 1:
         raise ValueError(f"n = {n} must be at least 1")
     if n > enc.n_items:
@@ -84,16 +86,7 @@ def retrieve_topn(
     if similarity == "cosine":
         u = _normalize_rows(u)
         items = _normalize_rows(items)
-    elif similarity != "dot":
-        raise ValueError("similarity must be dot or cosine")
-    scores = (items @ u[0]).ravel()
-    if exclude_history:
-        seen = sorted({i for i in history if 0 <= i < enc.n_items})
-        if enc.n_items - len(seen) < n:
-            raise ValueError("history filtering leaves fewer than n items")
-        scores = scores.copy()
-        scores[seen] = -np.inf
-    return _top_n(scores, n)
+    return _top_n((items @ u[0]).ravel(), n)
 
 
 def evaluate(
@@ -122,8 +115,7 @@ def evaluate(
         raise ValueError(f"N = {ns[0]} must be at least 1")
     if n_max > enc.n_items:
         raise ValueError(f"largest N = {n_max} exceeds catalog size {enc.n_items}")
-    if similarity not in ("dot", "cosine"):
-        raise ValueError("similarity must be dot or cosine")
+    check_similarity(similarity)
 
     users, user_row = split.test_interactions.users()
     test_item = split.test_interactions.item

@@ -39,7 +39,8 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field, fields
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 from scipy import sparse
@@ -47,7 +48,7 @@ from scipy import sparse
 from .augment import AugmentationPlan, augmentation_masks
 from .data import ItemCatalog, UserProfileTable
 from .rng import substream
-from .util import sorted_unique
+from .util import atomic_write_bytes, sorted_unique
 
 PAD = -1
 
@@ -69,28 +70,13 @@ class ModelDims:
     def d_out(self) -> int:
         return self.tower_dims[-1]
 
-    def to_dict(self) -> dict:
-        return {
-            "d_field": self.d_field,
-            "tower_dims": list(self.tower_dims),
-            "behavior_window": self.behavior_window,
-            "ffn_dim": self.ffn_dim,
-            "d_proj": self.d_proj,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "ModelDims":
         # a switch the model has since dropped loads only in its off state
         for key in sorted(d.keys() - {f.name for f in fields(cls)}):
             if d[key] is not False:
                 raise ValueError(f"dims.{key} is {d[key]!r}, an option this model does not have")
-        return cls(
-            d_field=int(d["d_field"]),
-            tower_dims=tuple(int(x) for x in d["tower_dims"]),
-            behavior_window=int(d["behavior_window"]),
-            ffn_dim=int(d["ffn_dim"]),
-            d_proj=int(d["d_proj"]),
-        )
+        return _from_fields(cls, d)
 
 
 ITEM_FIELDS = ("item_id", "tags", "provider")  # the raw item embedding's d_field-wide slices, in order
@@ -123,26 +109,25 @@ class ModelMeta:
     def user_input_width(self) -> int:
         return self.dims.behavior_window * self.dims.d_field + self.user_other_width
 
-    def to_dict(self) -> dict:
-        return {
-            "dims": self.dims.to_dict(),
-            "item_ids": self.item_ids,
-            "tag_vocab": self.tag_vocab,
-            "provider_vocab": self.provider_vocab,
-            "user_field_names": list(self.user_field_names),
-            "user_field_vocabs": self.user_field_vocabs,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "ModelMeta":
-        return cls(
-            dims=ModelDims.from_dict(d["dims"]),
-            item_ids=list(d["item_ids"]),
-            tag_vocab=list(d["tag_vocab"]),
-            provider_vocab=list(d["provider_vocab"]),
-            user_field_names=tuple(d["user_field_names"]),
-            user_field_vocabs={k: list(v) for k, v in d["user_field_vocabs"].items()},
-        )
+        return _from_fields(cls, d)
+
+
+def _from_fields(cls, d: dict):
+    """Rebuild dataclass ``cls`` from its ``dataclasses.asdict`` form read
+    back from JSON, each field decoded by its annotation."""
+    hints = typing.get_type_hints(cls)
+    return cls(**{f.name: _decode(hints[f.name], d[f.name]) for f in fields(cls)})
+
+
+def _decode(tp, value):
+    origin, args = typing.get_origin(tp) or tp, typing.get_args(tp)
+    if origin is dict:
+        return {k: _decode(args[1], v) for k, v in value.items()}
+    if origin in (list, tuple):
+        return origin(_decode(args[0], v) for v in value)
+    return origin.from_dict(value) if is_dataclass(origin) else origin(value)
 
 
 def build_meta(
@@ -153,31 +138,15 @@ def build_meta(
     """Collect vocabularies in first-appearance order (deterministic given
     the input files)."""
     dims = dims or ModelDims()
-    tag_vocab: list[str] = []
-    seen_tags: set[str] = set()
-    provider_vocab: list[str] = []
-    seen_prov: set[str] = set()
-    for item in catalog.items:
-        for tag in item.tags:
-            if tag not in seen_tags:
-                seen_tags.add(tag)
-                tag_vocab.append(tag)
-        if item.provider not in seen_prov:
-            seen_prov.add(item.provider)
-            provider_vocab.append(item.provider)
-    user_field_names: tuple[str, ...] = ()
-    user_field_vocabs: dict[str, list[str]] = {}
-    if profiles is not None and profiles.field_names:
-        user_field_names = tuple(profiles.field_names)
-        for name in user_field_names:
-            user_field_vocabs[name] = []
-        seen: dict[str, set[str]] = {name: set() for name in user_field_names}
-        for values in profiles.rows.values():
-            for name, value in zip(user_field_names, values):
-                if value not in seen[name]:
-                    seen[name].add(value)
-                    user_field_vocabs[name].append(value)
-    return ModelMeta(dims, catalog.item_ids(), tag_vocab, provider_vocab, user_field_names, user_field_vocabs)
+    names = tuple(profiles.field_names) if profiles is not None else ()
+    return ModelMeta(
+        dims,
+        catalog.item_ids(),
+        list(dict.fromkeys(tag for item in catalog.items for tag in item.tags)),
+        list(dict.fromkeys(item.provider for item in catalog.items)),
+        names,
+        {name: list(dict.fromkeys(row[j] for row in profiles.rows.values())) for j, name in enumerate(names)},
+    )
 
 
 def _array_shapes(meta: ModelMeta) -> list[tuple[str, tuple[int, ...]]]:
@@ -725,7 +694,7 @@ def save_checkpoint(params: ModelParams, path: str, config: dict | None = None) 
     array shapes), then raw little-endian float64 blocks. Bit-exact on
     round trip."""
     manifest = {
-        "meta": params.meta.to_dict(),
+        "meta": asdict(params.meta),
         "config": config or {},
         "arrays": [{"name": name, "shape": list(arr.shape)} for name, arr in params.arrays.items()],
     }
@@ -735,15 +704,12 @@ def save_checkpoint(params: ModelParams, path: str, config: dict | None = None) 
     buffer.write(b"\n")
     for arr in params.arrays.values():
         buffer.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    from .util import atomic_write_bytes
-
     atomic_write_bytes(path, buffer.getvalue())
 
 
-def load_checkpoint(path: str, expect_meta: ModelMeta | None = None) -> tuple[ModelParams, dict]:
-    """Load a checkpoint; optionally validate its shapes against the meta
-    derived from the current catalog, naming the first mismatch. A file
-    that does not parse raises ``ValueError`` naming ``path``."""
+def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
+    """Load a checkpoint; a file that does not parse raises ``ValueError``
+    naming ``path``."""
     with open(path, "rb") as handle:
         blob = handle.read()
     if not blob.startswith(_CHECKPOINT_MAGIC):
@@ -772,17 +738,20 @@ def load_checkpoint(path: str, expect_meta: ModelMeta | None = None) -> tuple[Mo
         cursor += nbytes
     if cursor != len(body):
         raise ValueError(f"{path}: {len(body) - cursor} bytes after the last array")
-    params = ModelParams(meta, arrays)
-    if expect_meta is not None:
-        expected = dict(_array_shapes(expect_meta))
-        for name, shape in expected.items():
-            if name not in arrays:
-                raise ValueError(f"{path}: checkpoint is missing array {name!r}")
-            if arrays[name].shape != shape:
-                raise ValueError(
-                    f"{path}: shape mismatch for {name!r}: checkpoint {arrays[name].shape}, expected {shape}"
-                )
-        for name in arrays:
-            if name not in expected:
-                raise ValueError(f"{path}: checkpoint has unexpected array {name!r}")
-    return params, config
+    return ModelParams(meta, arrays), config
+
+
+def check_shapes(params: ModelParams, expect_meta: ModelMeta, path: str) -> None:
+    """Validate loaded arrays against the meta derived from the current
+    catalog; the first mismatch raises ``ValueError`` naming ``path``."""
+    expected = dict(_array_shapes(expect_meta))
+    for name, shape in expected.items():
+        if name not in params.arrays:
+            raise ValueError(f"{path}: checkpoint is missing array {name!r}")
+        if params.arrays[name].shape != shape:
+            raise ValueError(
+                f"{path}: shape mismatch for {name!r}: checkpoint {params.arrays[name].shape}, expected {shape}"
+            )
+    for name in params.arrays:
+        if name not in expected:
+            raise ValueError(f"{path}: checkpoint has unexpected array {name!r}")

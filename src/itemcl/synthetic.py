@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import ClickLog, Interaction, Item, ItemCatalog, UserProfileTable
+from .data import ClickLog, Item, ItemCatalog, UserProfileTable
 from .rng import substream
 
 
@@ -226,10 +226,10 @@ def generate(spec: SyntheticSpec) -> SyntheticDataset:
     return SyntheticDataset(catalog, log[np.argsort(log.time, kind="stable")], profiles, clusters, motifs)
 
 
-def default_split_time(interactions: ClickLog | list[Interaction], train_fraction: float = 0.8) -> int:
+def default_split_time(interactions: ClickLog, train_fraction: float = 0.8) -> int:
     """Timestamp at the given quantile of the click log, for chronological
     splitting."""
-    ts = ClickLog.of(interactions).time
+    ts = interactions.time
     if not ts.size:
         raise ValueError("interactions must be non-empty")
     return int(np.quantile(ts, train_fraction, method="higher"))

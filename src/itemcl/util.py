@@ -21,14 +21,10 @@ def warn(message: str) -> None:
 
 def atomic_write_text(path: str, text: str) -> None:
     """Write ``text`` to ``path`` via a temp file and rename."""
-    _atomic_write(path, text.encode("utf-8"))
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
-    _atomic_write(path, data)
-
-
-def _atomic_write(path: str, data: bytes) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")

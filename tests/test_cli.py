@@ -442,6 +442,27 @@ class TestErrors:
         assert code == 2
         assert "ValueError: N = -5 must be at least 1" in last_json(err)["error"]
 
+    def test_evaluate_names_a_checkpoint_that_does_not_fit_the_catalog(self, pipeline_dir, capsys, tmp_path):
+        from itemcl.data import ItemCatalog, load_catalog, load_profiles
+        from itemcl.model import ModelDims, build_meta, init_params, save_checkpoint
+
+        data = pipeline_dir / "data"
+        dims = ModelDims(d_field=4, tower_dims=(8, 4, 4), behavior_window=5, ffn_dim=4, d_proj=4)
+        catalog, profiles = load_catalog(str(data / "catalog.jsonl")), load_profiles(str(data / "profiles.jsonl"))
+        ckpt = tmp_path / "short.ckpt"
+        save_checkpoint(init_params(build_meta(ItemCatalog(catalog.items[:-1]), profiles, dims), 0), str(ckpt))
+        code, _, err = run_cli(
+            capsys,
+            "evaluate",
+            "--checkpoint", str(ckpt),
+            "--catalog", str(data / "catalog.jsonl"),
+            "--train", str(pipeline_dir / "splits" / "train.tsv"),
+            "--test", str(pipeline_dir / "splits" / "test.tsv"),
+            "--profiles", str(data / "profiles.jsonl"),
+        )
+        assert code == 2
+        assert f"{ckpt}: shape mismatch for 'emb.item_id'" in last_json(err)["error"]
+
     def test_config_file_applies(self, pipeline_dir, capsys, tmp_path):
         config_file = tmp_path / "train.conf"
         config_file.write_text(

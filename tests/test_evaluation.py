@@ -109,13 +109,24 @@ class TestRetrieve:
         by_cos = retrieve_topn(params, enc, [1, 2], row, 10, similarity="cosine")
         assert len(by_dot) == len(by_cos) == 10
 
-    def test_history_filter_flag(self):
+    def test_history_items_stay_retrievable(self):
         data, params, enc, prof = random_model(n_items=50, n_users=5)
         row = prof.rows(["u00000"])[0]
         default = retrieve_topn(params, enc, [1, 2], row, 50)
         assert {1, 2} <= set(default.tolist())  # re-exposure is the default
-        filtered = retrieve_topn(params, enc, [1, 2], row, 20, exclude_history=True)
-        assert not ({1, 2} & set(filtered.tolist()))
+
+
+@pytest.mark.parametrize("call", ["evaluate", "retrieve_topn", "TrainConfig.validate"])
+def test_unknown_similarity_rejected(call):
+    data, params, enc, prof = random_model(n_items=20, n_users=5)
+    split = assemble_split(data.interactions[:40], data.interactions[40:], behavior_window=5)
+    calls = {
+        "evaluate": lambda: evaluate(params, enc, prof, split, ns=(5,), similarity="euclid"),
+        "retrieve_topn": lambda: retrieve_topn(params, enc, [1], prof.rows(["u00000"])[0], 5, "euclid"),
+        "TrainConfig.validate": lambda: TrainConfig(similarity="euclid").validate(),
+    }
+    with pytest.raises(ValueError, match="similarity must be dot or cosine"):
+        calls[call]()
 
 
 def build_eval_split(data, params, enc, prof, ranks_by_user):

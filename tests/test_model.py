@@ -1,11 +1,13 @@
 """Forward passes, masking conventions, and checkpoint serialization."""
 
+import hashlib
 import json
 import re
 
 import numpy as np
 import pytest
 
+from itemcl.config import TrainConfig
 from itemcl.data import Item, ItemCatalog, UserProfileTable
 from itemcl.model import (
     ITEM_FIELDS,
@@ -14,6 +16,7 @@ from itemcl.model import (
     ModelDims,
     _scatter_rows,
     build_meta,
+    check_shapes,
     embed_items,
     embed_items_augmented,
     init_params,
@@ -26,6 +29,7 @@ from itemcl.model import (
     user_tower_backward,
     zero_grads,
 )
+from itemcl.synthetic import SyntheticSpec, generate
 
 
 class TestEmbedItems:
@@ -409,6 +413,17 @@ class TestCheckpoint:
             assert np.array_equal(loaded.arrays[name], params.arrays[name])
             assert loaded.arrays[name].tobytes() == params.arrays[name].tobytes()
 
+    def test_untrained_checkpoint_bytes_pinned(self, tmp_path):
+        # the exact bytes of manifest and arrays, which round trips do not
+        # pin; init_params runs no BLAS, so the digest holds on any machine
+        data = generate(SyntheticSpec(n_users=30, n_items=40, n_clusters=4, n_interactions=300, seed=0))
+        config = TrainConfig()
+        meta = build_meta(data.catalog, data.profiles, config.model_dims())
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(meta, config.seed), str(path), config.to_dict())
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "2874c9f452242700e15b88850aa059132ec472d9aaf0de039991de6ee22c2fb7"
+
     def test_truncated_file_rejected(self, tiny, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(tiny["params"], str(path))
@@ -429,7 +444,7 @@ class TestCheckpoint:
             tiny["params"].meta.dims,
         )
         with pytest.raises(ValueError, match="emb.item_id"):
-            load_checkpoint(path, expect)
+            check_shapes(load_checkpoint(path)[0], expect, path)
 
     def test_key_bias_of_older_checkpoints_named(self, tiny, tmp_path):
         # checkpoints written while the attention keys had a bias hold an
@@ -439,7 +454,7 @@ class TestCheckpoint:
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(params, path)
         with pytest.raises(ValueError, match="unexpected array 'attn.bk'"):
-            load_checkpoint(path, tiny["params"].meta)
+            check_shapes(load_checkpoint(path)[0], tiny["params"].meta, path)
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -474,7 +489,8 @@ class TestCheckpoint:
         save_checkpoint(params, str(path))
         arrays_before = path.read_bytes().split(b"\n", 2)[2]
         rewrite_manifest(path, edit_json(lambda m: m["meta"]["dims"].update(positional_encoding=False)))
-        loaded, _ = load_checkpoint(str(path), params.meta)
+        loaded, _ = load_checkpoint(str(path))
+        check_shapes(loaded, params.meta, str(path))
         assert loaded.meta.dims == params.meta.dims
         save_checkpoint(loaded, str(tmp_path / "again.ckpt"))
         assert (tmp_path / "again.ckpt").read_bytes().split(b"\n", 2)[2] == arrays_before

@@ -4,17 +4,21 @@ export, and gradcheck.
 Reports go to standard output as JSON; progress notes go to standard
 error. Randomized commands take an explicit ``--seed`` (or read one from
 the config file); there are no wall-clock default seeds.
+
+``train``, ``mine-sessions`` and ``mine-semantic`` read one ``TrainConfig``
+from ``--config``, then ``--set``, then shorthand flags such as ``--seed``
+or ``--no-sess``, whose argparse ``dest`` is the config key they set; so a
+``mine-*`` dump is the table ``train`` mines from the same settings.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 
-from .config import TrainConfig, apply_settings, parse_config_file
+from .config import KEYMAP, TrainConfig, apply_settings, parse_config_file
 from .data import (
     assemble_split,
     load_catalog,
@@ -25,12 +29,12 @@ from .data import (
     save_profiles,
     chronological_split,
 )
-from .evaluation import SIMILARITIES, evaluate, export_embeddings
+from .evaluation import DEFAULT_NS, SIMILARITIES, evaluate, export_embeddings
 from .gradcheck import DEFAULT_STEP, DEFAULT_THRESHOLD, gradcheck_suite
 from .model import EncodedCatalog, EncodedProfiles, build_meta, check_shapes, load_checkpoint
 from .semantics import dump_semantic_pool, mine_semantic_pool
 from .sessions import build_cooccurrence, dump_cooccurrence, segment_sessions
-from .synthetic import SyntheticSpec, default_split_time, generate
+from .synthetic import TRAIN_FRACTION, SyntheticSpec, default_split_time, generate
 from .training import mine_artifacts, save_checkpoint, train
 from .util import atomic_write_text
 
@@ -57,21 +61,8 @@ def _config_from_args(args: argparse.Namespace) -> TrainConfig:
             raise ValueError(f"--set gives config key {key!r} twice")
         overrides[key] = value.strip()
     config = apply_settings(config, overrides)
-    direct: dict = {}
-    if getattr(args, "seed", None) is not None:
-        direct["seed"] = args.seed
-    if getattr(args, "epochs", None) is not None:
-        direct["epochs"] = args.epochs
-    if getattr(args, "batch_size", None) is not None:
-        direct["batch_size"] = args.batch_size
-    if getattr(args, "no_fea", False):
-        direct["lambda_feature"] = 0.0
-    if getattr(args, "no_sem", False):
-        direct["lambda_semantic"] = 0.0
-    if getattr(args, "no_sess", False):
-        direct["lambda_session"] = 0.0
-    if direct:
-        config = dataclasses.replace(config, **direct)
+    flags = {key: str(value) for key, value in vars(args).items() if key in KEYMAP and value is not None}
+    config = apply_settings(config, flags)
     config.validate()
     return config
 
@@ -114,7 +105,7 @@ def _cmd_prepare(args: argparse.Namespace) -> int:
     split_time = args.split_time
     if split_time is None:
         split_time = default_split_time(events, args.split_frac)
-    split = chronological_split(events, split_time, args.behavior_window)
+    split = chronological_split(events, split_time)
     os.makedirs(args.out_dir, exist_ok=True)
     train_path = os.path.join(args.out_dir, "train.tsv")
     test_path = os.path.join(args.out_dir, "test.tsv")
@@ -134,11 +125,12 @@ def _cmd_prepare(args: argparse.Namespace) -> int:
 
 
 def _cmd_mine_sessions(args: argparse.Namespace) -> int:
+    config = _config_from_args(args)
     catalog = load_catalog(args.catalog)
     events = load_interactions(args.train, catalog)
     split = assemble_split(events, [], behavior_window=1)
-    sessions = segment_sessions(split, args.window)
-    table = build_cooccurrence(sessions, len(catalog), args.k)
+    sessions = segment_sessions(split, config.session_window)
+    table = build_cooccurrence(sessions, len(catalog), config.k_session)
     dump_cooccurrence(table, catalog, args.out)
     _emit(
         {
@@ -152,11 +144,12 @@ def _cmd_mine_sessions(args: argparse.Namespace) -> int:
 
 
 def _cmd_mine_semantic(args: argparse.Namespace) -> int:
+    config = _config_from_args(args)
     catalog = load_catalog(args.catalog)
-    pool = mine_semantic_pool(catalog, args.source, args.k, args.seed)
+    pool = mine_semantic_pool(catalog, config.semantic_source, config.k_semantic, config.seed)
     dump_semantic_pool(pool, catalog, args.out)
     nonempty = sum(1 for p in pool.positives if p.size)
-    _emit({"out": args.out, "source": args.source, "n_items_with_positives": nonempty})
+    _emit({"out": args.out, "source": pool.source, "n_items_with_positives": nonempty})
     return 0
 
 
@@ -240,24 +233,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interactions", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--split-time", type=int, default=None)
-    p.add_argument("--split-frac", type=float, default=0.8)
-    p.add_argument("--behavior-window", type=int, default=20)
+    p.add_argument("--split-frac", type=float, default=TRAIN_FRACTION)
     p.set_defaults(handler=_cmd_prepare)
 
     p = sub.add_parser("mine-sessions", help="build the co-occurrence dump")
     p.add_argument("--catalog", required=True)
     p.add_argument("--train", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--window", type=int, default=3600)
-    p.add_argument("--k", type=int, default=10)
+    _add_config_flags(p)
     p.set_defaults(handler=_cmd_mine_sessions)
 
     p = sub.add_parser("mine-semantic", help="build the semantic positive pool dump")
     p.add_argument("--catalog", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--source", choices=("title_knn", "taxonomy"), default="title_knn")
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", dest="train.seed", type=int, help="set train.seed")
+    _add_config_flags(p)
     p.set_defaults(handler=_cmd_mine_semantic)
 
     p = sub.add_parser("train", help="train a checkpoint")
@@ -266,12 +256,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profiles")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--report")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--no-fea", action="store_true", help="ablate the feature-level task: set loss.lambda1 to 0")
-    p.add_argument("--no-sem", action="store_true", help="ablate the semantic-level task: set loss.lambda2 to 0")
-    p.add_argument("--no-sess", action="store_true", help="ablate the session-level task: set loss.lambda3 to 0")
+    p.add_argument("--seed", dest="train.seed", type=int, help="set train.seed")
+    p.add_argument("--epochs", dest="train.epochs", type=int, help="set train.epochs")
+    p.add_argument("--batch-size", dest="train.batch_size", type=int, help="set train.batch_size")
+    p.add_argument("--no-fea", dest="loss.lambda1", action="store_const", const=0, help="ablate the feature-level task: set loss.lambda1 to 0")
+    p.add_argument("--no-sem", dest="loss.lambda2", action="store_const", const=0, help="ablate the semantic-level task: set loss.lambda2 to 0")
+    p.add_argument("--no-sess", dest="loss.lambda3", action="store_const", const=0, help="ablate the session-level task: set loss.lambda3 to 0")
     _add_config_flags(p)
     p.set_defaults(handler=_cmd_train)
 
@@ -281,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--profiles")
-    p.add_argument("--n", default="50,100,200,500")
+    p.add_argument("--n", default=",".join(map(str, DEFAULT_NS)))
     p.add_argument("--similarity", choices=SIMILARITIES)
     p.set_defaults(handler=_cmd_evaluate)
 

@@ -4,51 +4,60 @@ Defaults follow the production setting this toolkit ships with: Adam at
 0.001, batch size 4096, 20-behavior window, temperature 1, up to 50
 negatives per task, mask ratio 0.5, loss weights 1.0/0.3/0.1, 1-hour
 session window. A task's loss weight is its only switch: weight zero
-ablates the task, which then mines nothing and draws nothing. CLI flags
-override file values; the effective config is embedded in every
+ablates the task, which then mines nothing and draws nothing. Each field
+names its config-file key; ``--set`` overrides file values and the CLI's
+shorthand flags override both; the effective config is embedded in every
 checkpoint and report.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, field
+from typing import Callable
 
 from .augment import AugmentationPlan
 from .evaluation import check_similarity
 from .model import ModelDims
+from .semantics import check_semantic_source
+
+
+def _option(key: str, default):
+    """A ``TrainConfig`` field read from config-file key ``key``."""
+    return field(default=default, metadata={"key": key})
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 0.001
-    batch_size: int = 4096
-    epochs: int = 5
-    seed: int = 0
-    behavior_window: int = 20
+    learning_rate: float = _option("train.learning_rate", 0.001)
+    batch_size: int = _option("train.batch_size", 4096)
+    epochs: int = _option("train.epochs", 5)
+    seed: int = _option("train.seed", 0)
+    behavior_window: int = _option("train.behavior_window", 20)
 
-    lambda_feature: float = 1.0
-    lambda_semantic: float = 0.3
-    lambda_session: float = 0.1
-    tau: float = 1.0
-    negatives: int = 50
-    include_positive_in_denominator: bool = True
+    lambda_feature: float = _option("loss.lambda1", 1.0)
+    lambda_semantic: float = _option("loss.lambda2", 0.3)
+    lambda_session: float = _option("loss.lambda3", 0.1)
+    tau: float = _option("loss.tau", 1.0)
+    negatives: int = _option("loss.negatives", 50)
+    include_positive_in_denominator: bool = _option("loss.include_positive_in_denominator", True)
 
-    augment_strategy: str = "field_plus_categorial"
-    mask_ratio: float = 0.5
+    augment_strategy: str = _option("augment.strategy", "field_plus_categorial")
+    mask_ratio: float = _option("augment.mask_ratio", 0.5)
 
-    session_window: int = 3600
-    k_session: int = 10
-    k_semantic: int = 10
-    semantic_source: str = "title_knn"
-    similarity: str = "dot"
+    session_window: int = _option("mine.session_window", 3600)
+    k_session: int = _option("mine.k_sess", 10)
+    k_semantic: int = _option("mine.k_sem", 10)
+    semantic_source: str = _option("mine.semantic_source", "title_knn")
+    similarity: str = _option("eval.similarity", "dot")
 
-    d_field: int = 64
-    hidden1: int = 128
-    hidden2: int = 64
-    d_out: int = 64
-    ffn_dim: int = 64
-    d_proj: int = 64
+    d_field: int = _option("model.d_field", 64)
+    hidden1: int = _option("model.hidden1", 128)
+    hidden2: int = _option("model.hidden2", 64)
+    d_out: int = _option("model.d_out", 64)
+    ffn_dim: int = _option("model.ffn_dim", 64)
+    d_proj: int = _option("model.d_proj", 64)
 
     def validate(self) -> None:
         """Range-check the options; a message names the option's config key."""
@@ -59,15 +68,14 @@ class TrainConfig:
         ):
             if not getattr(self, attr) > 0:  # NaN fails too
                 raise ValueError(f"{_KEY_OF[attr]} must be positive")
-        for attr in ("lambda_feature", "lambda_semantic", "lambda_session"):
-            if not getattr(self, attr) >= 0:  # NaN would ablate the task unnoticed
+        for attr in ("seed", "lambda_feature", "lambda_semantic", "lambda_session"):
+            if not getattr(self, attr) >= 0:  # a NaN weight would ablate its task unnoticed
                 raise ValueError(f"{_KEY_OF[attr]} must be nonnegative")
-        if self.semantic_source not in ("title_knn", "taxonomy"):
-            raise ValueError("mine.semantic_source must be title_knn or taxonomy")
-        try:
-            check_similarity(self.similarity)
-        except ValueError as exc:
-            raise ValueError(f"eval.{exc}") from None
+        for attr, check in (("semantic_source", check_semantic_source), ("similarity", check_similarity)):
+            try:
+                check(getattr(self, attr))
+            except ValueError as exc:  # "<attr> must be ..." becomes "<section>.<attr> must be ..."
+                raise ValueError(f"{_KEY_OF[attr].split('.')[0]}.{exc}") from None
         for attr, plan_field in (("augment_strategy", "strategy"), ("mask_ratio", "mask_ratio")):
             try:
                 AugmentationPlan(**{plan_field: getattr(self, attr)})
@@ -96,32 +104,11 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# config-file key -> (TrainConfig attribute, parser)
-KEYMAP: dict[str, tuple[str, type | object]] = {
-    "train.learning_rate": ("learning_rate", float),
-    "train.batch_size": ("batch_size", int),
-    "train.epochs": ("epochs", int),
-    "train.seed": ("seed", int),
-    "train.behavior_window": ("behavior_window", int),
-    "loss.lambda1": ("lambda_feature", float),
-    "loss.lambda2": ("lambda_semantic", float),
-    "loss.lambda3": ("lambda_session", float),
-    "loss.tau": ("tau", float),
-    "loss.negatives": ("negatives", int),
-    "loss.include_positive_in_denominator": ("include_positive_in_denominator", _parse_bool),
-    "augment.strategy": ("augment_strategy", str),
-    "augment.mask_ratio": ("mask_ratio", float),
-    "mine.session_window": ("session_window", int),
-    "mine.k_sess": ("k_session", int),
-    "mine.k_sem": ("k_semantic", int),
-    "mine.semantic_source": ("semantic_source", str),
-    "eval.similarity": ("similarity", str),
-    "model.d_field": ("d_field", int),
-    "model.hidden1": ("hidden1", int),
-    "model.hidden2": ("hidden2", int),
-    "model.d_out": ("d_out", int),
-    "model.ffn_dim": ("ffn_dim", int),
-    "model.d_proj": ("d_proj", int),
+_TYPES = typing.get_type_hints(TrainConfig)
+# config-file key -> (TrainConfig attribute, value parser from its annotation)
+KEYMAP: dict[str, tuple[str, Callable[[str], object]]] = {
+    f.metadata["key"]: (f.name, _parse_bool if _TYPES[f.name] is bool else _TYPES[f.name])
+    for f in dataclasses.fields(TrainConfig)
 }
 _KEY_OF = {attr: key for key, (attr, _) in KEYMAP.items()}
 

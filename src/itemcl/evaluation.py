@@ -21,6 +21,7 @@ from .util import atomic_write_text, top_k
 _EVAL_CHUNK = 1024
 
 SIMILARITIES = ("dot", "cosine")
+DEFAULT_NS = (50, 100, 200, 500)  # the N of HIT@N and coverage@N when none are given
 
 
 def check_similarity(similarity: str) -> None:
@@ -94,7 +95,7 @@ def evaluate(
     enc: EncodedCatalog,
     prof_enc: EncodedProfiles,
     split: SplitDataset,
-    ns: tuple[int, ...] = (50, 100, 200, 500),
+    ns: tuple[int, ...] = DEFAULT_NS,
     similarity: str = "dot",
 ) -> EvalReport:
     """HIT@N over test clicks plus item coverage, from one retrieval of

@@ -104,6 +104,11 @@ def build_fixture(seed: int = 0) -> dict:
     rng = substream(seed, "fd", "values")
     for name, arr in params.arrays.items():
         arr[...] = rng.uniform(-0.6, 0.6, size=arr.shape)
+    # raised biases leave some units of the user tower's first layer and of
+    # the attention feed-forward active (none within 0.03 of its kink), so
+    # every gradient below them is checked too
+    params.arrays["user_tower.b0"] += 1.0
+    params.arrays["attn.bf1"] += 0.3
 
     enc = EncodedCatalog(catalog, meta)
     prof_enc = EncodedProfiles(profiles, meta)

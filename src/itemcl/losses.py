@@ -64,6 +64,9 @@ from .sessions import CooccurrenceTable, SessionPositiveSampler
 from .util import sorted_unique
 
 
+TASKS = ("matching", "feature", "semantic", "session")  # the keys of loss_joint's components
+
+
 @dataclass
 class MatchBatch:
     """One step's (user, clicked item) pairs with per-pair negatives.
@@ -181,6 +184,35 @@ class ItemPass:
         return self.grads
 
 
+def _rowwise_infonce(
+    queries: np.ndarray,
+    keys: np.ndarray,
+    pos: np.ndarray,
+    neg: np.ndarray,
+    tau: float,
+    include_positive: bool,
+    weight: float,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """One term per query row: ``queries[i]`` against its positive key row
+    ``pos[i]`` and negative key rows ``neg[i]``, scored by row dots one
+    negative column at a time (never a dense queries x keys product).
+    Returns the loss sum and ``weight`` times its query and key gradients."""
+    n, k = neg.shape
+    pos_scores = np.einsum("nd,nd->n", queries, keys[pos])
+    neg_scores = np.empty((n, k))
+    for j in range(k):
+        neg_scores[:, j] = np.einsum("nd,nd->n", queries, keys[neg[:, j]])
+    counts = np.full(n, k, dtype=np.int64)
+    values, dpos, dneg = infonce_terms(pos_scores, neg_scores, counts, tau, include_positive)
+
+    # sparse coefficient matrix over (query, key): weight * d(loss)/d(score)
+    rows = np.concatenate([np.arange(n), np.repeat(np.arange(n), k)])
+    cols = np.concatenate([pos, neg.ravel()])
+    weights = weight * np.concatenate([dpos, dneg.ravel()])
+    coeffs = sparse.csr_matrix((weights, (rows, cols)), shape=(n, keys.shape[0]))
+    return float(values.sum()), coeffs @ keys, coeffs.T @ queries
+
+
 def _result(value: float, items: ItemPass, own: bool) -> tuple[float, dict[str, np.ndarray]]:
     """A task's return: finished gradients if it ran its own pass, else
     the shared dict, complete once the caller runs ``items.backward()``."""
@@ -201,30 +233,15 @@ def loss_matching(
     own = items is None
     items = items or ItemPass(params, enc)
     users, user_trace = user_tower(params, batch.histories, batch.profile_idx)
-    u = users[batch.user_rows]
-    d = items.d
-    n, k = batch.neg_items.shape
-
-    # per-pair row dots, one negative column at a time: a dense u @ d.T
-    # would be pairs x catalog, of which only pairs x (k + 1) is read
-    pos_scores = np.einsum("nd,nd->n", u, d[batch.pos_items])
-    neg_scores = np.empty((n, k))
-    for j in range(k):
-        neg_scores[:, j] = np.einsum("nd,nd->n", u, d[batch.neg_items[:, j]])
-    counts = np.full(n, k, dtype=np.int64)
-    values, dpos, dneg = infonce_terms(pos_scores, neg_scores, counts, tau=1.0)
-
-    # sparse coefficient matrix over (pair, item): weight * d(loss)/d(score)
-    rows = np.concatenate([np.arange(n), np.repeat(np.arange(n), k)])
-    cols = np.concatenate([batch.pos_items, batch.neg_items.ravel()])
-    weights = weight * np.concatenate([dpos, dneg.ravel()])
-    coeffs = sparse.csr_matrix((weights, (rows, cols)), shape=(n, enc.n_items))
+    value, grad_u, grad_d = _rowwise_infonce(
+        users[batch.user_rows], items.d, batch.pos_items, batch.neg_items, 1.0, True, weight
+    )
     grad_users = np.zeros_like(users)
-    _scatter_rows(grad_users, batch.user_rows, coeffs @ d)
-    items.grad_d += coeffs.T @ u
+    _scatter_rows(grad_users, batch.user_rows, grad_u)
+    items.grad_d += grad_d
 
     user_tower_backward(params, user_trace, grad_users, items.grads)
-    return _result(float(values.sum()), items, own)
+    return _result(value, items, own)
 
 
 def loss_feature_cl(
@@ -259,25 +276,15 @@ def loss_feature_cl(
 
     self_loc = np.searchsorted(aug_ids, anchors)
     neg_loc = np.searchsorted(aug_ids, negs.ravel()).reshape(negs.shape)
-    pos_scores = np.einsum("nd,nd->n", p_clean, p_aug[self_loc])
-    neg_scores = np.einsum("nd,nkd->nk", p_clean, p_aug[neg_loc])
-    counts = np.full(anchors.size, negs.shape[1], dtype=np.int64)
-    values, dpos, dneg = infonce_terms(pos_scores, neg_scores, counts, batch.tau, batch.include_positive)
-
-    # sparse coefficient matrix over (anchor, augmented-view) score pairs
-    n = anchors.size
-    rows = np.concatenate([np.arange(n), np.repeat(np.arange(n), negs.shape[1])])
-    cols = np.concatenate([self_loc, neg_loc.ravel()])
-    weights = weight * np.concatenate([dpos, dneg.ravel()])
-    coeffs = sparse.csr_matrix((weights, (rows, cols)), shape=(n, len(aug_ids)))
-    grad_clean = coeffs @ p_aug
-    grad_aug = coeffs.T @ p_clean
+    value, grad_clean, grad_aug = _rowwise_infonce(
+        p_clean, p_aug, self_loc, neg_loc, batch.tau, batch.include_positive, weight
+    )
 
     grad_raw_clean = project_backward(params, "f", p_clean_trace, grad_clean, items.grads)
     _scatter_rows(items.grad_raw, anchors, grad_raw_clean)
     grad_raw_aug = project_backward(params, "f", p_aug_trace, grad_aug, items.grads)
     embed_items_augmented_backward(params, enc, aug_trace, grad_raw_aug, items.grads)
-    return _result(float(values.sum()), items, own)
+    return _result(value, items, own)
 
 
 def _item_pair_infonce(
@@ -416,7 +423,8 @@ def loss_joint(
         raise ValueError("loss weights must be nonnegative")
     items = ItemPass(params, enc)
     value_match, _ = loss_matching(params, enc, inputs.match, items, 1.0)
-    components = {"matching": value_match, "feature": 0.0, "semantic": 0.0, "session": 0.0}
+    components = dict.fromkeys(TASKS, 0.0)
+    components["matching"] = value_match
     total = value_match
     if l_fea > 0:
         if inputs.plan is None:

@@ -18,6 +18,14 @@ from .util import atomic_write_text, top_k, warn
 
 _KNN_CHUNK = 512
 
+SEMANTIC_SOURCES = ("title_knn", "taxonomy")
+
+
+def check_semantic_source(source: str) -> None:
+    """Reject a pool source that is not one of ``SEMANTIC_SOURCES``."""
+    if source not in SEMANTIC_SOURCES:
+        raise ValueError(f"semantic_source must be title_knn or taxonomy, not {source!r}")
+
 
 @dataclass
 class SemanticPositivePool:
@@ -25,7 +33,7 @@ class SemanticPositivePool:
     and never i. Every item's exclusions are built once, as CSR rows."""
 
     positives: list[np.ndarray]
-    source: str  # "title_knn" or "taxonomy"
+    source: str  # one of SEMANTIC_SOURCES
     _excluded_ptr: np.ndarray = field(init=False, repr=False, compare=False)
     _excluded: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -119,6 +127,7 @@ def mine_semantic_pool(catalog: ItemCatalog, source: str, k: int, seed: int) -> 
     """The pool ``source`` names: each item's top-``k`` title neighbors, or
     its taxonomy group capped at ``k`` positives by draws from the
     ``taxonomy_cap`` substream of ``seed``."""
+    check_semantic_source(source)
     if source == "title_knn":
         return mine_title_knn(catalog, k)
     return mine_taxonomy(catalog, cap=k, rng=substream(seed, "taxonomy_cap"))

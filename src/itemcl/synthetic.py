@@ -27,6 +27,7 @@ import numpy as np
 from .data import ClickLog, Item, ItemCatalog, UserProfileTable
 from .rng import substream
 
+TRAIN_FRACTION = 0.8  # share of clicks before the default split time
 
 _POSITIVE_COUNTS = (
     "n_users",
@@ -226,7 +227,7 @@ def generate(spec: SyntheticSpec) -> SyntheticDataset:
     return SyntheticDataset(catalog, log[np.argsort(log.time, kind="stable")], profiles, clusters, motifs)
 
 
-def default_split_time(interactions: ClickLog, train_fraction: float = 0.8) -> int:
+def default_split_time(interactions: ClickLog, train_fraction: float = TRAIN_FRACTION) -> int:
     """Timestamp at the given quantile of the click log, for chronological
     splitting."""
     ts = interactions.time

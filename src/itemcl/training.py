@@ -17,7 +17,7 @@ import numpy as np
 from .augment import AugmentationPlan
 from .config import TrainConfig
 from .data import ItemCatalog, SplitDataset, UserProfileTable
-from .losses import ContrastiveBatch, JointLossInputs, MatchBatch, loss_joint
+from .losses import TASKS, ContrastiveBatch, JointLossInputs, MatchBatch, loss_joint
 from .model import (
     EncodedCatalog,
     EncodedProfiles,
@@ -70,9 +70,7 @@ def mine_artifacts(
 ) -> tuple[SemanticPositivePool | None, SessionPositiveSampler | None, CooccurrenceTable | None]:
     """Mine exactly the artifacts the config's active tasks (loss weight
     above zero) need."""
-    pool = None
-    sampler = None
-    table = None
+    pool = sampler = table = None
     if config.lambda_semantic > 0:
         pool = mine_semantic_pool(catalog, config.semantic_source, config.k_semantic, config.seed)
     if config.lambda_session > 0:
@@ -148,7 +146,7 @@ def train(
     for epoch in range(config.epochs):
         started = time.perf_counter()
         perm = rng_shuffle.permutation(n)
-        sums = {"matching": 0.0, "feature": 0.0, "semantic": 0.0, "session": 0.0, "joint": 0.0}
+        sums = dict.fromkeys((*TASKS, "joint"), 0.0)
         n_steps = 0
         for lo in range(0, n, config.batch_size):
             chunk = perm[lo : lo + config.batch_size]
@@ -191,8 +189,8 @@ def train(
                     f"parameters became non-finite after epoch {epoch} step {n_steps}"
                 )
 
-            for key in ("matching", "feature", "semantic", "session"):
-                sums[key] += components[key]
+            for name in TASKS:
+                sums[name] += components[name]
             sums["joint"] += total
             n_steps += 1
 
@@ -200,11 +198,7 @@ def train(
         report.epochs.append(
             {
                 "epoch": epoch,
-                "loss_matching": sums["matching"] / n_steps,
-                "loss_feature": sums["feature"] / n_steps,
-                "loss_semantic": sums["semantic"] / n_steps,
-                "loss_session": sums["session"] / n_steps,
-                "loss_joint": sums["joint"] / n_steps,
+                **{f"loss_{name}": summed / n_steps for name, summed in sums.items()},
                 "seconds": time.perf_counter() - started,
                 "param_norm": norm,
             }

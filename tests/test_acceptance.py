@@ -280,6 +280,13 @@ def _mean(reports, fn):
     return float(np.mean([fn(r) for r in reports]))
 
 
+def _seed_gaps(bench_results, name):
+    """full - ``name`` HIT@50 at each of BENCH_SEEDS, for the report line;
+    the gates read only the pooled margins."""
+    gaps = [f.hit[50] - r.hit[50] for f, r in zip(bench_results["full"], bench_results[name])]
+    return "seeds " + "/".join(map(str, BENCH_SEEDS)) + ": " + " / ".join(f"{g:+.4f}" for g in gaps)
+
+
 def test_criterion_6a_full_beats_base(bench_results):
     full = _mean(bench_results["full"], lambda r: r.hit[50])
     base = _mean(bench_results["base"], lambda r: r.hit[50])
@@ -287,7 +294,8 @@ def test_criterion_6a_full_beats_base(bench_results):
     report_line(
         "6a full vs base HIT@50",
         ok,
-        f"full={full:.4f}, base={base:.4f}, margin={full - base:+.4f} (need >= +0.01)",
+        f"full={full:.4f}, base={base:.4f}, margin={full - base:+.4f} (need >= +0.01); "
+        f"{_seed_gaps(bench_results, 'base')}",
     )
 
 
@@ -311,7 +319,7 @@ def test_criterion_6c_every_ablation_at_most_full(bench_results):
         for name in ("nofea", "nosem", "nosess")
     }
     ok = all(gap >= 0.0 for gap in gaps.values())
-    detail = ", ".join(f"full-{name}={gap:+.4f}" for name, gap in gaps.items())
+    detail = ", ".join(f"full-{name}={gap:+.4f} ({_seed_gaps(bench_results, name)})" for name, gap in gaps.items())
     report_line("6c single-task ablations <= full", ok, detail)
 
 

@@ -57,7 +57,6 @@ def pipeline_dir(tmp_path_factory):
             "--catalog", str(root / "data" / "catalog.jsonl"),
             "--interactions", str(root / "data" / "interactions.tsv"),
             "--out-dir", str(root / "splits"),
-            "--behavior-window", "5",
         ]
     )
     assert code == 0
@@ -104,7 +103,7 @@ class TestPipeline:
             "mine-semantic",
             "--catalog", str(pipeline_dir / "data" / "catalog.jsonl"),
             "--out", str(out_path),
-            "--k", "5",
+            "--set", "mine.k_sem=5",
         )
         assert code == 0
         assert last_json(out)["n_items_with_positives"] == 50
@@ -121,8 +120,8 @@ class TestPipeline:
             "mine-semantic",
             "--catalog", str(pipeline_dir / "data" / "catalog.jsonl"),
             "--out", str(out_path),
-            "--source", "taxonomy",
-            "--k", "3",
+            "--set", "mine.semantic_source=taxonomy",
+            "--set", "mine.k_sem=3",
             "--seed", "5",
         )
         assert code == 0
@@ -132,6 +131,41 @@ class TestPipeline:
         dump_semantic_pool(pool, catalog, str(tmp_path / "trainer_pool.tsv"))
         assert out_path.read_bytes() == (tmp_path / "trainer_pool.tsv").read_bytes()
         assert max(p.size for p in pool.positives) == 3  # the cap drew from the seeded substream
+
+    @pytest.mark.parametrize("source", ["title_knn", "taxonomy"])
+    def test_mine_dumps_equal_the_trainers_tables_under_one_config(self, pipeline_dir, capsys, tmp_path, source):
+        # the mine-* commands and train read the same settings, so the dumps
+        # are the tables mine_artifacts builds for training; a 120 s window
+        # splits this data's sessions (3600 s does not), and the taxonomy
+        # cap draws from the seed (mine.k_sess shapes only neighbor rows,
+        # which the dump does not hold)
+        from itemcl.config import apply_settings, parse_config_file
+        from itemcl.data import assemble_split, load_catalog, load_interactions
+        from itemcl.semantics import dump_semantic_pool
+        from itemcl.sessions import dump_cooccurrence
+        from itemcl.training import mine_artifacts
+
+        config_file = tmp_path / "mine.conf"
+        config_file.write_text("mine.session_window = 120\nmine.k_sess = 3\ntrain.seed = 9\n", encoding="utf-8")
+        settings = ["--config", str(config_file), "--set", f"mine.semantic_source={source}", "--set", "mine.k_sem=4"]
+        catalog_path, train_path = str(pipeline_dir / "data" / "catalog.jsonl"), str(pipeline_dir / "splits" / "train.tsv")
+        for argv in (
+            ["mine-sessions", "--catalog", catalog_path, "--train", train_path, "--out", str(tmp_path / "cooc.tsv")],
+            ["mine-semantic", "--catalog", catalog_path, "--out", str(tmp_path / "pool.tsv")],
+        ):
+            code, _, _ = run_cli(capsys, *argv, *settings)
+            assert code == 0
+
+        config = apply_settings(TrainConfig(), {**parse_config_file(str(config_file)),
+                                                "mine.semantic_source": source, "mine.k_sem": "4"})
+        assert (config.session_window, config.k_session, config.k_semantic, config.seed) == (120, 3, 4, 9)
+        catalog = load_catalog(catalog_path)
+        split = assemble_split(load_interactions(train_path, catalog), [], behavior_window=config.behavior_window)
+        pool, _, table = mine_artifacts(config, split, catalog)
+        dump_cooccurrence(table, catalog, str(tmp_path / "trainer_cooc.tsv"))
+        dump_semantic_pool(pool, catalog, str(tmp_path / "trainer_pool.tsv"))
+        assert (tmp_path / "cooc.tsv").read_bytes() == (tmp_path / "trainer_cooc.tsv").read_bytes()
+        assert (tmp_path / "pool.tsv").read_bytes() == (tmp_path / "trainer_pool.tsv").read_bytes()
 
     def test_train_evaluate_export(self, pipeline_dir, capsys):
         ckpt = pipeline_dir / "model.ckpt"
@@ -260,7 +294,7 @@ class TestGoldenBytes:
             ["generate", "--out-dir", str(data), "--seed", "7", "--users", "80", "--items", "60",
              "--clusters", "6", "--interactions", "4000"],
             ["prepare", "--catalog", str(data / "catalog.jsonl"), "--interactions", str(data / "interactions.tsv"),
-             "--out-dir", str(splits), "--behavior-window", "5"],
+             "--out-dir", str(splits)],
         ]
         for argv in steps:
             code, out, _ = run_cli(capsys, *argv)
@@ -281,12 +315,12 @@ class TestGoldenBytes:
             ["generate", "--out-dir", str(data), "--seed", "7", "--users", "80", "--items", "60",
              "--clusters", "6", "--interactions", "4000"],
             ["prepare", "--catalog", catalog, "--interactions", str(data / "interactions.tsv"),
-             "--out-dir", str(splits), "--behavior-window", "5"],
+             "--out-dir", str(splits)],
             ["mine-sessions", "--catalog", catalog, "--train", str(splits / "train.tsv"),
-             "--out", str(tmp_path / "cooc.tsv"), "--k", "5"],
-            ["mine-semantic", "--catalog", catalog, "--out", str(tmp_path / "title.tsv"), "--k", "5"],
+             "--out", str(tmp_path / "cooc.tsv"), "--set", "mine.k_sess=5"],
+            ["mine-semantic", "--catalog", catalog, "--out", str(tmp_path / "title.tsv"), "--set", "mine.k_sem=5"],
             ["mine-semantic", "--catalog", catalog, "--out", str(tmp_path / "taxonomy.tsv"),
-             "--source", "taxonomy", "--k", "3", "--seed", "5"],
+             "--set", "mine.semantic_source=taxonomy", "--set", "mine.k_sem=3", "--seed", "5"],
         ]
         reports = []
         for argv in steps:
@@ -353,8 +387,9 @@ class TestErrors:
             ("augment.mask_ratio = 1.5\n", ":1: augment.mask_ratio: mask_ratio must lie in [0, 1)"),
             # sinusoidal positions were an option once; older config files may still name it
             ("train.seed = 0\nmodel.positional_encoding = false\n", ":2: unknown config key 'model.positional_encoding'"),
+            ("train.epochs = 1\ntrain.seed = -1\n", ":2: train.seed must be nonnegative"),
         ],
-        ids=["unknown-key", "bad-value", "repeated-key", "out-of-range", "removed-key"],
+        ids=["unknown-key", "bad-value", "repeated-key", "out-of-range", "removed-key", "negative-seed"],
     )
     def test_bad_config_file_names_path_line_and_key(self, pipeline_dir, capsys, tmp_path, body, message):
         config_file = tmp_path / "bad.conf"
@@ -405,6 +440,32 @@ class TestErrors:
         assert code == 2
         assert message in json.loads(err.strip().split("\n")[-1])["error"]
         assert "mining" not in err and "training for" not in err
+
+    @pytest.mark.parametrize("setting", [["--seed", "-1"], ["--set", "train.seed=-1"]], ids=["flag", "set"])
+    def test_negative_seed_fails_before_mining(self, pipeline_dir, capsys, setting):
+        code, _, err = run_cli(
+            capsys,
+            "train",
+            "--catalog", str(pipeline_dir / "data" / "catalog.jsonl"),
+            "--train", str(pipeline_dir / "splits" / "train.tsv"),
+            "--checkpoint", str(pipeline_dir / "bad.ckpt"),
+            *setting,
+        )
+        assert code == 2
+        assert "ValueError: train.seed must be nonnegative" in last_json(err)["error"]
+        assert "mining" not in err
+
+    def test_unknown_semantic_source_names_the_key(self, pipeline_dir, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys,
+            "mine-semantic",
+            "--catalog", str(pipeline_dir / "data" / "catalog.jsonl"),
+            "--out", str(tmp_path / "pool.tsv"),
+            "--set", "mine.semantic_source=x",
+        )
+        assert code == 2
+        assert "mine.semantic_source must be title_knn or taxonomy" in last_json(err)["error"]
+        assert not (tmp_path / "pool.tsv").exists()
 
     def test_repeated_set_key_rejected(self, pipeline_dir, capsys):
         code, _, err = run_cli(
@@ -487,6 +548,20 @@ class TestErrors:
 
         _, saved = load_checkpoint(str(ckpt))
         assert saved["epochs"] == 1 and saved["d_field"] == 4
+
+
+def test_flags_override_set_which_overrides_the_config_file(tmp_path):
+    from itemcl.cli import _config_from_args, build_parser
+
+    config_file = tmp_path / "layers.conf"
+    config_file.write_text("train.batch_size = 100\ntrain.seed = 4\ntrain.epochs = 3\n", encoding="utf-8")
+    args = build_parser().parse_args(
+        ["train", "--catalog", "c", "--train", "t", "--checkpoint", "k", "--config", str(config_file),
+         "--set", "train.seed=5", "--set", "train.epochs=6", "--epochs", "7", "--no-fea"]
+    )
+    config = _config_from_args(args)
+    assert (config.batch_size, config.seed, config.epochs) == (100, 5, 7)
+    assert (config.lambda_feature, config.lambda_semantic, config.lambda_session) == (0.0, 0.3, 0.1)
 
 
 def test_readme_config_table_lists_every_key_with_its_default():

@@ -9,6 +9,7 @@ from itemcl.data import Item, ItemCatalog
 from itemcl.semantics import (
     dump_semantic_pool,
     load_semantic_pool,
+    mine_semantic_pool,
     mine_taxonomy,
     mine_title_knn,
 )
@@ -136,6 +137,13 @@ def negatives(pool, item, k, rng, rows=1):
     """Semantic negatives as training draws them: rows of the one batched
     sampler over the item's exclusion rule."""
     return _batched_negatives(pool.n_items, [pool.excluded(item)] * rows, k, rng)
+
+
+def test_unknown_source_rejected():
+    # a misspelled source once fell through to the taxonomy miner
+    catalog = catalog_with_vectors([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], ["a", "a", "b"])
+    with pytest.raises(ValueError, match="'titel_knn'"):
+        mine_semantic_pool(catalog, "titel_knn", 3, 0)
 
 
 class TestSemanticNegatives:

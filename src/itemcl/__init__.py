@@ -58,5 +58,8 @@ from .sessions import (
 )
 from .synthetic import SyntheticSpec, default_split_time, generate
 from .training import TrainReport, TrainingError, mine_artifacts, train
+from .util import keep_freed_heap
+
+keep_freed_heap()
 
 __version__ = "0.1.0"

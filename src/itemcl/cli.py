@@ -172,7 +172,18 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _parse_ns(text: str) -> tuple[int, ...]:
+    ns = []
+    for entry in text.split(","):
+        try:
+            ns.append(int(entry))
+        except ValueError:
+            raise ValueError(f"--n expects comma-separated integers, got {entry!r} in {text!r}") from None
+    return tuple(ns)
+
+
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    ns = _parse_ns(args.n)
     catalog = load_catalog(args.catalog)
     profiles = load_profiles(args.profiles) if args.profiles else None
     params, saved_config = load_checkpoint(args.checkpoint)
@@ -180,7 +191,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     train_events = load_interactions(args.train, catalog)
     test_events = load_interactions(args.test, catalog)
     split = assemble_split(train_events, test_events, params.meta.dims.behavior_window)
-    ns = tuple(int(x) for x in args.n.split(","))
     similarity = args.similarity or (saved_config.get("similarity", "dot") if saved_config else "dot")
     enc = EncodedCatalog(catalog, params.meta)
     prof_enc = EncodedProfiles(profiles, params.meta)

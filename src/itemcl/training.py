@@ -14,6 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
 from .augment import AugmentationPlan
 from .config import TrainConfig
 from .data import ItemCatalog, SplitDataset, UserProfileTable
@@ -56,7 +61,11 @@ class TrainingError(RuntimeError):
 
 @dataclass
 class TrainReport:
-    """Per-epoch loss means, wall-clock, and a parameter-norm summary."""
+    """Per-epoch loss means, wall-clock, throughput, and a parameter-norm
+    summary. Each epoch record holds ``seconds``, ``clicks_per_s`` (the
+    epoch's train clicks over ``seconds``) and, where the ``resource``
+    module exists, ``minor_page_faults``: the process's minor page faults
+    during the epoch."""
 
     config: dict
     epochs: list[dict] = field(default_factory=list)
@@ -78,6 +87,10 @@ def mine_artifacts(
         table = build_cooccurrence(sessions, len(catalog), config.k_session)
         sampler = SessionPositiveSampler(table)
     return pool, sampler, table
+
+
+def _minor_faults() -> int | None:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt if resource else None
 
 
 def _sample_match_negatives(
@@ -145,6 +158,7 @@ def train(
     n = ev_item.size
     for epoch in range(config.epochs):
         started = time.perf_counter()
+        faults = _minor_faults()
         perm = rng_shuffle.permutation(n)
         sums = dict.fromkeys((*TASKS, "joint"), 0.0)
         n_steps = 0
@@ -195,12 +209,15 @@ def train(
             n_steps += 1
 
         norm = float(np.sqrt(sum(float((a * a).sum()) for a in params.arrays.values())))
-        report.epochs.append(
-            {
-                "epoch": epoch,
-                **{f"loss_{name}": summed / n_steps for name, summed in sums.items()},
-                "seconds": time.perf_counter() - started,
-                "param_norm": norm,
-            }
-        )
+        seconds = time.perf_counter() - started
+        record = {
+            "epoch": epoch,
+            **{f"loss_{name}": summed / n_steps for name, summed in sums.items()},
+            "seconds": seconds,
+            "clicks_per_s": n / seconds,
+            "param_norm": norm,
+        }
+        if faults is not None:
+            record["minor_page_faults"] = _minor_faults() - faults
+        report.epochs.append(record)
     return params, report

@@ -214,6 +214,30 @@ class TestPipeline:
         assert code == 0
         assert len((pipeline_dir / "emb.tsv").read_text().splitlines()) == 50
 
+    def test_report_leaves_the_checkpoint_unchanged(self, pipeline_dir, capsys):
+        args = [
+            "train",
+            "--catalog", str(pipeline_dir / "data" / "catalog.jsonl"),
+            "--train", str(pipeline_dir / "splits" / "train.tsv"),
+            "--seed", "0",
+            "--epochs", "2",
+            "--batch-size", "512",
+            *SMALL_MODEL,
+        ]
+        report_path = pipeline_dir / "report_fields.jsonl"
+        code, _, _ = run_cli(capsys, *args, "--checkpoint", str(pipeline_dir / "reported.ckpt"),
+                             "--report", str(report_path))
+        assert code == 0
+        code, _, _ = run_cli(capsys, *args, "--checkpoint", str(pipeline_dir / "unreported.ckpt"))
+        assert code == 0
+        assert (pipeline_dir / "reported.ckpt").read_bytes() == (pipeline_dir / "unreported.ckpt").read_bytes()
+        n_clicks = len((pipeline_dir / "splits" / "train.tsv").read_text().splitlines())
+        epochs = [json.loads(line) for line in report_path.read_text().splitlines()]
+        assert [e["epoch"] for e in epochs] == [0, 1]
+        for e in epochs:
+            assert e["clicks_per_s"] == pytest.approx(n_clicks / e["seconds"])
+            assert e["minor_page_faults"] >= 0
+
     def test_train_no_sess_reports_zero_session_loss(self, pipeline_dir, capsys):
         report_path = pipeline_dir / "report_nosess.jsonl"
         code, _, _ = run_cli(
@@ -502,6 +526,21 @@ class TestErrors:
         )
         assert code == 2
         assert "ValueError: N = -5 must be at least 1" in last_json(err)["error"]
+
+    def test_evaluate_n_not_an_integer_names_n_before_loading(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing")
+        code, _, err = run_cli(
+            capsys,
+            "evaluate",
+            "--checkpoint", missing,
+            "--catalog", missing,
+            "--train", missing,
+            "--test", missing,
+            "--n", "5,x",
+        )
+        assert code == 2
+        error = last_json(err)["error"]
+        assert "--n" in error and "'x'" in error and "FileNotFoundError" not in error
 
     def test_evaluate_names_a_checkpoint_that_does_not_fit_the_catalog(self, pipeline_dir, capsys, tmp_path):
         from itemcl.data import ItemCatalog, load_catalog, load_profiles

@@ -8,6 +8,7 @@ import pytest
 from itemcl.config import TrainConfig
 from itemcl.data import chronological_split
 from itemcl.synthetic import SyntheticSpec, default_split_time, generate
+from itemcl import training
 from itemcl.training import TrainingError, mine_artifacts, save_checkpoint, train
 
 SMALL = TrainConfig(
@@ -129,6 +130,20 @@ class TestReport:
                 + SMALL.lambda_session * epoch["loss_session"]
             )
             assert abs(epoch["loss_joint"] - expected) < 1e-9
+
+    def test_epochs_report_throughput_and_page_faults(self, monkeypatch):
+        data, split = tiny_dataset()
+        _, report = run(SMALL, data, split)
+        n_clicks = len(split.train_interactions)
+        for epoch in report.epochs:
+            assert epoch["clicks_per_s"] == n_clicks / epoch["seconds"]
+            if training.resource is not None:
+                assert isinstance(epoch["minor_page_faults"], int) and epoch["minor_page_faults"] >= 0
+
+        monkeypatch.setattr(training, "resource", None)
+        _, report = run(dataclasses.replace(SMALL, epochs=1), data, split)
+        assert "minor_page_faults" not in report.epochs[0]
+        assert report.epochs[0]["clicks_per_s"] == n_clicks / report.epochs[0]["seconds"]
 
     def test_enabling_feature_task_adds_positive_component(self):
         data, split = tiny_dataset()

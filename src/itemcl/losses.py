@@ -314,12 +314,11 @@ def _item_pair_infonce(
     params = items.params
     p, p_trace = project(params, which, items.d)
     n_anchors = anchors.size
-    kmax = max(len(n) for n in negatives)
+    counts = np.asarray([len(neg) for neg in negatives], dtype=np.int64)
+    kmax = int(counts.max())
+    valid = np.arange(kmax)[None, :] < counts[:, None]  # each anchor's negatives, left-aligned
     neg_ids = np.zeros((n_anchors, kmax), dtype=np.int64)
-    counts = np.zeros(n_anchors, dtype=np.int64)
-    for i, neg in enumerate(negatives):
-        counts[i] = len(neg)
-        neg_ids[i, : len(neg)] = neg
+    neg_ids[valid] = np.concatenate(negatives)
 
     term_row = np.repeat(np.arange(n_anchors), [len(p_) for p_ in positives])
     term_anchor = anchors[term_row]
@@ -335,7 +334,6 @@ def _item_pair_infonce(
 
     # every scored pair (a, b) contributes w * p[b] to grad_p[a] and
     # w * p[a] to grad_p[b]; one symmetric sparse matrix covers them all
-    valid = np.arange(kmax)[None, :] < counts[:, None]
     a_rep = np.broadcast_to(anchors[:, None], (n_anchors, kmax))[valid]
     n_rep = neg_ids[valid]
     w = anchor_dneg[valid]

@@ -17,6 +17,15 @@ in the slot, so the user tower projects each distinct item of a call once
 and gathers the projections per slot; its backward pass sums the slot
 gradients per distinct item before the projection weights see them.
 
+A ``UserTrace`` keeps the chain outputs per distinct item (the ``q``,
+``k`` and ``f`` rows of ``items``), ``slot_item``, the attention weights
+and the MLP trace; it holds no (m, window, d) array. Per-slot arrays live
+only inside one call, each for the one product that reads it: the
+forward gathers ``q`` and ``k`` per slot to form the scores and ``f`` to
+form ``relu(probs @ f)``, and the backward gathers ``f``, ``k`` and ``q``
+again one at a time, summing each slot gradient per item before it forms
+the next.
+
 Between attention and the feed-forward ReLU everything is affine, and
 every attention row sums to 1 (an all-padding row spreads uniform weight
 over padding values), so ``relu(((probs @ v) Wo + bo) Wf1 + bf1)`` equals
@@ -32,7 +41,9 @@ m * window * ffn * d for m users; folding it into the slot blocks, as
 call. A call with more users than the first layer has units (``h1 =
 tower_dims[0]``) folds: training batches and evaluation chunks do,
 single-user retrieval does not. The two orders share everything up to
-the feed-forward hidden layer and agree to rounding.
+the feed-forward hidden layer and agree to rounding. A folded call writes
+``relu(probs @ f)`` straight into the first layer's input, whose first
+window * ffn columns then stand for it in the trace.
 """
 
 from __future__ import annotations
@@ -487,11 +498,13 @@ class UserTrace:
     # per chain of _SLOT_CHAINS, each stage's input per distinct item (the
     # first is the item embedding, zero for padding)
     chain_in: list[list[np.ndarray]]
-    q: np.ndarray
-    k: np.ndarray
-    f: np.ndarray  # (m, window, ffn) value chain per slot
-    probs: np.ndarray
-    ffn_h: np.ndarray  # (m, window, ffn) relu(probs @ f)
+    q: np.ndarray  # (n_distinct, d) query per row of ``items``
+    k: np.ndarray  # (n_distinct, d) key per row of ``items``
+    f: np.ndarray  # (n_distinct, ffn) value chain per row of ``items``
+    probs: np.ndarray  # (m, window, window) attention weights
+    # (m, window, ffn) relu(probs @ f) per slot; None when folded, where it
+    # is the first window * ffn columns of ``mlp.x``
+    ffn_h: np.ndarray | None
     folded: bool  # attn.Wf2 folded into the first layer's weight
     w0: np.ndarray  # the weight the first layer applies to ``mlp.x``
     mlp: MlpTrace
@@ -560,53 +573,75 @@ def user_tower(
     slot_item = np.searchsorted(items, histories)
     item_x = a["emb.item_id"].take(items, axis=0)
     item_x[: np.searchsorted(items, 0)] = 0.0  # padding entries sort first
-    per_slot, chain_in = [], []
+    chain_out, chain_in = [], []
     for stages in _SLOT_CHAINS:
-        per_item, item_in = _chain_forward(a, stages, item_x)
-        per_slot.append(per_item.take(slot_item, axis=0))
+        out, item_in = _chain_forward(a, stages, item_x)
+        chain_out.append(out)
         chain_in.append(item_in)
-    q, k, f = per_slot
+    q, k, f = chain_out
 
-    scores = np.matmul(q, k.transpose(0, 2, 1))
+    # each per-slot gather lives only for the one product that reads it
+    scores = np.matmul(q.take(slot_item, axis=0), k.take(slot_item, axis=0).transpose(0, 2, 1))
     scores /= np.sqrt(d)
     scores[~np.broadcast_to(valid[:, None, :], scores.shape)] = -1e30
     shift = scores.max(axis=2, keepdims=True)
     scores -= shift
     probs = np.exp(scores, out=scores)
     probs /= probs.sum(axis=2, keepdims=True)
-    ffn_h = np.matmul(probs, f)
-    np.maximum(ffn_h, 0.0, out=ffn_h)
-    ffn_h[~valid] = 0.0  # padding slots feed nothing; the backward's relu mask then masks them too
 
     # fold attn.Wf2 and attn.bf2 into the first layer's slot blocks when
-    # that costs less than running Wf2 per slot (module docstring)
+    # that costs less than running Wf2 per slot (module docstring); folded,
+    # relu(probs @ f) is written straight into the first layer's input
     w0 = a["user_tower.W0"]
     folded = m > h1
+    profile = [a[f"user_emb.{name}"][profile_idx[:, j]] for j, name in enumerate(meta.user_field_names)]
     if folded:
         w0_slots = w0[: window * d].reshape(window, d, h1)
-        behavior = [ffn_h.reshape(m, -1), valid.astype(np.float64)]
         w0 = np.concatenate(
             [(a["attn.Wf2"] @ w0_slots).reshape(-1, h1), a["attn.bf2"] @ w0_slots, w0[window * d :]]
         )
+        n_ffn = window * meta.dims.ffn_dim
+        z = np.empty((m, w0.shape[0]))
+        z[:, n_ffn : n_ffn + window] = valid
+        for j, rows in enumerate(profile):
+            z[:, n_ffn + window + j * d : n_ffn + window + (j + 1) * d] = rows
+        ffn_h = z[:, :n_ffn].reshape(m, window, -1)  # a view: the matmul below writes into z
     else:
+        ffn_h = np.empty((m, window, meta.dims.ffn_dim))
+    np.matmul(probs, f.take(slot_item, axis=0), out=ffn_h)
+    np.maximum(ffn_h, 0.0, out=ffn_h)
+    ffn_h[~valid] = 0.0  # padding slots feed nothing; the backward's relu mask then masks them too
+    if not folded:
         encoded = _affine(ffn_h.reshape(m * window, -1), a["attn.Wf2"], a["attn.bf2"]).reshape(m, window, d)
         encoded[~valid] = 0.0
-        behavior = [encoded.reshape(m, window * d)]
-    parts = behavior + [a[f"user_emb.{name}"][profile_idx[:, j]] for j, name in enumerate(meta.user_field_names)]
-    z = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
+        parts = [encoded.reshape(m, window * d)] + profile
+        z = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
     u, mlp = _mlp3_forward(params, "user_tower", z, w0)
-    trace = UserTrace(histories, valid, profile_idx, items, slot_item, chain_in, q, k, f, probs, ffn_h, folded, w0, mlp)
+    trace = UserTrace(
+        histories, valid, profile_idx, items, slot_item, chain_in, q, k, f, probs,
+        None if folded else ffn_h, folded, w0, mlp,
+    )
     return u, trace
 
 
-def user_tower_backward(
-    params: ModelParams, trace: UserTrace, grad_u: np.ndarray, grads: dict[str, np.ndarray]
-) -> None:
+def _ffn_backward(
+    params: ModelParams,
+    trace: UserTrace,
+    grad_u: np.ndarray,
+    grads: dict[str, np.ndarray],
+    per_item: sparse.csc_matrix,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The user tower's backward from the user vector through the MLP, the
+    profile embeddings and ``attn.Wf2`` down to ``relu(probs @ f)``.
+    Returns the gradient of ``probs`` and that of ``f`` summed per item by
+    ``per_item``. The gradient of the first layer's input, the largest
+    array of the backward, lives only inside this call."""
     meta = params.meta
     a = params.arrays
     d = meta.dims.d_field
     window = meta.dims.behavior_window
     m = trace.hist.shape[0]
+    n_ffn = window * meta.dims.ffn_dim
 
     g_w0, gz = _mlp3_backward(params, "user_tower", trace.mlp, grad_u, grads, trace.w0)
     offset = gz.shape[1] - len(meta.user_field_names) * d
@@ -617,7 +652,6 @@ def user_tower_backward(
     if trace.folded:
         h1 = g_w0.shape[1]
         w0_slots = a["user_tower.W0"][: window * d].reshape(window, d, h1)
-        n_ffn = window * meta.dims.ffn_dim
         g_fold = g_w0[:n_ffn].reshape(window, -1, h1)
         g_bias = g_w0[n_ffn:offset]
         grads["user_tower.W0"][: window * d] += (
@@ -626,7 +660,9 @@ def user_tower_backward(
         grads["user_tower.W0"][window * d :] += g_w0[offset:]
         grads["attn.Wf2"] += np.tensordot(g_fold, w0_slots, axes=([0, 2], [0, 2]))
         grads["attn.bf2"] += np.tensordot(w0_slots, g_bias, axes=([0, 2], [0, 1]))
-        g_ffn = gz[:, :n_ffn].reshape(m, window, -1)
+        g_ffn = gz[:, :n_ffn]
+        g_ffn *= trace.mlp.x[:, :n_ffn] > 0.0  # the 2-D slice: a strided 3-D multiply is slower
+        g_ffn = g_ffn.reshape(m, window, -1)
     else:
         grads["user_tower.W0"] += g_w0
         g_encoded = gz[:, :offset].reshape(m, window, d)
@@ -635,21 +671,34 @@ def user_tower_backward(
         grads["attn.Wf2"] += trace.ffn_h.reshape(m * window, -1).T @ g_flat
         grads["attn.bf2"] += g_flat.sum(axis=0)
         g_ffn = (g_flat @ a["attn.Wf2"].T).reshape(m, window, -1)
-    g_ffn *= trace.ffn_h > 0.0
+        g_ffn *= trace.ffn_h > 0.0
+    g_probs = np.matmul(g_ffn, trace.f.take(trace.slot_item, axis=0).transpose(0, 2, 1))
+    g_f = per_item @ np.matmul(trace.probs.transpose(0, 2, 1), g_ffn).reshape(m * window, -1)
+    return g_probs, g_f
 
-    g_probs = np.matmul(g_ffn, trace.f.transpose(0, 2, 1))
-    g_f = np.matmul(trace.probs.transpose(0, 2, 1), g_ffn)
-    inner = (g_probs * trace.probs).sum(axis=2, keepdims=True)
-    g_scores = trace.probs * (g_probs - inner) / np.sqrt(d)
-    g_q = np.matmul(g_scores, trace.k)
-    g_k = np.matmul(g_scores.transpose(0, 2, 1), trace.q)
+
+def user_tower_backward(
+    params: ModelParams, trace: UserTrace, grad_u: np.ndarray, grads: dict[str, np.ndarray]
+) -> None:
+    a = params.arrays
+    d = params.meta.dims.d_field
+    m, window = trace.hist.shape
 
     # slot gradients summed per distinct item, padding included: the
-    # biases see every slot, the weights and embeddings the item rows
+    # biases see every slot, the weights and embeddings the item rows. The
+    # per-slot f, k and q are gathered again one at a time, each for the
+    # one product that reads it, and every slot gradient is summed as soon
+    # as it is formed.
     per_item = _segment_matrix(trace.slot_item.ravel(), trace.items.size)
+    g_scores, g_f = _ffn_backward(params, trace, grad_u, grads, per_item)
+    g_scores -= (g_scores * trace.probs).sum(axis=2, keepdims=True)
+    g_scores *= trace.probs
+    g_scores /= np.sqrt(d)
+    slots = trace.slot_item
+    g_q = per_item @ np.matmul(g_scores, trace.k.take(slots, axis=0)).reshape(m * window, -1)
+    g_k = per_item @ np.matmul(g_scores.transpose(0, 2, 1), trace.q.take(slots, axis=0)).reshape(m * window, -1)
     g_x = 0.0
-    for stages, item_in, g_slot in zip(_SLOT_CHAINS, trace.chain_in, (g_q, g_k, g_f)):
-        g_item = per_item @ g_slot.reshape(m * window, -1)
+    for stages, item_in, g_item in zip(_SLOT_CHAINS, trace.chain_in, (g_q, g_k, g_f)):
         g_x = g_x + _chain_backward(a, stages, item_in, g_item, grads)
     n_pad = np.searchsorted(trace.items, 0)
     grads["emb.item_id"][trace.items[n_pad:]] += g_x[n_pad:]

@@ -74,13 +74,22 @@ def sample_distinct_rows(
     holds k distinct eligible values; the acceptance rule sees only the
     equality pattern, never the values, so the result is uniform over
     distinct k-tuples. Every row must have at least k eligible values.
+
+    A row with no rejected draw in a round is settled, so each round
+    checks only the rows that held a rejected draw in the round before;
+    the rejected entries, and the row-major order they are redrawn in,
+    are those of a check over every row.
     """
     n_rows = exclude_mask.shape[0]
     draws = rng.integers(0, n_items, size=(n_rows, k))
-    rows = np.arange(n_rows)[:, None]
-    while True:
-        bad = exclude_mask[rows, draws] | _mark_row_duplicates(draws)
+    open_rows = np.arange(n_rows)
+    while open_rows.size:
+        open_draws = draws[open_rows]
+        bad = exclude_mask[open_rows[:, None], open_draws] | _mark_row_duplicates(open_draws)
         n_bad = int(bad.sum())
         if n_bad == 0:
-            return draws
-        draws[bad] = rng.integers(0, n_items, size=n_bad)
+            break
+        open_draws[bad] = rng.integers(0, n_items, size=n_bad)
+        draws[open_rows] = open_draws
+        open_rows = open_rows[bad.any(axis=1)]
+    return draws

@@ -64,8 +64,9 @@ class TrainReport:
     """Per-epoch loss means, wall-clock, throughput, and a parameter-norm
     summary. Each epoch record holds ``seconds``, ``clicks_per_s`` (the
     epoch's train clicks over ``seconds``) and, where the ``resource``
-    module exists, ``minor_page_faults``: the process's minor page faults
-    during the epoch."""
+    module exists, ``minor_page_faults``, the process's minor page faults
+    during the epoch, and ``peak_rss_mb``, its resident-set high-water
+    mark in MiB after the epoch."""
 
     config: dict
     epochs: list[dict] = field(default_factory=list)
@@ -91,6 +92,12 @@ def mine_artifacts(
 
 def _minor_faults() -> int | None:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt if resource else None
+
+
+def _peak_rss_mb() -> float:
+    """The process's resident-set high-water mark in MiB (``ru_maxrss``
+    counts KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def _sample_match_negatives(
@@ -219,5 +226,6 @@ def train(
         }
         if faults is not None:
             record["minor_page_faults"] = _minor_faults() - faults
+            record["peak_rss_mb"] = _peak_rss_mb()
         report.epochs.append(record)
     return params, report

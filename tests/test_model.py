@@ -1,8 +1,10 @@
 """Forward passes, masking conventions, and checkpoint serialization."""
 
+import dataclasses
 import hashlib
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,7 +125,7 @@ class TestUserTower:
         a = params.arrays
         x = params.arrays["emb.item_id"][2]
         expected_f = ((x @ a["attn.Wv"] + a["attn.bv"]) @ a["attn.Wo"] + a["attn.bo"]) @ a["attn.Wf1"] + a["attn.bf1"]
-        np.testing.assert_allclose(trace.f[0, -1], expected_f, atol=1e-12)
+        np.testing.assert_allclose(trace.f[trace.slot_item[0, -1]], expected_f, atol=1e-12)
         # the one valid key takes all of the slot's attention
         np.testing.assert_allclose(trace.ffn_h[0, -1], np.maximum(expected_f, 0.0), atol=1e-12)
 
@@ -153,10 +155,11 @@ class TestUserTower:
         _, trace = user_tower(params, [[0, 2]], tiny["prof_enc"].rows(["u1"]))
         assert not trace.valid[0, 0]
         a = params.arrays
-        np.testing.assert_array_equal(trace.q[0, 0], a["attn.bq"])
-        np.testing.assert_array_equal(trace.k[0, 0], 0.0)
+        pad = trace.slot_item[0, 0]
+        np.testing.assert_array_equal(trace.q[pad], a["attn.bq"])
+        np.testing.assert_array_equal(trace.k[pad], 0.0)
         bias_chain = (a["attn.bv"] @ a["attn.Wo"] + a["attn.bo"]) @ a["attn.Wf1"] + a["attn.bf1"]
-        np.testing.assert_allclose(trace.f[0, 0], bias_chain, rtol=1e-12)
+        np.testing.assert_allclose(trace.f[pad], bias_chain, rtol=1e-12)
 
     def test_padding_invariance_is_exact(self, tiny):
         params, prof = tiny["params"], tiny["prof_enc"]
@@ -310,6 +313,51 @@ class TestUserTowerMatchesSlotBySlotReference:
             u_alone, trace = user_tower(params, hist[row : row + 1], profile_idx[row : row + 1])
             assert not trace.folded
             assert_relative(u_alone[0], u_batch[row])
+
+
+def trace_arrays(obj):
+    """Every array a trace holds, through nested dataclasses and lists."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from trace_arrays(getattr(obj, f.name))
+    elif isinstance(obj, (list, tuple)):
+        for x in obj:
+            yield from trace_arrays(x)
+
+
+class TestUserTowerMemory:
+    # P is one per-slot array, m * window * d float64 values. A trace that
+    # kept the per-slot q, k and f, with a backward that formed every slot
+    # gradient before summing any, peaked at 11.1 P above the call's entry
+    # here; per-item tables and one per-slot array at a time give 4.8 P.
+    BOUND_P = 6.0
+
+    def test_folded_step_stays_under_bound_and_trace_holds_no_per_slot_array(self):
+        data = generate(SyntheticSpec(n_users=50, n_items=300, n_clusters=5, n_interactions=2000, seed=0))
+        meta = build_meta(data.catalog, data.profiles, ModelDims())
+        params = init_params(meta, 0)
+        dims = meta.dims
+        m = 600  # far more users than the first layer's units: the folded path
+        rng = np.random.default_rng(0)
+        hist = rng.integers(-1, meta.n_items, size=(m, dims.behavior_window))
+        users = sorted(data.profiles.rows)
+        profile_idx = EncodedProfiles(data.profiles, meta).rows([users[i % len(users)] for i in range(m)])
+        grad_u = rng.normal(size=(m, dims.d_out))
+        grads = zero_grads(params)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            _, trace = user_tower(params, hist, profile_idx)
+            user_tower_backward(params, trace, grad_u, grads)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert trace.folded
+        per_slot = m * dims.behavior_window * dims.d_field
+        assert peak < self.BOUND_P * per_slot * 8, f"peak {peak / (per_slot * 8):.2f} P"
+        assert all(arr.size != per_slot for arr in trace_arrays(trace))
 
 
 class TestScatterRows:

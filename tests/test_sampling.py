@@ -75,3 +75,42 @@ class TestSampleDistinctRows:
         assert len(pairs) == 12
         freq = counts / counts.sum()
         assert np.all(np.abs(freq - 1 / 12) < 0.01)
+
+
+def every_row_reference(n_items, k, rng, exclude_mask):
+    """The rejection loop that checks every row in every round, one entry
+    at a time: an entry is rejected when its row excludes it or it repeats
+    an earlier entry of its row; rejected entries are redrawn in row-major
+    order."""
+    n_rows = exclude_mask.shape[0]
+    draws = rng.integers(0, n_items, size=(n_rows, k))
+    while True:
+        bad = np.zeros(draws.shape, dtype=bool)
+        for r in range(n_rows):
+            seen = set()
+            for j in range(k):
+                value = int(draws[r, j])
+                bad[r, j] = bool(exclude_mask[r, value]) or value in seen
+                seen.add(value)
+        n_bad = int(bad.sum())
+        if n_bad == 0:
+            return draws
+        draws[bad] = rng.integers(0, n_items, size=n_bad)
+
+
+class TestSampleDistinctRowsMatchesEveryRowLoop:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_same_draws_and_stream(self, seed):
+        # planted exclusions of 0-8 items per row leave 22-30 eligible, and
+        # k = 20 of them makes most rows redraw repeats for many rounds
+        n_rows, n_items, k = 120, 30, 20
+        plant = np.random.default_rng(1000 + seed)
+        mask = np.zeros((n_rows, n_items), dtype=bool)
+        for row in range(n_rows):
+            mask[row, plant.choice(n_items, size=plant.integers(0, 9), replace=False)] = True
+        rng, expected_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws = sample_distinct_rows(n_items, k, rng, exclude_mask=mask)
+        np.testing.assert_array_equal(draws, every_row_reference(n_items, k, expected_rng, mask))
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+        assert not mask[np.arange(n_rows)[:, None], draws].any()
+        assert all(len(set(row.tolist())) == k for row in draws)

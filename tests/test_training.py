@@ -139,10 +139,17 @@ class TestReport:
             assert epoch["clicks_per_s"] == n_clicks / epoch["seconds"]
             if training.resource is not None:
                 assert isinstance(epoch["minor_page_faults"], int) and epoch["minor_page_faults"] >= 0
+        if training.resource is not None:
+            # the high-water mark in MiB, as the benchmark computes it: it
+            # never falls and never passes the process's mark after the run
+            peaks = [epoch["peak_rss_mb"] for epoch in report.epochs]
+            assert 0.0 < peaks[0] and peaks == sorted(peaks)
+            assert peaks[-1] <= training.resource.getrusage(training.resource.RUSAGE_SELF).ru_maxrss * 1024 / 2**20
 
         monkeypatch.setattr(training, "resource", None)
         _, report = run(dataclasses.replace(SMALL, epochs=1), data, split)
         assert "minor_page_faults" not in report.epochs[0]
+        assert "peak_rss_mb" not in report.epochs[0]
         assert report.epochs[0]["clicks_per_s"] == n_clicks / report.epochs[0]["seconds"]
 
     def test_enabling_feature_task_adds_positive_component(self):

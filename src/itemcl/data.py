@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .util import atomic_write_text, warn
+from .util import argsort_codes, atomic_write_text, warn
 
 
 class DataFormatError(ValueError):
@@ -318,7 +318,7 @@ def build_histories(train: ClickLog, behavior_window: int) -> dict[str, list[int
     """Most recent ``behavior_window`` train item indices per user,
     most-recent-last, keyed in order of first appearance. ``train`` must
     already be time-ordered."""
-    order = np.argsort(train.user, kind="stable")  # each user's clicks stay in time order
+    order = argsort_codes(train.user)  # each user's clicks stay in time order
     user, items = train.user[order], train.item[order].tolist()
     heads = np.flatnonzero(np.diff(user, prepend=-1))
     ends = np.append(heads[1:], user.size)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import DataFormatError, ItemCatalog, SplitDataset
 from .sampling import exclusion_rows
-from .util import atomic_write_text, sorted_unique
+from .util import argsort_codes, atomic_write_text, sorted_unique
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ def segment_sessions(split: SplitDataset, window_seconds: int = 3600) -> Session
     train = split.train_interactions  # already time-ordered
     n = len(train)
     user_ids, user = train.users()
-    order = np.argsort(user, kind="stable")  # each user's clicks stay in time order
+    order = argsort_codes(user)  # each user's clicks stay in time order
     user, stamps, items = user[order], train.time[order], train.item[order]
     starts = np.ones(n, dtype=bool)
     starts[1:] = (user[1:] != user[:-1]) | (np.diff(stamps) > window_seconds)
@@ -83,7 +83,13 @@ class CooccurrenceTable:
 
         rows, cols = np.concatenate([a, b]), np.concatenate([b, a])
         both = np.concatenate([self.counts, self.counts])
-        layout = np.lexsort((cols, -both, rows))
+        # one sort key, unique per entry: row ascending, count descending, column ascending
+        levels = int(self.counts.max(initial=0)) + 1
+        if n_items * n_items * levels - 1 > np.iinfo(np.int64).max:
+            raise ValueError(
+                f"{n_items} items with counts up to {levels - 1} overflow the int64 neighbor sort key"
+            )
+        layout = np.argsort((rows * levels + (levels - 1 - both)) * n_items + cols)
         self.neighbors, self.neighbor_counts = cols[layout], both[layout]
         self._excluded_ptr, self._excluded = exclusion_rows(rows, cols, n_items)
         self.indptr = self._excluded_ptr - np.arange(n_items + 1)  # the same rows without the item itself

@@ -1,6 +1,6 @@
 """Small shared helpers: the process's heap policy, warning category,
-atomic file writes, a sort-based ``np.unique`` and the exact top-k used by
-retrieval and mining."""
+atomic file writes, a sort-based ``np.unique``, a radix argsort of integer
+codes and the exact top-k used by retrieval and mining."""
 
 from __future__ import annotations
 
@@ -96,27 +96,104 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     return flat[keep]
 
 
+def argsort_codes(codes: np.ndarray) -> np.ndarray:
+    """``np.argsort(codes, kind="stable")`` of nonnegative integer codes,
+    sorted in the narrowest unsigned dtype that holds them: numpy sorts
+    integers of 16 bits or fewer stably by radix, in linear time."""
+    narrow = np.min_scalar_type(int(codes.max(initial=0)))
+    return np.argsort(codes.astype(narrow, copy=False), kind="stable")
+
+
+_BLOCK = 8  # columns per block of the pruned top-k
+_PRUNE_MIN_ROWS = 32  # fewer rows cannot repay the pruned path's fixed cost
+
+
 def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     """Indices of the ``k`` highest scores along the last axis, highest
     first, ties broken toward the lower index: exactly the first ``k`` of
-    a stable argsort of ``-scores``, found by partial sorting.
+    a stable argsort of ``-scores``. So ``-inf`` ranks below every number
+    and NaN below ``-inf``, and a row with fewer than ``k`` numbers lists
+    them first, then its NaN columns in index order. ``k`` at least the
+    row length gives the whole argsort; a negative ``k`` raises
+    ``ValueError``.
 
-    ``argpartition`` settles which scores are in but picks arbitrarily
-    among those equal to the k-th; rows with more than ``k`` scores at or
-    above the k-th take their lowest-index tied entries instead.
+    Rows are found by partial sorting (``argpartition``), which settles
+    which scores are in but picks arbitrarily among those equal to the
+    k-th; a row with more than ``k`` scores at or above the k-th takes its
+    lowest-index tied entries instead.
+
+    Inputs of at least ``_PRUNE_MIN_ROWS`` rows with at least ``8 k``
+    blocks (below) are pruned first; one row, and evaluation's k = 50 or
+    500 of 1000 items, are not. The ``n`` columns are cut into
+    ``B = n // 8`` blocks: block ``j`` holds columns ``j, j + B, ...,
+    j + 7 B``, and tail column ``8 B + j`` joins it. The k-th largest block
+    maximum is at most the row's k-th score, so the row's top ``k`` lie in
+    the ``k`` blocks with the largest maxima, and the partial sort runs
+    over their at most ``9 k`` columns only. A row falls back to the
+    unpruned partial sort when another block's maximum ties that bound,
+    when a candidate outside the top ``k`` ties the k-th score (the
+    candidates are not in index order), or when it holds a NaN.
     """
-    neg = -np.asarray(scores)
-    n = neg.shape[-1]
+    scores = np.asarray(scores)
+    if k < 0:
+        raise ValueError(f"k = {k} must not be negative")
+    n = scores.shape[-1]
     if not 0 < k < n:
-        return np.argsort(neg, axis=-1, kind="stable")[..., :k]
-    rows = neg.reshape(-1, n)
-    r = np.arange(rows.shape[0])[:, None]
-    part = np.argpartition(rows, k - 1, axis=1)
-    kth = rows[r, part[:, k - 1 : k]]
-    top = part[:, :k]
-    for i in np.flatnonzero((rows <= kth).sum(axis=1) > k):
-        better = np.flatnonzero(rows[i] < kth[i])
-        tied = np.flatnonzero(rows[i] == kth[i])
-        top[i] = np.concatenate([better, tied[: k - better.size]])
-    order = np.lexsort((top, rows[r, top]))
-    return top[r, order].reshape(neg.shape[:-1] + (k,))
+        return np.argsort(-scores, axis=-1, kind="stable")[..., :k]
+    rows = scores.reshape(-1, n)
+    prune = rows.shape[0] >= _PRUNE_MIN_ROWS and n // _BLOCK >= _BLOCK * k
+    top = _pruned_top_k(rows, k) if prune else _exact_top_k(-rows, k)
+    return top.reshape(scores.shape[:-1] + (k,))
+
+
+def _partition(neg: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The positions of each row's ``k`` lowest entries, in no order; the
+    k-th lowest; and whether the row holds more than ``k`` entries at or
+    below it, so that which of the tied ones were taken is arbitrary (NaN
+    ranks last, so a NaN k-th counts as tied)."""
+    part = np.argpartition(neg, k - 1, axis=1)
+    kth = neg[np.arange(neg.shape[0]), part[:, k - 1]]
+    tied = np.isnan(kth) | ((neg <= kth[:, None]).sum(axis=1) > k)
+    return part[:, :k], kth, tied
+
+
+def _ordered(top: np.ndarray, neg: np.ndarray) -> np.ndarray:
+    """Each row of column indices ``top`` sorted by its values ``neg``
+    ascending, then by column."""
+    r = np.arange(top.shape[0])[:, None]
+    return top[r, np.lexsort((top, neg))]
+
+
+def _exact_top_k(neg: np.ndarray, k: int) -> np.ndarray:
+    """``top_k`` of the (rows, n) array ``-neg`` by partial sorting."""
+    top, kth, tied = _partition(neg, k)
+    for i in np.flatnonzero(tied):
+        if np.isnan(kth[i]):
+            top[i] = np.argsort(neg[i], kind="stable")[:k]
+            continue
+        better = np.flatnonzero(neg[i] < kth[i])
+        same = np.flatnonzero(neg[i] == kth[i])
+        top[i] = np.concatenate([better, same[: k - better.size]])
+    return _ordered(top, neg[np.arange(neg.shape[0])[:, None], top])
+
+
+def _pruned_top_k(rows: np.ndarray, k: int) -> np.ndarray:
+    """``top_k`` of the (rows, n) array ``rows`` from the ``k`` blocks of
+    each row with the largest maxima, as ``top_k`` describes."""
+    m, n = rows.shape
+    width = n // _BLOCK
+    maxima = rows[:, : _BLOCK * width].reshape(m, _BLOCK, width).max(axis=1)
+    tail = n - _BLOCK * width
+    np.maximum(maxima[:, :tail], rows[:, _BLOCK * width :], out=maxima[:, :tail])
+    blocks = np.argpartition(maxima, width - k, axis=1)[:, width - k :]
+    r = np.arange(m)[:, None]
+    # argpartition ranks NaN above every number, so a row holding one has a NaN bound
+    bound = maxima[r, blocks].min(axis=1)
+    cols = (blocks[:, :, None] + width * np.arange(_BLOCK + 1)).reshape(m, -1)
+    neg = np.where(cols < n, -rows[r, np.minimum(cols, n - 1)], np.inf)
+    pos, _, tied = _partition(neg, k)
+    top = _ordered(cols[r, pos], neg[r, pos])
+    redo = np.flatnonzero(tied | np.isnan(bound) | ((maxima >= bound[:, None]).sum(axis=1) > k))
+    if redo.size:
+        top[redo] = _exact_top_k(-rows[redo], k)
+    return top

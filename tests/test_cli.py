@@ -305,6 +305,12 @@ GOLDEN_MINE_SHA256 = {
 }
 
 
+GOLDEN_LARGE_MINE_SHA256 = {
+    "cooc.tsv": "9484a0eeae7c659ad705bb6fce303db0defe79f7d6cd106677f860a23c8e6184",
+    "title.tsv": "07f5c08e369080e3a9b62b6629cafb5d08bc27d06995bd413c6225e97179b69c",
+}
+
+
 GOLDEN_PREPARE_SHA256 = {
     "train.tsv": "1fc75ac2964f5b91ae6b72904b3ab0ec9bb82df1566a818d503ee62eef46dc69",
     "test.tsv": "0b1895e27af5fe965c9724ebdd2ae54969b3ea5cc71b77cf2b1af9eb1f31764c",
@@ -358,6 +364,25 @@ class TestGoldenBytes:
         }
         hashes = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_MINE_SHA256}
         assert hashes == GOLDEN_MINE_SHA256
+
+    def test_large_catalog_mine_dumps_match_pinned_hashes(self, capsys, tmp_path):
+        # 4000 items, so title k-NN takes top_k's pruned path; the hashes
+        # were taken before top_k pruned
+        data, splits = tmp_path / "data", tmp_path / "splits"
+        catalog = str(data / "catalog.jsonl")
+        steps = [
+            ["generate", "--out-dir", str(data), "--seed", "0", "--users", "5000", "--items", "4000"],
+            ["prepare", "--catalog", catalog, "--interactions", str(data / "interactions.tsv"),
+             "--out-dir", str(splits)],
+            ["mine-sessions", "--catalog", catalog, "--train", str(splits / "train.tsv"),
+             "--out", str(tmp_path / "cooc.tsv")],
+            ["mine-semantic", "--catalog", catalog, "--out", str(tmp_path / "title.tsv")],
+        ]
+        for argv in steps:
+            code, _, _ = run_cli(capsys, *argv)
+            assert code == 0
+        hashes = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_LARGE_MINE_SHA256}
+        assert hashes == GOLDEN_LARGE_MINE_SHA256
 
 
 class TestGradcheckCommand:

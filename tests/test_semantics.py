@@ -79,6 +79,24 @@ class TestTitleKnn:
         for i in range(200):
             assert pool.positives[i].tolist() == oracle[i]
 
+    def test_matches_bruteforce_on_a_tie_heavy_4k_catalog(self):
+        # 4000 items over 1500 title patterns with four entries of +-1, so
+        # every cosine is an exact multiple of 1/4: nine levels, with
+        # duplicates at 1, and the same bits whatever order BLAS sums in
+        rng = np.random.default_rng(11)
+        n, k = 4000, 10
+        patterns = np.zeros((1500, 16))
+        for row in patterns:
+            row[rng.choice(16, size=4, replace=False)] = rng.choice([-1.0, 1.0], size=4)
+        vectors = patterns[rng.integers(0, 1500, size=n)]
+        pool = mine_title_knn(catalog_with_vectors(vectors), k)
+        for lo in range(0, n, 500):
+            sims = vectors[lo : lo + 500] @ vectors.T
+            sims[np.arange(sims.shape[0]), lo + np.arange(sims.shape[0])] = -np.inf
+            oracle = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+            for i, expected in enumerate(oracle, start=lo):
+                assert pool.positives[i].tolist() == expected.tolist(), f"item {i}"
+
     def test_every_positive_dominates_every_outsider(self):
         rng = np.random.default_rng(9)
         vectors = rng.normal(size=(60, 4))

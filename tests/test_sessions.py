@@ -305,6 +305,30 @@ class TestCooccurrence:
         assert table.counts.tolist() == [7, 6, 5]
         assert table.count(3, 2) == 5
 
+    @pytest.mark.parametrize("n_items, n_pairs, max_count", [(50, 600, 3), (400, 20000, 6), (3000, 40000, 200)])
+    def test_neighbor_layout_matches_the_lexsort_reference(self, n_items, n_pairs, max_count):
+        # few count levels, so most rows hold many neighbors of equal count
+        rng = np.random.default_rng(n_items)
+        keys = sorted_unique(rng.integers(0, n_items * n_items, size=n_pairs))
+        a, b = np.divmod(keys, n_items)
+        pairs = np.stack([a, b], axis=1)[a < b]
+        pairs = pairs[rng.permutation(len(pairs))]
+        counts = rng.integers(1, max_count + 1, size=len(pairs))
+        table = CooccurrenceTable(pairs, counts, n_items)
+        rows, cols = np.concatenate([pairs[:, 0], pairs[:, 1]]), np.concatenate([pairs[:, 1], pairs[:, 0]])
+        both = np.concatenate([counts, counts])
+        layout = np.lexsort((cols, -both, rows))
+        np.testing.assert_array_equal(table.neighbors, cols[layout])
+        np.testing.assert_array_equal(table.neighbor_counts, both[layout])
+        np.testing.assert_array_equal(table.indptr, np.append(0, np.cumsum(np.bincount(rows, minlength=n_items))))
+
+    def test_neighbor_sort_key_overflow_is_refused(self):
+        # keys run up to 4096**2 * (count + 1) - 1, and int64 holds up to 2**63 - 1
+        with pytest.raises(ValueError, match="4096 items with counts up to 549755813888 overflow"):
+            CooccurrenceTable([(0, 1), (1, 2)], [1 << 39, 3], 4096)
+        edge = CooccurrenceTable([(0, 1), (1, 4095)], [(1 << 39) - 1, 3], 4096)
+        assert topk_of(edge, 1) == [(0, (1 << 39) - 1), (4095, 3)]
+
     def test_dump_roundtrip_byte_identical(self, tmp_path):
         from itemcl.data import Item, ItemCatalog
 

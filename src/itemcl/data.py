@@ -107,8 +107,9 @@ class ClickLog:
     def users(self) -> tuple[list[str], np.ndarray]:
         """The ids of the users that click here, sorted, and each click's
         row among them."""
-        codes, rows = np.unique(self.user, return_inverse=True)
-        return [self.user_ids[c] for c in codes.tolist()], rows
+        present = np.bincount(self.user, minlength=len(self.user_ids)) > 0
+        rows = np.cumsum(present) - 1
+        return [self.user_ids[c] for c in np.flatnonzero(present).tolist()], rows[self.user]
 
 
 class ItemCatalog:
@@ -179,6 +180,7 @@ class SplitDataset:
 def load_catalog(path: str) -> ItemCatalog:
     """Parse a JSONL item catalog; indices follow file order."""
     items: list[Item] = []
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
@@ -189,6 +191,9 @@ def load_catalog(path: str) -> ItemCatalog:
                 item = _item_from_row(row)
             except (ValueError, KeyError, TypeError) as exc:
                 raise DataFormatError(f"{path}:{lineno}: malformed item row ({exc})") from None
+            if item.item_id in first_line:
+                raise DataFormatError(f"{path}:{lineno}: item_id {item.item_id!r} repeats line {first_line[item.item_id]}")
+            first_line[item.item_id] = lineno
             items.append(item)
     return ItemCatalog(items)
 
@@ -197,6 +202,9 @@ def _item_from_row(row: dict) -> Item:
     item_id = row["item_id"]
     if not isinstance(item_id, str) or not item_id:
         raise ValueError("item_id must be a non-empty string")
+    # ids are written as TSV fields and comma-joined semantic positives
+    if any(c in item_id for c in "\t\n\r,"):
+        raise ValueError(f"item_id {item_id!r} holds a tab, line break or comma")
     tags = row.get("tags", [])
     if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
         raise ValueError("tags must be a list of strings")
@@ -318,6 +326,8 @@ def build_histories(train: ClickLog, behavior_window: int) -> dict[str, list[int
     """Most recent ``behavior_window`` train item indices per user,
     most-recent-last, keyed in order of first appearance. ``train`` must
     already be time-ordered."""
+    if behavior_window <= 0:
+        raise ValueError("behavior_window must be positive")
     order = argsort_codes(train.user)  # each user's clicks stay in time order
     user, items = train.user[order], train.item[order].tolist()
     heads = np.flatnonzero(np.diff(user, prepend=-1))
@@ -356,14 +366,13 @@ def chronological_split(
     log = _time_ordered(ClickLog.of(interactions))
     if not len(log):
         raise ValueError("interactions must be non-empty")
-    if behavior_window <= 0:
-        raise ValueError("behavior_window must be positive")
 
     cut = int(np.searchsorted(log.time, split_time, side="left"))
     train, test = log[:cut], log[cut:]
+    histories = build_histories(train, behavior_window)
     if not len(train):
         warn("chronological split produced an empty train set")
     if not len(test):
         warn("chronological split produced an empty test set")
 
-    return SplitDataset(train, test, build_histories(train, behavior_window), behavior_window, split_time)
+    return SplitDataset(train, test, histories, behavior_window, split_time)

@@ -106,31 +106,25 @@ def infonce_terms(
 
     ``neg_scores`` is zero-padded to the max count; ``neg_counts`` marks
     the valid prefix of each row. Computed with a max shift, so scores of
-    any magnitude are safe. Returns (values, d/dpos, d/dneg).
+    any magnitude are safe. The negatives-only denominator is the same sum
+    with the positive's term at zero, shifted by the negatives' maximum.
+    Returns (values, d/dpos, d/dneg).
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    t, kmax = neg_scores.shape
-    mask = np.arange(kmax)[None, :] < neg_counts[:, None]
+    if not include_positive and np.any(neg_counts == 0):
+        raise ValueError("negatives-only denominator needs >= 1 negative per term")
+    mask = np.arange(neg_scores.shape[1])[None, :] < neg_counts[:, None]
     zp = pos_scores / tau
     zn = np.where(mask, neg_scores / tau, 0.0)
-    neg_max = np.where(mask, zn, -np.inf).max(axis=1) if kmax else np.full(t, -np.inf)
-    if include_positive:
-        shift = np.maximum(zp, neg_max)
-        e_pos = np.exp(zp - shift)
-        e_neg = np.where(mask, np.exp(zn - shift[:, None]), 0.0)
-        denom = e_pos + e_neg.sum(axis=1)
-        values = shift + np.log(denom) - zp
-        dpos = (e_pos / denom - 1.0) / tau
-        dneg = (e_neg / denom[:, None]) / tau
-    else:
-        if np.any(neg_counts == 0):
-            raise ValueError("negatives-only denominator needs >= 1 negative per term")
-        e_neg = np.where(mask, np.exp(zn - neg_max[:, None]), 0.0)
-        denom = e_neg.sum(axis=1)
-        values = neg_max + np.log(denom) - zp
-        dpos = np.full(t, -1.0 / tau)
-        dneg = (e_neg / denom[:, None]) / tau
+    neg_max = np.where(mask, zn, -np.inf).max(axis=1, initial=-np.inf)
+    shift = np.maximum(zp, neg_max) if include_positive else neg_max
+    e_pos = np.exp(zp - shift) if include_positive else np.zeros_like(zp)
+    e_neg = np.where(mask, np.exp(zn - shift[:, None]), 0.0)
+    denom = e_pos + e_neg.sum(axis=1)
+    values = shift + np.log(denom) - zp
+    dpos = (e_pos / denom - 1.0) / tau
+    dneg = (e_neg / denom[:, None]) / tau
     return values, dpos, dneg
 
 

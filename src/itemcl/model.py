@@ -17,14 +17,14 @@ in the slot, so the user tower projects each distinct item of a call once
 and gathers the projections per slot; its backward pass sums the slot
 gradients per distinct item before the projection weights see them.
 
-A ``UserTrace`` keeps the chain outputs per distinct item (the ``q``,
-``k`` and ``f`` rows of ``items``), ``slot_item``, the attention weights
-and the MLP trace; it holds no (m, window, d) array. Per-slot arrays live
-only inside one call, each for the one product that reads it: the
-forward gathers ``q`` and ``k`` per slot to form the scores and ``f`` to
-form ``relu(probs @ f)``, and the backward gathers ``f``, ``k`` and ``q``
-again one at a time, summing each slot gradient per item before it forms
-the next.
+A ``UserTrace`` keeps the per-item rows (one per row of ``items``) of
+the embedding ``x`` and of ``q``, ``k``, ``v``, ``o`` and ``f``, plus
+``slot_item``, the attention weights and the MLP trace; it holds no (m,
+window, d) array. Per-slot arrays live only inside one call, each for
+the one product that reads it: the forward gathers ``q`` and ``k`` per
+slot to form the scores and ``f`` to form ``relu(probs @ f)``, and the
+backward gathers ``f``, ``k`` and ``q`` again one at a time, summing each
+slot gradient per item before it forms the next.
 
 Between attention and the feed-forward ReLU everything is affine, and
 every attention row sums to 1 (an all-padding row spreads uniform weight
@@ -288,37 +288,29 @@ class EncodedCatalog:
 
 
 class EncodedProfiles:
-    """user_id -> per-field vocabulary indices; unknown users and values
-    map to the OOV row of each field."""
+    """user_id -> per-field vocabulary indices: one ``table`` row per
+    profiled user, then the OOV row, to which unknown users and values map."""
 
     def __init__(self, profiles: UserProfileTable | None, meta: ModelMeta):
-        self.meta = meta
-        self.oov_row = np.asarray(
-            [len(meta.user_field_vocabs[name]) for name in meta.user_field_names], dtype=np.int64
-        )
-        self._rows: dict[str, np.ndarray] = {}
-        if profiles is not None and meta.user_field_names:
-            value_index = {
-                name: {v: i for i, v in enumerate(meta.user_field_vocabs[name])}
-                for name in meta.user_field_names
+        names = meta.user_field_names
+        oov = [len(meta.user_field_vocabs[name]) for name in names]
+        rows: dict[str, list[int]] = {}
+        if profiles is not None and names:
+            value_index = [{v: i for i, v in enumerate(meta.user_field_vocabs[name])} for name in names]
+            reorder = [profiles.field_names.index(name) for name in names]
+            rows = {
+                user_id: [index.get(values[src], o) for index, src, o in zip(value_index, reorder, oov)]
+                for user_id, values in profiles.rows.items()
             }
-            reorder = [profiles.field_names.index(name) for name in meta.user_field_names]
-            for user_id, values in profiles.rows.items():
-                self._rows[user_id] = np.asarray(
-                    [
-                        value_index[name].get(values[src], len(meta.user_field_vocabs[name]))
-                        for name, src in zip(meta.user_field_names, reorder)
-                    ],
-                    dtype=np.int64,
-                )
+        self.row_of = {user_id: i for i, user_id in enumerate(rows)}
+        self.table = np.asarray([*rows.values(), oov], dtype=np.int64).reshape(len(rows) + 1, len(names))
+        self.oov_row = self.table[-1]
 
     def row(self, user_id: str) -> np.ndarray:
-        return self._rows.get(user_id, self.oov_row)
+        return self.table[self.row_of.get(user_id, len(self.row_of))]
 
     def rows(self, user_ids: list[str]) -> np.ndarray:
-        if not self.meta.user_field_names:
-            return np.empty((len(user_ids), 0), dtype=np.int64)
-        return np.stack([self.row(u) for u in user_ids])
+        return self.table[[self.row_of.get(u, len(self.row_of)) for u in user_ids]]
 
 
 # ---------------------------------------------------------------------------
@@ -490,17 +482,16 @@ def pad_histories(histories: list[list[int]], window: int) -> np.ndarray:
 
 @dataclass
 class UserTrace:
-    hist: np.ndarray
     valid: np.ndarray
     profile_idx: np.ndarray
     items: np.ndarray  # (n_distinct,) sorted distinct history entries, padding included
     slot_item: np.ndarray  # (m, window) row of ``items`` holding each slot's entry
-    # per chain of _SLOT_CHAINS, each stage's input per distinct item (the
-    # first is the item embedding, zero for padding)
-    chain_in: list[list[np.ndarray]]
+    x: np.ndarray  # (n_distinct, d) item embedding per row of ``items``, zero for padding
     q: np.ndarray  # (n_distinct, d) query per row of ``items``
-    k: np.ndarray  # (n_distinct, d) key per row of ``items``
-    f: np.ndarray  # (n_distinct, ffn) value chain per row of ``items``
+    k: np.ndarray  # (n_distinct, d) key
+    v: np.ndarray  # (n_distinct, d) value
+    o: np.ndarray  # (n_distinct, d) value through attn.Wo
+    f: np.ndarray  # (n_distinct, ffn) value chain: ``o`` through attn.Wf1
     probs: np.ndarray  # (m, window, window) attention weights
     # (m, window, ffn) relu(probs @ f) per slot; None when folded, where it
     # is the first window * ffn columns of ``mlp.x``
@@ -508,38 +499,6 @@ class UserTrace:
     folded: bool  # attn.Wf2 folded into the first layer's weight
     w0: np.ndarray  # the weight the first layer applies to ``mlp.x``
     mlp: MlpTrace
-
-
-# The affine chains each history slot's input row runs through: query, key,
-# and the value carried on through attn.Wo and attn.Wf1 (module docstring).
-_SLOT_CHAINS = (
-    (("attn.Wq", "attn.bq"),),
-    (("attn.Wk", None),),  # keys take no bias
-    (("attn.Wv", "attn.bv"), ("attn.Wo", "attn.bo"), ("attn.Wf1", "attn.bf1")),
-)
-
-
-def _chain_forward(a: dict[str, np.ndarray], stages: tuple, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """``x`` through each (weight, bias) stage; returns the output and
-    every stage's input."""
-    inputs = []
-    for w, b in stages:
-        inputs.append(x)
-        x = x @ a[w]
-        if b is not None:
-            x += a[b]
-    return x, inputs
-
-
-def _chain_backward(
-    a: dict[str, np.ndarray], stages: tuple, inputs: list[np.ndarray], g: np.ndarray, grads: dict[str, np.ndarray]
-) -> np.ndarray:
-    for (w, b), x in zip(reversed(stages), reversed(inputs)):
-        grads[w] += x.T @ g
-        if b is not None:
-            grads[b] += g.sum(axis=0)
-        g = g @ a[w].T
-    return g
 
 
 def user_tower(
@@ -553,10 +512,10 @@ def user_tower(
     Padding keys receive zero attention weight and padding positions are
     zeroed after the feed-forward, so they contribute nothing downstream.
 
-    Each slot chain runs once per distinct entry of ``histories`` and is
-    gathered per slot. Padding runs a zero row, so its query is exactly
-    ``bq``, its key exactly zero and its value chain that of ``bv``,
-    whatever else the call holds.
+    Queries, keys and the value chain run once per distinct entry of
+    ``histories`` and are gathered per slot. Padding runs a zero row, so
+    its query is exactly ``bq``, its key exactly zero and its value chain
+    that of ``bv``, whatever else the call holds.
     """
     meta = params.meta
     d = meta.dims.d_field
@@ -571,14 +530,13 @@ def user_tower(
     valid = histories >= 0
     items = sorted_unique(histories)
     slot_item = np.searchsorted(items, histories)
-    item_x = a["emb.item_id"].take(items, axis=0)
-    item_x[: np.searchsorted(items, 0)] = 0.0  # padding entries sort first
-    chain_out, chain_in = [], []
-    for stages in _SLOT_CHAINS:
-        out, item_in = _chain_forward(a, stages, item_x)
-        chain_out.append(out)
-        chain_in.append(item_in)
-    q, k, f = chain_out
+    x = a["emb.item_id"].take(items, axis=0)
+    x[: np.searchsorted(items, 0)] = 0.0  # padding entries sort first
+    q = _affine(x, a["attn.Wq"], a["attn.bq"])
+    k = x @ a["attn.Wk"]  # keys take no bias
+    v = _affine(x, a["attn.Wv"], a["attn.bv"])
+    o = _affine(v, a["attn.Wo"], a["attn.bo"])
+    f = _affine(o, a["attn.Wf1"], a["attn.bf1"])
 
     # each per-slot gather lives only for the one product that reads it
     scores = np.matmul(q.take(slot_item, axis=0), k.take(slot_item, axis=0).transpose(0, 2, 1))
@@ -618,7 +576,7 @@ def user_tower(
         z = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
     u, mlp = _mlp3_forward(params, "user_tower", z, w0)
     trace = UserTrace(
-        histories, valid, profile_idx, items, slot_item, chain_in, q, k, f, probs,
+        valid, profile_idx, items, slot_item, x, q, k, v, o, f, probs,
         None if folded else ffn_h, folded, w0, mlp,
     )
     return u, trace
@@ -640,7 +598,7 @@ def _ffn_backward(
     a = params.arrays
     d = meta.dims.d_field
     window = meta.dims.behavior_window
-    m = trace.hist.shape[0]
+    m = trace.valid.shape[0]
     n_ffn = window * meta.dims.ffn_dim
 
     g_w0, gz = _mlp3_backward(params, "user_tower", trace.mlp, grad_u, grads, trace.w0)
@@ -682,13 +640,10 @@ def user_tower_backward(
 ) -> None:
     a = params.arrays
     d = params.meta.dims.d_field
-    m, window = trace.hist.shape
+    m, window = trace.valid.shape
 
     # slot gradients summed per distinct item, padding included: the
-    # biases see every slot, the weights and embeddings the item rows. The
-    # per-slot f, k and q are gathered again one at a time, each for the
-    # one product that reads it, and every slot gradient is summed as soon
-    # as it is formed.
+    # biases see every slot, the weights and embeddings the item rows
     per_item = _segment_matrix(trace.slot_item.ravel(), trace.items.size)
     g_scores, g_f = _ffn_backward(params, trace, grad_u, grads, per_item)
     g_scores -= (g_scores * trace.probs).sum(axis=2, keepdims=True)
@@ -697,9 +652,18 @@ def user_tower_backward(
     slots = trace.slot_item
     g_q = per_item @ np.matmul(g_scores, trace.k.take(slots, axis=0)).reshape(m * window, -1)
     g_k = per_item @ np.matmul(g_scores.transpose(0, 2, 1), trace.q.take(slots, axis=0)).reshape(m * window, -1)
-    g_x = 0.0
-    for stages, item_in, g_item in zip(_SLOT_CHAINS, trace.chain_in, (g_q, g_k, g_f)):
-        g_x = g_x + _chain_backward(a, stages, item_in, g_item, grads)
+    grads["attn.Wq"] += trace.x.T @ g_q
+    grads["attn.bq"] += g_q.sum(axis=0)
+    grads["attn.Wk"] += trace.x.T @ g_k
+    grads["attn.Wf1"] += trace.o.T @ g_f
+    grads["attn.bf1"] += g_f.sum(axis=0)
+    g_o = g_f @ a["attn.Wf1"].T
+    grads["attn.Wo"] += trace.v.T @ g_o
+    grads["attn.bo"] += g_o.sum(axis=0)
+    g_v = g_o @ a["attn.Wo"].T
+    grads["attn.Wv"] += trace.x.T @ g_v
+    grads["attn.bv"] += g_v.sum(axis=0)
+    g_x = g_q @ a["attn.Wq"].T + g_k @ a["attn.Wk"].T + g_v @ a["attn.Wv"].T
     n_pad = np.searchsorted(trace.items, 0)
     grads["emb.item_id"][trace.items[n_pad:]] += g_x[n_pad:]
 

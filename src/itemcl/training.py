@@ -133,6 +133,8 @@ def train(
     config.validate()
     if not split.train_interactions:
         raise ValueError("train split is empty")
+    if len(catalog) < 2:  # a pair's negatives are the catalog's other items
+        raise ValueError(f"catalog has {len(catalog)} item(s); training needs at least 2")
     lambdas = (config.lambda_feature, config.lambda_semantic, config.lambda_session)
 
     meta = build_meta(catalog, profiles, config.model_dims())

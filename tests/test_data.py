@@ -1,5 +1,7 @@
 """Catalog/interaction ingestion and chronological splitting."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -38,7 +40,14 @@ class TestLoadCatalog:
 
     def test_duplicate_item_id(self, tmp_path):
         body = '{"item_id": "a", "tags": [], "provider": "p"}\n' * 2
-        with pytest.raises(DataFormatError, match="duplicate"):
+        with pytest.raises(DataFormatError, match=r"cat\.jsonl:2: item_id 'a' repeats line 1"):
+            load_catalog(write(tmp_path / "cat.jsonl", body))
+
+    @pytest.mark.parametrize("item_id", ["a\tb", "a\nb", "a\rb", "a,b"])
+    def test_item_id_that_breaks_a_written_file_names_line(self, tmp_path, item_id):
+        # a tab or line break splits a TSV row; a comma splits a semantic pool's positive list
+        body = CATALOG_3 + json.dumps({"item_id": item_id, "tags": [], "provider": "p"}) + "\n"
+        with pytest.raises(DataFormatError, match=r"cat\.jsonl:4: malformed item row .*tab, line break or comma"):
             load_catalog(write(tmp_path / "cat.jsonl", body))
 
     def test_malformed_row_names_line(self, tmp_path):
@@ -130,6 +139,18 @@ class TestClickLog:
         picked = log[np.array([3, 0])]
         assert list(picked) == [self.ROWS[3], self.ROWS[0]]
         assert picked.users()[0] == ["b", "u9"] and picked.users()[1].tolist() == [0, 1]
+
+    def test_users_match_the_unique_reference(self):
+        # two thirds of the vocabulary never click here
+        user = np.random.default_rng(0).choice(np.arange(0, 30, 3), size=200)
+        names = tuple(f"u{i:02d}" for i in range(30))
+        log = ClickLog(user, np.zeros(200, dtype=np.int64), np.arange(200), names)
+        codes, expected = np.unique(user, return_inverse=True)
+        ids, got = log.users()
+        assert ids == [names[c] for c in codes.tolist()] and len(ids) < len(names)
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
+        assert ClickLog.of([]).users()[0] == [] and ClickLog.of([]).users()[1].size == 0
 
     def test_iteration_round_trip_and_row_equality(self):
         log = ClickLog.of(self.ROWS)
@@ -264,6 +285,14 @@ class TestChronologicalSplit:
 
 
 class TestAssembleSplit:
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_nonpositive_window_rejected_by_both_builders(self, window):
+        events = [ev("u", 0, 1), ev("u", 1, 2), ev("u", 2, 3)]
+        with pytest.raises(ValueError, match="behavior_window must be positive"):
+            assemble_split(events[:2], events[2:], behavior_window=window)
+        with pytest.raises(ValueError, match="behavior_window must be positive"):
+            chronological_split(events, split_time=3, behavior_window=window)
+
     def test_orders_each_side_and_shares_the_history_rule(self):
         events = shuffled_clicks_with_ties(4)
         train_in = [e for e in events if e.timestamp < 900]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from itemcl.config import TrainConfig
-from itemcl.data import chronological_split
+from itemcl.data import Interaction, Item, ItemCatalog, assemble_split, chronological_split
 from itemcl.synthetic import SyntheticSpec, default_split_time, generate
 from itemcl import training
 from itemcl.training import TrainingError, mine_artifacts, save_checkpoint, train
@@ -165,6 +165,14 @@ class TestGuards:
         data, split = tiny_dataset()
         with pytest.raises(ValueError, match="semantic"):
             train(SMALL, split, data.catalog, data.profiles, None, None, None)
+
+    def test_one_item_catalog_rejected_before_the_first_step(self):
+        # a pair's negatives are drawn from the other items: with none, the
+        # matching sampler would redraw forever
+        base = dataclasses.replace(SMALL, lambda_feature=0.0, lambda_semantic=0.0, lambda_session=0.0)
+        clicks = [Interaction("u", 0, t) for t in range(3)]
+        with pytest.raises(ValueError, match="catalog has 1 item"):
+            train(base, assemble_split(clicks[:2], clicks[2:], 5), ItemCatalog([Item("a")]))
 
     def test_nonfinite_loss_aborts_with_component_name(self):
         data, split = tiny_dataset()

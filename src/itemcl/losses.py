@@ -14,10 +14,16 @@ All four share the same temperature-scaled softmax-over-negatives shape:
   co-occurrence neighbors, through the ``s`` projector; negatives come
   from the never-co-occurred complement.
 
-Every contrastive task draws its negatives through ``_batched_negatives``
-from its own stream, outside a per-anchor exclusion list: the anchor alone
-for the feature task, the anchor and its positives for the semantic task,
-the anchor and its co-occurrence partners for the session task.
+Every contrastive task draws its negatives through one call of
+``sampling._batched_negatives`` from its own stream, outside a per-anchor
+exclusion list: the anchor alone for the feature task, the anchor and its
+positives for the semantic task, the anchor and its co-occurrence partners
+for the session task; a scarce row holds fewer than asked for.
+
+One scorer, ``_infonce``, scores all four objectives and returns the loss
+and the sparse queries x keys matrix of weighted score gradients; the
+semantic and session tasks, whose queries and keys are both item rows,
+fold it into one symmetric items x items matrix.
 
 By default the positive term joins the denominator (keeps every term
 nonnegative); the literal negatives-only denominator stays available via
@@ -36,7 +42,6 @@ a task called without one runs its own and returns finished gradients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy import sparse
@@ -44,6 +49,7 @@ from scipy import sparse
 from .augment import AugmentationPlan
 from .model import (
     _scatter_rows,
+    _segment_matrix,
     EncodedCatalog,
     ModelParams,
     embed_items,
@@ -58,7 +64,7 @@ from .model import (
     user_tower_backward,
     zero_grads,
 )
-from .sampling import sample_distinct_rows, uniform_excluding
+from .sampling import _batched_negatives
 from .semantics import SemanticPositivePool
 from .sessions import CooccurrenceTable, SessionPositiveSampler
 from .util import sorted_unique
@@ -128,33 +134,6 @@ def infonce_terms(
     return values, dpos, dneg
 
 
-def _batched_negatives(
-    n_items: int,
-    exclusion_lists: list[np.ndarray],
-    k: int,
-    rng: np.random.Generator,
-) -> list[np.ndarray]:
-    """Per-anchor distinct negative draws outside each anchor's exclusion
-    list (sorted, no duplicates, and holding the anchor itself). Rows
-    with at least ``k`` eligible items go through one vectorized draw;
-    each scarce row goes to ``uniform_excluding``, which returns its whole
-    eligible set in ascending order with a warning and draws nothing."""
-    counts = np.asarray([len(x) for x in exclusion_lists], dtype=np.int64)
-    rich = np.flatnonzero(n_items - counts >= k)
-    out: list[np.ndarray | None] = [None] * len(exclusion_lists)
-    if rich.size:
-        mask = np.zeros((rich.size, n_items), dtype=bool)
-        cols = np.concatenate([np.asarray(exclusion_lists[i], dtype=np.int64) for i in rich])
-        mask[np.repeat(np.arange(rich.size), counts[rich]), cols] = True
-        drawn = sample_distinct_rows(n_items, k, rng, exclude_mask=mask)
-        for row, idx in enumerate(rich):
-            out[idx] = drawn[row]
-    for idx, drawn_row in enumerate(out):
-        if drawn_row is None:
-            out[idx] = uniform_excluding(n_items, exclusion_lists[idx], k, rng)
-    return out
-
-
 class ItemPass:
     """One step's item-side forward, shared by every task: raw feature
     embeddings ``raw`` and item-tower outputs ``d`` of the whole catalog,
@@ -178,33 +157,45 @@ class ItemPass:
         return self.grads
 
 
-def _rowwise_infonce(
+def _infonce(
     queries: np.ndarray,
     keys: np.ndarray,
-    pos: np.ndarray,
+    term_query: np.ndarray,
+    term_pos: np.ndarray,
     neg: np.ndarray,
+    counts: np.ndarray,
     tau: float,
     include_positive: bool,
     weight: float,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """One term per query row: ``queries[i]`` against its positive key row
-    ``pos[i]`` and negative key rows ``neg[i]``, scored by row dots one
-    negative column at a time (never a dense queries x keys product).
-    Returns the loss sum and ``weight`` times its query and key gradients."""
-    n, k = neg.shape
-    pos_scores = np.einsum("nd,nd->n", queries, keys[pos])
-    neg_scores = np.empty((n, k))
-    for j in range(k):
+) -> tuple[float, sparse.csr_matrix]:
+    """The one InfoNCE scorer. Term t scores ``queries[term_query[t]]``
+    against its positive key row ``term_pos[t]`` and its query row's
+    negatives: the first ``counts[q]`` key rows of ``neg[q]``, shared by
+    all of that row's terms. Scores are row dots, one negative column at a
+    time (never a dense queries x keys product). Returns the loss sum and
+    the sparse queries x keys matrix of ``weight`` times d(loss)/d(score)."""
+    n_queries, kmax = neg.shape
+    neg_scores = np.empty((n_queries, kmax))
+    for j in range(kmax):
         neg_scores[:, j] = np.einsum("nd,nd->n", queries, keys[neg[:, j]])
-    counts = np.full(n, k, dtype=np.int64)
-    values, dpos, dneg = infonce_terms(pos_scores, neg_scores, counts, tau, include_positive)
+    pos_scores = np.einsum("td,td->t", queries[term_query], keys[term_pos])
+    values, dpos, dneg = infonce_terms(pos_scores, neg_scores[term_query], counts[term_query], tau, include_positive)
+    query_dneg = np.zeros_like(neg_scores)
+    _scatter_rows(query_dneg, term_query, dneg)
+    valid = np.arange(kmax) < counts[:, None]
+    rows = np.concatenate([term_query, np.repeat(np.arange(n_queries), counts)])
+    cols = np.concatenate([term_pos, neg[valid]])
+    weights = weight * np.concatenate([dpos, query_dneg[valid]])
+    return float(values.sum()), sparse.csr_matrix((weights, (rows, cols)), shape=(n_queries, keys.shape[0]))
 
-    # sparse coefficient matrix over (query, key): weight * d(loss)/d(score)
-    rows = np.concatenate([np.arange(n), np.repeat(np.arange(n), k)])
-    cols = np.concatenate([pos, neg.ravel()])
-    weights = weight * np.concatenate([dpos, dneg.ravel()])
-    coeffs = sparse.csr_matrix((weights, (rows, cols)), shape=(n, keys.shape[0]))
-    return float(values.sum()), coeffs @ keys, coeffs.T @ queries
+
+def _left_aligned(rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Negative rows of any lengths as one zero-padded (rows, longest)
+    id array, each row left-aligned, and the rows' lengths."""
+    counts = np.asarray([len(row) for row in rows], dtype=np.int64)
+    ids = np.zeros((len(rows), int(counts.max(initial=0))), dtype=np.int64)
+    ids[np.arange(ids.shape[1]) < counts[:, None]] = np.concatenate([np.empty(0, dtype=np.int64), *rows])
+    return ids, counts
 
 
 def _result(value: float, items: ItemPass, own: bool) -> tuple[float, dict[str, np.ndarray]]:
@@ -227,12 +218,15 @@ def loss_matching(
     own = items is None
     items = items or ItemPass(params, enc)
     users, user_trace = user_tower(params, batch.histories, batch.profile_idx)
-    value, grad_u, grad_d = _rowwise_infonce(
-        users[batch.user_rows], items.d, batch.pos_items, batch.neg_items, 1.0, True, weight
+    queries = users[batch.user_rows]
+    n, k = batch.neg_items.shape
+    value, coeffs = _infonce(
+        queries, items.d, np.arange(n), batch.pos_items, batch.neg_items, np.full(n, k), 1.0, True, weight
     )
     grad_users = np.zeros_like(users)
-    _scatter_rows(grad_users, batch.user_rows, grad_u)
-    items.grad_d += grad_d
+    _scatter_rows(grad_users, batch.user_rows, coeffs @ items.d)
+    items.grad_d += coeffs.T @ queries
+    del queries, coeffs  # the user tower's backward is the step's memory peak
 
     user_tower_backward(params, user_trace, grad_users, items.grads)
     return _result(value, items, own)
@@ -261,22 +255,22 @@ def loss_feature_cl(
     anchors = batch.anchors
     if anchors.size == 0:
         return _result(0.0, items, own)
-    negs = np.stack(_batched_negatives(enc.n_items, list(anchors[:, None]), batch.num_negatives, rng))
+    rows = _batched_negatives(enc.n_items, list(anchors[:, None]), batch.num_negatives, rng)
+    neg, counts = _left_aligned(rows)
 
-    aug_ids = sorted_unique(np.concatenate([anchors, negs.ravel()]))
+    aug_ids = sorted_unique(np.concatenate([anchors, *rows]))
     raw_aug, aug_trace = embed_items_augmented(params, enc, aug_ids, plan, dropout_rng)
     p_clean, p_clean_trace = project(params, "f", items.raw[anchors])
     p_aug, p_aug_trace = project(params, "f", raw_aug)
 
-    self_loc = np.searchsorted(aug_ids, anchors)
-    neg_loc = np.searchsorted(aug_ids, negs.ravel()).reshape(negs.shape)
-    value, grad_clean, grad_aug = _rowwise_infonce(
-        p_clean, p_aug, self_loc, neg_loc, batch.tau, batch.include_positive, weight
+    self_loc, neg_loc = np.searchsorted(aug_ids, anchors), np.searchsorted(aug_ids, neg)
+    value, coeffs = _infonce(
+        p_clean, p_aug, np.arange(anchors.size), self_loc, neg_loc, counts, batch.tau, batch.include_positive, weight
     )
 
-    grad_raw_clean = project_backward(params, "f", p_clean_trace, grad_clean, items.grads)
+    grad_raw_clean = project_backward(params, "f", p_clean_trace, coeffs @ p_aug, items.grads)
     _scatter_rows(items.grad_raw, anchors, grad_raw_clean)
-    grad_raw_aug = project_backward(params, "f", p_aug_trace, grad_aug, items.grads)
+    grad_raw_aug = project_backward(params, "f", p_aug_trace, coeffs.T @ p_clean, items.grads)
     embed_items_augmented_backward(params, enc, aug_trace, grad_raw_aug, items.grads)
     return _result(value, items, own)
 
@@ -285,59 +279,35 @@ def _item_pair_infonce(
     items: ItemPass,
     which: str,
     batch: ContrastiveBatch,
-    anchors: list[int],
+    anchors: np.ndarray,
     positives: list[np.ndarray],
-    excluded: Callable[[int], np.ndarray],
-    n_items: int,
+    exclusions: list[np.ndarray],
     rng: np.random.Generator,
     weight: float,
 ) -> float:
     """Shared machinery for the semantic and session tasks: contrastive
-    terms over projected item-tower outputs, one term per (anchor,
-    positive), negatives shared across an anchor's terms. An anchor's
-    negatives are drawn outside ``excluded(a)``; anchors left with none
-    drop out. Arrays are indexed by item id throughout."""
-    negatives = _batched_negatives(n_items, [excluded(a) for a in anchors], batch.num_negatives, rng)
-    keep = [i for i, neg in enumerate(negatives) if neg.size]
-    if not keep:
+    terms over projected item-tower outputs, one term per (distinct
+    anchor, positive), negatives shared across an anchor's terms. Anchor
+    i's negatives are drawn outside ``exclusions[i]``; anchors left with
+    none drop out. The scorer's anchors x items coefficients become an
+    items x items matrix C, and every scored pair (a, b) sends its
+    coefficient to both rows: grad_p = (C + C.T) @ p."""
+    neg, counts = _left_aligned(_batched_negatives(items.d.shape[0], exclusions, batch.num_negatives, rng))
+    keep = np.flatnonzero(counts)
+    if not keep.size:
         return 0.0
-    anchors = np.asarray([anchors[i] for i in keep], dtype=np.int64)
-    positives = [np.asarray(positives[i], dtype=np.int64) for i in keep]
-    negatives = [negatives[i] for i in keep]
+    positives = [positives[i] for i in keep]
+    term_row = np.repeat(np.arange(keep.size), [len(row) for row in positives])
 
     params = items.params
     p, p_trace = project(params, which, items.d)
-    n_anchors = anchors.size
-    counts = np.asarray([len(neg) for neg in negatives], dtype=np.int64)
-    kmax = int(counts.max())
-    valid = np.arange(kmax)[None, :] < counts[:, None]  # each anchor's negatives, left-aligned
-    neg_ids = np.zeros((n_anchors, kmax), dtype=np.int64)
-    neg_ids[valid] = np.concatenate(negatives)
-
-    term_row = np.repeat(np.arange(n_anchors), [len(p_) for p_ in positives])
-    term_anchor = anchors[term_row]
-    term_pos = np.concatenate(positives)
-    anchor_neg_scores = np.einsum("ad,akd->ak", p[anchors], p[neg_ids])
-
-    pos_scores = np.einsum("td,td->t", p[term_anchor], p[term_pos])
-    values, dpos, dneg_term = infonce_terms(
-        pos_scores, anchor_neg_scores[term_row], counts[term_row], batch.tau, batch.include_positive
+    anchors, term_pos = anchors[keep], np.concatenate(positives)
+    value, coeffs = _infonce(
+        p[anchors], p, term_row, term_pos, neg[keep], counts[keep], batch.tau, batch.include_positive, weight
     )
-    anchor_dneg = np.zeros_like(anchor_neg_scores)
-    _scatter_rows(anchor_dneg, term_row, dneg_term)
-
-    # every scored pair (a, b) contributes w * p[b] to grad_p[a] and
-    # w * p[a] to grad_p[b]; one symmetric sparse matrix covers them all
-    a_rep = np.broadcast_to(anchors[:, None], (n_anchors, kmax))[valid]
-    n_rep = neg_ids[valid]
-    w = anchor_dneg[valid]
-    rows = np.concatenate([term_anchor, term_pos, a_rep, n_rep])
-    cols = np.concatenate([term_pos, term_anchor, n_rep, a_rep])
-    weights = weight * np.concatenate([dpos, dpos, w, w])
-    n_rows = items.d.shape[0]
-    coeffs = sparse.csr_matrix((weights, (rows, cols)), shape=(n_rows, n_rows))
-    items.grad_d += project_backward(params, which, p_trace, coeffs @ p, items.grads)
-    return float(values.sum())
+    coeffs = _segment_matrix(anchors, p.shape[0]) @ coeffs
+    items.grad_d += project_backward(params, which, p_trace, (coeffs + coeffs.T) @ p, items.grads)
+    return value
 
 
 def loss_semantic_cl(
@@ -354,9 +324,10 @@ def loss_semantic_cl(
     contribute exactly zero."""
     own = items is None
     items = items or ItemPass(params, enc)
-    anchors = [int(a) for a in batch.anchors if pool.has_positives(int(a))]
+    anchors = np.asarray([a for a in batch.anchors if pool.positives[a].size], dtype=np.int64)
     positives = [pool.positives[a] for a in anchors]
-    value = _item_pair_infonce(items, "t", batch, anchors, positives, pool.excluded, pool.n_items, rng, weight)
+    exclusions = [pool.excluded(a) for a in anchors]
+    value = _item_pair_infonce(items, "t", batch, anchors, positives, exclusions, rng, weight)
     return _result(value, items, own)
 
 
@@ -376,9 +347,8 @@ def loss_session_cl(
     own = items is None
     items = items or ItemPass(params, enc)
     anchors, positives = sampler.sample_many(batch.anchors, rng)
-    value = _item_pair_infonce(
-        items, "s", batch, anchors.tolist(), positives[:, None], table.excluded, table.n_items, rng, weight
-    )
+    exclusions = [table.excluded(a) for a in anchors]
+    value = _item_pair_infonce(items, "s", batch, anchors, list(positives[:, None]), exclusions, rng, weight)
     return _result(value, items, own)
 
 

@@ -2,8 +2,10 @@
 
 :func:`sample_distinct_rows` is the one rejection loop for distinct
 negatives, with each row's exclusions given as one row of a boolean
-mask; :func:`uniform_excluding` draws one row through it.
-:func:`exclusion_rows` builds every item's sorted exclusion list at once.
+mask. :func:`_batched_negatives` feeds it every row that has enough
+eligible items and owns the rule for the rows that do not;
+:func:`uniform_excluding` is its one-row call. :func:`exclusion_rows`
+builds every item's sorted exclusion list at once.
 """
 
 from __future__ import annotations
@@ -15,6 +17,35 @@ import numpy as np
 from .util import warn
 
 
+def _batched_negatives(
+    n_items: int,
+    exclusion_lists: list[np.ndarray],
+    k: int,
+    rng: np.random.Generator,
+) -> list[np.ndarray]:
+    """``k`` distinct draws per row from ``range(n_items)`` outside the
+    row's exclusion list (no duplicates). Rows with at least ``k``
+    eligible items go through one vectorized draw. A scarce row gets its
+    whole eligible set in ascending order and draws nothing; one warning
+    per call counts the scarce rows."""
+    counts = np.asarray([len(x) for x in exclusion_lists], dtype=np.int64)
+    scarce = n_items - counts < k
+    rich = np.flatnonzero(~scarce)
+    out: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * len(exclusion_lists)
+    if rich.size:
+        mask = np.zeros((rich.size, n_items), dtype=bool)
+        cols = np.concatenate([np.asarray(exclusion_lists[i], dtype=np.int64) for i in rich])
+        mask[np.repeat(np.arange(rich.size), counts[rich]), cols] = True
+        drawn = sample_distinct_rows(n_items, k, rng, exclude_mask=mask)
+        for row, idx in enumerate(rich):
+            out[idx] = drawn[row]
+    for idx in np.flatnonzero(scarce):
+        out[idx] = np.setdiff1d(np.arange(n_items), exclusion_lists[idx])
+    if scarce.any():
+        warn(f"{scarce.sum()} of {scarce.size} rows have fewer than {k} eligible items; each gets its whole set")
+    return out
+
+
 def uniform_excluding(
     n_items: int,
     excluded: Collection[int],
@@ -22,22 +53,12 @@ def uniform_excluding(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Draw ``n`` distinct indices uniformly from ``range(n_items)`` minus
-    ``excluded``: one row of :func:`sample_distinct_rows`.
-
-    If fewer than ``n`` indices are eligible, the whole eligible set is
-    returned in ascending order with a warning, and nothing is drawn.
-    """
+    ``excluded``: the one-row call of :func:`_batched_negatives`, so with
+    fewer than ``n`` eligible indices the whole eligible set comes back in
+    ascending order with a warning, and nothing is drawn."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    mask = np.zeros((1, n_items), dtype=bool)
-    mask[0, np.fromiter(excluded, dtype=np.int64, count=len(excluded))] = True
-    eligible = np.flatnonzero(~mask[0])
-    if eligible.size < n:
-        warn("eligible set smaller than requested sample size; returning the whole eligible set")
-        return eligible
-    return sample_distinct_rows(n_items, n, rng, exclude_mask=mask)[0]
+    return _batched_negatives(n_items, [np.unique(np.fromiter(excluded, np.int64, len(excluded)))], n, rng)[0]
 
 
 def exclusion_rows(rows: np.ndarray, cols: np.ndarray, n_items: int) -> tuple[np.ndarray, np.ndarray]:

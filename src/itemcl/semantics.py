@@ -46,9 +46,6 @@ class SemanticPositivePool:
     def n_items(self) -> int:
         return len(self.positives)
 
-    def has_positives(self, item: int) -> bool:
-        return self.positives[item].size > 0
-
     def excluded(self, item: int) -> np.ndarray:
         """The items a semantic negative of ``item`` may not be: its
         positives and itself, sorted, no duplicates; read-only."""

@@ -36,16 +36,38 @@ def test_all_losses_match_finite_differences():
     assert quiet == {"attn.Wq", "attn.bq", "attn.Wk"}
 
 
-@pytest.mark.parametrize("name", ["feature", "semantic", "session", "joint"])
-def test_negatives_only_denominator_matches_finite_differences(name):
-    # the paper's form of the contrastive loss; the suite above checks the
-    # default, whose denominator also holds the positive
+CONTRASTIVE = ["feature", "semantic", "session", "joint"]
+
+
+def assert_contrastive_gradient(name, include_positive, k):
+    """Gradcheck task ``name`` on the fixture under one denominator form
+    with ``k`` negatives asked per anchor. At k = 4 the semantic rows
+    hold 3 and 4 negatives and the session rows 3 each: ragged rows, the
+    scarce ones holding their whole eligible set."""
     fix = build_fixture(0)
-    fix["contrastive"] = dataclasses.replace(fix["contrastive"], include_positive=False)
+    fix["contrastive"] = dataclasses.replace(
+        fix["contrastive"], include_positive=include_positive, num_negatives=k
+    )
     closure = _loss_closures(fix)[name]
     _, grads = closure(fix["params"])
     numeric = finite_difference_gradient(lambda p: closure(p)[0], fix["params"])
     assert max_relative_error(flatten(grads), numeric) < 1e-5
+
+
+@pytest.mark.filterwarnings("ignore::itemcl.util.ItemclWarning")
+@pytest.mark.parametrize(
+    "name, k", [pytest.param(name, k, id=name if k == 2 else f"{name}-k{k}") for k in (2, 4) for name in CONTRASTIVE]
+)
+def test_negatives_only_denominator_matches_finite_differences(name, k):
+    # the paper's form of the contrastive loss; the suite above checks the
+    # default, whose denominator also holds the positive, at k = 2
+    assert_contrastive_gradient(name, False, k)
+
+
+@pytest.mark.filterwarnings("ignore::itemcl.util.ItemclWarning")
+@pytest.mark.parametrize("name", CONTRASTIVE)
+def test_default_denominator_over_ragged_negatives_matches_finite_differences(name):
+    assert_contrastive_gradient(name, True, 4)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)

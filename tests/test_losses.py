@@ -23,6 +23,7 @@ from itemcl.losses import (
 from itemcl.model import embed_items, item_tower
 from itemcl.rng import substream
 from itemcl.sampling import sample_distinct_rows
+from itemcl.sessions import CooccurrenceTable, SessionPositiveSampler
 from itemcl.util import ItemclWarning
 
 
@@ -258,6 +259,14 @@ class TestBatchedNegatives:
         assert len(caught) == 1
         assert rng.bit_generator.state == before
 
+    def test_one_warning_per_call_counts_the_scarce_rows(self):
+        exclusions = [np.array([0, 1, 2, 3]), np.array([0]), np.array([1, 2, 3, 4])]
+        with pytest.warns(ItemclWarning) as caught:
+            got = _batched_negatives(6, exclusions, 3, np.random.default_rng(25))
+        assert len(caught) == 1
+        assert "2 of 3" in str(caught[0].message)
+        assert [row.tolist() for row in got[::2]] == [[4, 5], [0, 5]]
+
     def test_shortfall_row_leaves_the_other_rows_draws_alone(self):
         rich = [np.array([0]), np.array([1, 2])]
         rng, expected_rng = np.random.default_rng(24), np.random.default_rng(24)
@@ -306,7 +315,7 @@ class TestLossSemantic:
 
     def test_matches_scalar_recomputation(self, tiny, monkeypatch):
         params, enc, pool = tiny["params"], tiny["enc"], tiny["pool"]
-        fixed = {0: np.array([3, 5]), 2: np.array([4, 1])}
+        fixed = {0: np.array([3, 5]), 2: np.array([4])}  # ragged, as when a row falls short
         pin_negatives(monkeypatch, fixed[0], fixed[2])
         batch = ContrastiveBatch(anchors=np.array([0, 2]), num_negatives=2)
         value, _ = loss_semantic_cl(params, enc, batch, pool, substream(0, "w"))
@@ -332,6 +341,25 @@ class TestLossSession:
         )
         assert value == 0.0
         assert all(not g.any() for g in grads.values())
+
+    @pytest.mark.parametrize("include_positive", [True, False])
+    def test_anchor_whose_partners_cover_the_catalog_drops_out(self, tiny, include_positive):
+        # item 0 co-occurs with every other item, so no negative is left for it
+        params, enc = tiny["params"], tiny["enc"]
+        table = CooccurrenceTable([(0, b) for b in range(1, 6)] + [(3, 4)], [1] * 6, 6)
+        sampler = SessionPositiveSampler(table)
+
+        def loss(anchors):
+            batch = ContrastiveBatch(anchors=np.array(anchors), num_negatives=2, include_positive=include_positive)
+            with pytest.warns(ItemclWarning):
+                return loss_session_cl(params, enc, batch, sampler, table, substream(0, "cover"))
+
+        value, grads = loss([0])
+        assert value == 0.0
+        assert all(not g.any() for g in grads.values())
+        value, grads = loss([0, 3])  # item 3 draws from {1, 2, 5}
+        assert value > 0.0 and np.isfinite(value)
+        assert grads["proj_s.W"].any()
 
     def test_uniform_scores(self, tiny):
         params = zero_out(tiny["params"], ("proj_s.",))

@@ -17,7 +17,8 @@ Covered, on small synthetic data and one BLAS thread:
   several training variants: full, taxonomy pool, negatives-only
   denominator, ``element`` augmentation, base (every contrastive task off),
   small batches (the user tower's unfolded path), and a 40-item catalog
-  whose contrastive rows take the scarce-negatives fallback;
+  whose contrastive rows take the scarce-negatives fallback, under both
+  denominators (the negatives-only one over ragged negative rows);
 * the full model's ``evaluate`` report under dot and cosine scoring, and
   ``retrieve_topn`` lists for 40 test users.
 """
@@ -124,12 +125,13 @@ def fingerprint() -> dict[str, object]:
             dataclasses.replace(spec, n_items=40, n_users=60, n_clusters=4, n_interactions=4000, n_motif_pairs=5)
         )
         tiny_split = chronological_split(tiny.interactions, synthetic.default_split_time(tiny.interactions), 8)
-        config = itemcl.TrainConfig(**base)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            out["train.scarce_negatives"], _ = _train(
-                itemcl, config, tiny_split, tiny.catalog, tiny.profiles, workdir, "scarce"
-            )
+            for name, changes in {"": {}, ".negatives_only": variants["negatives_only"]}.items():
+                config = itemcl.TrainConfig(**{**base, **changes})
+                out[f"train.scarce_negatives{name}"], _ = _train(
+                    itemcl, config, tiny_split, tiny.catalog, tiny.profiles, workdir, f"scarce{name}"
+                )
         out["scarce_negatives_warnings"] = sum("eligible" in str(w.message) for w in caught)
     return out
 

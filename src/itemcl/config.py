@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .augment import AugmentationPlan
+from .data import open_text
 from .evaluation import check_similarity
 from .model import ModelDims
 from .semantics import check_semantic_source
@@ -119,7 +120,7 @@ def parse_config_file(path: str) -> dict[str, str]:
     or a key given twice raises ``ValueError`` naming ``path:line``."""
     settings: dict[str, str] = {}
     first_line: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:

@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import TextIO
 
 import numpy as np
 
@@ -33,6 +35,27 @@ from .util import argsort_codes, atomic_write_text, warn
 class DataFormatError(ValueError):
     """Raised for malformed or inconsistent input files; the message names
     the offending file and line."""
+
+
+@contextmanager
+def open_text(path: str) -> Iterator[TextIO]:
+    """``path`` opened for reading as UTF-8 text, any line ending. Bytes
+    that are not UTF-8 raise ``DataFormatError("path:N: not UTF-8 text")``,
+    N the line that holds them: the decoder reads ahead of the lines it
+    yields, so the file is re-read as bytes to find it."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            yield handle
+    except UnicodeDecodeError:
+        with open(path, "rb") as handle:
+            data = handle.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            head = data[: exc.start]  # line breaks as text mode counts them: \n, \r\n or a lone \r
+            line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+            raise DataFormatError(f"{path}:{line}: not UTF-8 text") from None
+        raise
 
 
 @dataclass(frozen=True)
@@ -162,15 +185,13 @@ class SplitDataset:
     """Chronological train/test split plus per-user behavior histories.
 
     Histories contain each user's most recent train-time item indices,
-    most-recent-last, at most ``behavior_window`` long. Clicks given as
-    ``Interaction`` rows are held as a ``ClickLog``.
+    most-recent-last, at most the split's behavior window long. Clicks
+    given as ``Interaction`` rows are held as a ``ClickLog``.
     """
 
     train_interactions: ClickLog
     test_interactions: ClickLog
     behavior_histories: dict[str, list[int]]
-    behavior_window: int
-    split_time: int
 
     def __post_init__(self):
         self.train_interactions = ClickLog.of(self.train_interactions)
@@ -181,7 +202,7 @@ def load_catalog(path: str) -> ItemCatalog:
     """Parse a JSONL item catalog; indices follow file order."""
     items: list[Item] = []
     first_line: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
@@ -244,7 +265,7 @@ def load_interactions(path: str, catalog: ItemCatalog) -> ClickLog:
     dropped and reported in one warning with the rejected count."""
     rows: list[tuple[str, int, int]] = []
     rejected = 0
-    with open(path, "r", encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -281,7 +302,8 @@ def load_profiles(path: str) -> UserProfileTable:
     """Parse JSONL user profiles; every row must carry the same field set."""
     field_names: tuple[str, ...] | None = None
     rows: dict[str, tuple[str, ...]] = {}
-    with open(path, "r", encoding="utf-8") as handle:
+    first_line: dict[str, int] = {}
+    with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
@@ -294,8 +316,9 @@ def load_profiles(path: str) -> UserProfileTable:
                     raise ValueError("user_id must be a string and fields an object")
             except (ValueError, KeyError, TypeError) as exc:
                 raise DataFormatError(f"{path}:{lineno}: malformed profile row ({exc})") from None
-            if user_id in rows:
-                raise DataFormatError(f"{path}:{lineno}: duplicate user_id {user_id!r}")
+            if user_id in first_line:
+                raise DataFormatError(f"{path}:{lineno}: user_id {user_id!r} repeats line {first_line[user_id]}")
+            first_line[user_id] = lineno
             if field_names is None:
                 field_names = tuple(sorted(fields))
             elif tuple(sorted(fields)) != field_names:
@@ -348,8 +371,7 @@ def assemble_split(
     gets stably time-ordered)."""
     train = _time_ordered(ClickLog.of(train))
     test = _time_ordered(ClickLog.of(test))
-    split_time = int(test.time[0]) if len(test) else (int(train.time[-1]) + 1 if len(train) else 0)
-    return SplitDataset(train, test, build_histories(train, behavior_window), behavior_window, split_time)
+    return SplitDataset(train, test, build_histories(train, behavior_window))
 
 
 def chronological_split(
@@ -375,4 +397,4 @@ def chronological_split(
     if not len(test):
         warn("chronological split produced an empty test set")
 
-    return SplitDataset(train, test, histories, behavior_window, split_time)
+    return SplitDataset(train, test, histories)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DataFormatError, ItemCatalog
+from .data import DataFormatError, ItemCatalog, open_text
 from .rng import substream
 from .sampling import exclusion_rows
 from .util import atomic_write_text, top_k, warn
@@ -142,20 +142,22 @@ def dump_semantic_pool(pool: SemanticPositivePool, catalog: ItemCatalog, path: s
 
 
 def load_semantic_pool(path: str, catalog: ItemCatalog, source: str) -> SemanticPositivePool:
-    """Read a ``dump_semantic_pool`` file; a malformed row, a second row
-    for one item or a positive listed twice raises ``DataFormatError``
-    naming ``path:line``."""
+    """Read a ``dump_semantic_pool`` file; a malformed row (one without a
+    tab too), a second row for one item or a positive listed twice raises
+    ``DataFormatError`` naming ``path:line``."""
     positives: list[np.ndarray] = [np.empty(0, dtype=np.int64) for _ in range(len(catalog))]
     first_line: dict[int, int] = {}
-    with open(path, "r", encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            item_id, _, joined = line.partition("\t")
+            item_id, tab, joined = line.partition("\t")
             owner = catalog.index_at(item_id, f"{path}:{lineno}")
             if owner in first_line:
                 raise DataFormatError(f"{path}:{lineno}: item {item_id!r} repeats line {first_line[owner]}")
+            if not tab:
+                raise DataFormatError(f"{path}:{lineno}: expected item_id, a tab and the positives")
             first_line[owner] = lineno
             if joined:
                 names = joined.split(",")

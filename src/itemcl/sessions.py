@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataFormatError, ItemCatalog, SplitDataset
+from .data import DataFormatError, ItemCatalog, SplitDataset, open_text
 from .sampling import exclusion_rows
 from .util import argsort_codes, atomic_write_text, sorted_unique
 
@@ -174,7 +174,7 @@ def load_cooccurrence(path: str, catalog: ItemCatalog, k: int = 10) -> Cooccurre
     twice in either order, raises ``DataFormatError`` naming ``path:line``."""
     counts: list[int] = []
     first_line: dict[tuple[int, int], int] = {}  # in file order, as ``counts``
-    with open(path, "r", encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if not line:

@@ -29,16 +29,16 @@ from .rng import substream
 
 TRAIN_FRACTION = 0.8  # share of clicks before the default split time
 
-_POSITIVE_COUNTS = (
-    "n_users",
-    "n_items",
-    "n_interactions",
-    "title_dim",
-    "tags_per_cluster",
-    "n_providers",
-    "max_session_length",
-    "session_gap_seconds",
-)
+# fixed shape of the planted structure
+INTRA_CLUSTER_BIAS = 0.85  # share of sessions that lean on a preferred cluster
+TAGS_PER_CLUSTER = 4
+N_PROVIDERS = 20
+ZIPF_EXPONENT = 0.8  # popularity over an item's rank within its cluster
+MEAN_SESSION_LENGTH = 3.0
+MAX_SESSION_LENGTH = 8
+SESSION_GAP_SECONDS = 300  # clicks in a session lie 1..300 s apart
+
+_POSITIVE_COUNTS = ("n_users", "n_items", "n_interactions", "title_dim")
 
 
 @dataclass(frozen=True)
@@ -47,15 +47,8 @@ class SyntheticSpec:
     n_items: int = 1000
     n_clusters: int = 20
     n_interactions: int = 200_000
-    intra_cluster_bias: float = 0.85
     title_dim: int = 16
     title_noise: float = 0.05
-    tags_per_cluster: int = 4
-    n_providers: int = 20
-    zipf_exponent: float = 0.8
-    mean_session_length: float = 3.0
-    max_session_length: int = 8
-    session_gap_seconds: int = 300
     motif_pairs: tuple[tuple[int, int], ...] | None = None  # None -> auto-pick
     n_motif_pairs: int = 60
     motif_rate: float = 0.15
@@ -71,14 +64,8 @@ class SyntheticSpec:
             raise ValueError("n_motif_pairs must be non-negative")
         if not self.seed >= 0:
             raise ValueError("seed must be non-negative")
-        if not (1.0 <= self.mean_session_length < math.inf):
-            raise ValueError("mean_session_length must be finite and at least 1")
         if not (0.0 <= self.title_noise < math.inf):
             raise ValueError("title_noise must be finite and non-negative")
-        if not math.isfinite(self.zipf_exponent):
-            raise ValueError("zipf_exponent must be finite")
-        if not (0.0 < self.intra_cluster_bias < 1.0):
-            raise ValueError("intra_cluster_bias must lie in (0, 1)")
         if not (0.0 <= self.motif_rate < 1.0):
             raise ValueError("motif_rate must lie in [0, 1)")
         if self.n_clusters > self.n_items:
@@ -96,10 +83,6 @@ class SyntheticDataset:
     profiles: UserProfileTable
     clusters: np.ndarray  # item index -> cluster
     motif_pairs: tuple[tuple[int, int], ...] = field(default_factory=tuple)
-
-
-def _item_clusters(spec: SyntheticSpec) -> np.ndarray:
-    return np.arange(spec.n_items) % spec.n_clusters
 
 
 def _pick_motif_pairs(spec: SyntheticSpec, clusters: np.ndarray) -> tuple[tuple[int, int], ...]:
@@ -126,7 +109,7 @@ def _pick_motif_pairs(spec: SyntheticSpec, clusters: np.ndarray) -> tuple[tuple[
 def generate(spec: SyntheticSpec) -> SyntheticDataset:
     """Build the catalog, click log, and profiles for ``spec``."""
     spec.validate()
-    clusters = _item_clusters(spec)
+    clusters = np.arange(spec.n_items) % spec.n_clusters
     motifs = _pick_motif_pairs(spec, clusters)
 
     rng_titles = substream(spec.seed, "synth", "titles")
@@ -141,9 +124,9 @@ def generate(spec: SyntheticSpec) -> SyntheticDataset:
     for i in range(spec.n_items):
         k = int(clusters[i])
         n_tags = int(rng_items.integers(1, 4))
-        tag_ids = rng_items.choice(spec.tags_per_cluster, size=min(n_tags, spec.tags_per_cluster), replace=False)
+        tag_ids = rng_items.choice(TAGS_PER_CLUSTER, size=n_tags, replace=False)
         tags = tuple(f"c{k}:t{int(t)}" for t in sorted(tag_ids))
-        provider = f"p{int(rng_items.integers(spec.n_providers))}"
+        provider = f"p{int(rng_items.integers(N_PROVIDERS))}"
         items.append(
             Item(
                 item_id=f"i{i:05d}",
@@ -162,12 +145,8 @@ def generate(spec: SyntheticSpec) -> SyntheticDataset:
     for k in range(spec.n_clusters):
         members = np.flatnonzero(clusters == k)
         ranks = np.arange(1, members.size + 1, dtype=np.float64)
-        with np.errstate(over="ignore"):  # an overflow is raised as a ValueError below
-            w = ranks ** (-spec.zipf_exponent)
-        total = w.sum()
-        if not np.isfinite(total):
-            raise ValueError(f"zipf_exponent {spec.zipf_exponent} overflows the popularity weights")
-        cdf = (w / total).cumsum()
+        w = ranks ** (-ZIPF_EXPONENT)
+        cdf = (w / w.sum()).cumsum()
         cdf /= cdf[-1]
         cluster_members.append(members.tolist())
         cluster_cdfs.append(cdf.tolist())
@@ -186,7 +165,7 @@ def generate(spec: SyntheticSpec) -> SyntheticDataset:
 
     rng_clicks = substream(spec.seed, "synth", "clicks")
     random, integers, poisson = rng_clicks.random, rng_clicks.integers, rng_clicks.poisson
-    n_clusters, gap = spec.n_clusters, spec.session_gap_seconds
+    n_clusters, gap = spec.n_clusters, SESSION_GAP_SECONDS
     inject_motifs = spec.motif_rate > 0 and bool(motifs)
     click_user, click_item, click_time = [], [], []
     base_quota = spec.n_interactions // spec.n_users
@@ -195,17 +174,17 @@ def generate(spec: SyntheticSpec) -> SyntheticDataset:
         quota = base_quota + (1 if j < spec.n_interactions % spec.n_users else 0)
         if quota == 0:
             continue
-        n_sessions = max(1, int(round(quota / spec.mean_session_length)))
+        n_sessions = max(1, int(round(quota / MEAN_SESSION_LENGTH)))
         starts = np.sort(integers(0, horizon, size=n_sessions)).tolist()
         remaining = quota
         last_end = -(10**9)
         for session_start in starts:
             if remaining <= 0:
                 break
-            length = int(min(remaining, spec.max_session_length, 1 + poisson(spec.mean_session_length - 1.0)))
+            length = int(min(remaining, MAX_SESSION_LENGTH, 1 + poisson(MEAN_SESSION_LENGTH - 1.0)))
             t = max(session_start, last_end + 2 * 3600 + 1)
             # session items lean on one cluster for within-session coherence
-            if random() < spec.intra_cluster_bias:
+            if random() < INTRA_CLUSTER_BIAS:
                 session_cluster = first if random() < 0.7 else second
             else:
                 session_cluster = int(integers(n_clusters))

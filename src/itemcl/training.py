@@ -68,7 +68,6 @@ class TrainReport:
     during the epoch, and ``peak_rss_mb``, its resident-set high-water
     mark in MiB after the epoch."""
 
-    config: dict
     epochs: list[dict] = field(default_factory=list)
 
     def final(self) -> dict:
@@ -163,7 +162,7 @@ def train(
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step_count = 0
 
-    report = TrainReport(config.to_dict())
+    report = TrainReport()
     n = ev_item.size
     for epoch in range(config.epochs):
         started = time.perf_counter()

@@ -146,15 +146,15 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     return top.reshape(scores.shape[:-1] + (k,))
 
 
-def _partition(neg: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The positions of each row's ``k`` lowest entries, in no order; the
-    k-th lowest; and whether the row holds more than ``k`` entries at or
-    below it, so that which of the tied ones were taken is arbitrary (NaN
+def _partition(neg: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of each row's ``k`` lowest entries, in no order, and
+    whether the row holds more than ``k`` entries at or below the k-th
+    lowest, so that which of the tied ones were taken is arbitrary (NaN
     ranks last, so a NaN k-th counts as tied)."""
     part = np.argpartition(neg, k - 1, axis=1)
     kth = neg[np.arange(neg.shape[0]), part[:, k - 1]]
     tied = np.isnan(kth) | ((neg <= kth[:, None]).sum(axis=1) > k)
-    return part[:, :k], kth, tied
+    return part[:, :k], tied
 
 
 def _ordered(top: np.ndarray, neg: np.ndarray) -> np.ndarray:
@@ -166,14 +166,9 @@ def _ordered(top: np.ndarray, neg: np.ndarray) -> np.ndarray:
 
 def _exact_top_k(neg: np.ndarray, k: int) -> np.ndarray:
     """``top_k`` of the (rows, n) array ``-neg`` by partial sorting."""
-    top, kth, tied = _partition(neg, k)
+    top, tied = _partition(neg, k)
     for i in np.flatnonzero(tied):
-        if np.isnan(kth[i]):
-            top[i] = np.argsort(neg[i], kind="stable")[:k]
-            continue
-        better = np.flatnonzero(neg[i] < kth[i])
-        same = np.flatnonzero(neg[i] == kth[i])
-        top[i] = np.concatenate([better, same[: k - better.size]])
+        top[i] = np.argsort(neg[i], kind="stable")[:k]
     return _ordered(top, neg[np.arange(neg.shape[0])[:, None], top])
 
 
@@ -191,7 +186,7 @@ def _pruned_top_k(rows: np.ndarray, k: int) -> np.ndarray:
     bound = maxima[r, blocks].min(axis=1)
     cols = (blocks[:, :, None] + width * np.arange(_BLOCK + 1)).reshape(m, -1)
     neg = np.where(cols < n, -rows[r, np.minimum(cols, n - 1)], np.inf)
-    pos, _, tied = _partition(neg, k)
+    pos, tied = _partition(neg, k)
     top = _ordered(cols[r, pos], neg[r, pos])
     redo = np.flatnonzero(tied | np.isnan(bound) | ((maxima >= bound[:, None]).sum(axis=1) > k))
     if redo.size:

@@ -1,10 +1,12 @@
 """Catalog/interaction ingestion and chronological splitting."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
+from itemcl.config import parse_config_file
 from itemcl.data import (
     ClickLog,
     DataFormatError,
@@ -14,8 +16,11 @@ from itemcl.data import (
     load_catalog,
     load_interactions,
     load_profiles,
+    open_text,
     save_catalog,
 )
+from itemcl.semantics import load_semantic_pool
+from itemcl.sessions import load_cooccurrence
 from itemcl.util import ItemclWarning
 
 
@@ -166,7 +171,7 @@ class TestClickLog:
         assert len(ClickLog.of(self.ROWS)[2:2]) == 0
         split = assemble_split([], [], behavior_window=3)
         assert len(split.train_interactions) == len(split.test_interactions) == 0
-        assert split.behavior_histories == {} and split.split_time == 0
+        assert split.behavior_histories == {}
         with pytest.raises(ValueError, match="non-empty"):
             chronological_split(log, split_time=0)
 
@@ -190,6 +195,97 @@ class TestProfiles:
         )
         with pytest.raises(DataFormatError, match=r":2:"):
             load_profiles(path)
+
+    def test_repeated_user_id_names_its_first_line(self, tmp_path):
+        path = write(
+            tmp_path / "p.jsonl",
+            '{"user_id": "u1", "fields": {"age": "a30"}}\n'
+            '{"user_id": "u2", "fields": {"age": "a40"}}\n\n'
+            '{"user_id": "u1", "fields": {"age": "a50"}}\n',
+        )
+        with pytest.raises(DataFormatError, match="^" + re.escape(f"{path}:4: user_id 'u1' repeats line 1")):
+            load_profiles(path)
+
+
+def _catalog_3(tmp_path):
+    return load_catalog(write(tmp_path / "fixture_catalog.jsonl", CATALOG_3))
+
+
+def _read_catalog(path, tmp_path):
+    return [
+        (it.item_id, it.tags, it.provider, it.taxonomy, None if it.title_vector is None else it.title_vector.tolist())
+        for it in load_catalog(path).items
+    ]
+
+
+def _read_interactions(path, tmp_path):
+    log = load_interactions(path, _catalog_3(tmp_path))
+    return log.user.tolist(), log.item.tolist(), log.time.tolist(), log.user_ids
+
+
+def _read_profiles(path, tmp_path):
+    table = load_profiles(path)
+    return table.field_names, table.rows
+
+
+def _read_cooccurrence(path, tmp_path):
+    table = load_cooccurrence(path, _catalog_3(tmp_path))
+    return table.pairs.tolist(), table.counts.tolist()
+
+
+def _read_semantic_pool(path, tmp_path):
+    return [p.tolist() for p in load_semantic_pool(path, _catalog_3(tmp_path), "taxonomy").positives]
+
+
+def _read_config(path, tmp_path):
+    return parse_config_file(path)
+
+
+# reader -> (a valid file of at least two lines, the reader's result as plain values)
+TEXT_READERS = {
+    "catalog": (CATALOG_3, _read_catalog),
+    "interactions": ("u1\ta\t10\nu2\tb\t20\nu1\tc\t30\n", _read_interactions),
+    "profiles": (
+        '{"user_id": "u1", "fields": {"age": "a30"}}\n{"user_id": "u2", "fields": {"age": "a40"}}\n',
+        _read_profiles,
+    ),
+    "cooccurrence": ("a\tb\t3\na\tc\t1\n", _read_cooccurrence),
+    "semantic_pool": ("a\tb,c\nb\t\nc\ta\n", _read_semantic_pool),
+    "config": ("train.seed = 3\nloss.tau = 0.5  # comment\ntrain.epochs = 2\n", _read_config),
+}
+
+
+class TestTextInput:
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("reader", sorted(TEXT_READERS))
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path, reader, ending):
+        text, load = TEXT_READERS[reader]
+        lines = text.encode().split(b"\n")
+        lines[1] = lines[1][:3] + b"\xff" + lines[1][3:]
+        path = tmp_path / "bad"
+        path.write_bytes(ending.encode().join(lines))
+        with pytest.raises(DataFormatError, match="^" + re.escape(f"{path}:2: not UTF-8 text") + "$"):
+            load(str(path), tmp_path)
+
+    @pytest.mark.parametrize("reader", sorted(TEXT_READERS))
+    def test_crlf_file_loads_like_lf(self, tmp_path, reader):
+        text, load = TEXT_READERS[reader]
+        lf, crlf = tmp_path / "lf", tmp_path / "crlf"
+        lf.write_bytes(text.encode())
+        crlf.write_bytes(text.replace("\n", "\r\n").encode())
+        assert load(str(crlf), tmp_path) == load(str(lf), tmp_path)
+
+    def test_line_count_takes_every_ending_and_reaches_past_the_read_ahead(self, tmp_path):
+        path = tmp_path / "mixed"
+        # 1: "a\r", 2: "b\r\n", 3: "c\n", then 5000 lines ahead of the bad byte
+        path.write_bytes(b"a\rb\r\nc\n" + b"0123456789\n" * 5000 + b"ok \xc3( here\n")
+        with pytest.raises(DataFormatError, match="^" + re.escape(f"{path}:5004: not UTF-8 text") + "$"):
+            with open_text(str(path)) as handle:
+                list(handle)
+        path.write_bytes(b"a\rb\r\nc\n\xe2\x82")  # a sequence cut short at the end of the file
+        with pytest.raises(DataFormatError, match="^" + re.escape(f"{path}:4: not UTF-8 text") + "$"):
+            with open_text(str(path)) as handle:
+                list(handle)
 
 
 def ev(user, item, ts):
@@ -303,4 +399,3 @@ class TestAssembleSplit:
         assert rows(split.test_interactions) == rows(test)
         assert split.behavior_histories == histories
         assert list(split.behavior_histories) == list(histories)
-        assert split.split_time == test[0].timestamp

@@ -233,6 +233,7 @@ class TestDump:
             ("a\tb,a", "item 'a' listed as its own positive"),
             ("c\ta", "item 'c' repeats line 1"),
             ("c", "item 'c' repeats line 1"),
+            ("b", "expected item_id, a tab and the positives"),
             ("a\tb,c,b", "positive 'b' listed twice"),
         ],
     )

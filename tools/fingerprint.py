@@ -20,7 +20,10 @@ Covered, on small synthetic data and one BLAS thread:
   whose contrastive rows take the scarce-negatives fallback, under both
   denominators (the negatives-only one over ragged negative rows);
 * the full model's ``evaluate`` report under dot and cosine scoring, and
-  ``retrieve_topn`` lists for 40 test users.
+  ``retrieve_topn`` lists for 40 test users;
+* the bytes of every text file the program writes (catalog, click log and
+  profiles, the co-occurrence and both semantic-pool dumps, the full
+  model's exported embeddings), and what each file's loader reads back.
 """
 
 from __future__ import annotations
@@ -67,6 +70,39 @@ def _train(itemcl, config, split, catalog, profiles, workdir: str, name: str):
     return {"checkpoint": ckpt, "losses": _sha(losses)}, params
 
 
+def _text_files(itemcl, data, table, pools, params, enc, workdir: str) -> dict[str, object]:
+    """The sha256 of each written text file (``file.NAME``) and of what its
+    loader reads back (``loaded.NAME``)."""
+    catalog = data.catalog
+    path = {name: os.path.join(workdir, name) for name in ("catalog", "clicks", "profiles", "cooc", "embeddings")}
+    itemcl.save_catalog(catalog, path["catalog"])
+    itemcl.save_interactions(data.interactions, catalog, path["clicks"])
+    itemcl.save_profiles(data.profiles, path["profiles"])
+    itemcl.sessions.dump_cooccurrence(table, catalog, path["cooc"])
+    itemcl.export_embeddings(params, enc, catalog, path["embeddings"])
+    for source, pool in pools.items():
+        path[f"pool.{source}"] = os.path.join(workdir, f"pool.{source}")
+        itemcl.semantics.dump_semantic_pool(pool, catalog, path[f"pool.{source}"])
+    out: dict[str, object] = {}
+    for name, file in path.items():
+        with open(file, "rb") as handle:
+            out[f"file.{name}"] = hashlib.sha256(handle.read()).hexdigest()
+
+    loaded = itemcl.load_catalog(path["catalog"])
+    rows = [(it.item_id, list(it.tags), it.provider, it.taxonomy) for it in loaded.items]
+    out["loaded.catalog"] = _sha(rows, np.stack([it.title_vector for it in loaded.items]))
+    log = itemcl.load_interactions(path["clicks"], loaded)
+    out["loaded.clicks"] = _sha(log.user, log.item, log.time, list(log.user_ids))
+    profiles = itemcl.load_profiles(path["profiles"])
+    out["loaded.profiles"] = _sha(list(profiles.field_names), list(profiles.rows.items()))
+    cooc = itemcl.sessions.load_cooccurrence(path["cooc"], loaded, 5)
+    out["loaded.cooc"] = _sha(cooc.pairs, cooc.counts, cooc.indptr, cooc.neighbors, cooc.neighbor_counts)
+    for source in pools:
+        pool = itemcl.semantics.load_semantic_pool(path[f"pool.{source}"], loaded, source)
+        out[f"loaded.pool.{source}"] = _sha(*pool.positives)
+    return out
+
+
 def fingerprint() -> dict[str, object]:
     import itemcl
     from itemcl import synthetic
@@ -84,9 +120,10 @@ def fingerprint() -> dict[str, object]:
     out["sessions"] = _sha(sessions.offsets, sessions.items, sessions.user, list(sessions.user_ids))
     table = itemcl.sessions.build_cooccurrence(sessions, len(data.catalog), 5)
     out["cooccurrence"] = _sha(table.pairs, table.counts, table.indptr, table.neighbors, table.neighbor_counts)
+    pools = {}
     for source in ("title_knn", "taxonomy"):
-        pool = itemcl.semantics.mine_semantic_pool(data.catalog, source, 6, 2)
-        out[f"pool.{source}"] = _sha(*pool.positives)
+        pools[source] = itemcl.semantics.mine_semantic_pool(data.catalog, source, 6, 2)
+        out[f"pool.{source}"] = _sha(*pools[source].positives)
 
     base = dict(SMALL_MODEL, epochs=2, batch_size=1024, behavior_window=8, negatives=20, seed=5)
     base.update(session_window=900, k_session=5, k_semantic=6)
@@ -118,6 +155,7 @@ def fingerprint() -> dict[str, object]:
             for u in users
         ]
         out["retrieve_topn"] = _sha(lists)
+        out.update(_text_files(itemcl, data, table, pools, params, enc, workdir))
 
         # 40 items, 20 negatives: an item with more than 19 co-occurrence
         # partners leaves fewer eligible negatives than asked for

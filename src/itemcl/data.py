@@ -39,12 +39,13 @@ class DataFormatError(ValueError):
 
 @contextmanager
 def open_text(path: str) -> Iterator[TextIO]:
-    """``path`` opened for reading as UTF-8 text, any line ending. Bytes
-    that are not UTF-8 raise ``DataFormatError("path:N: not UTF-8 text")``,
-    N the line that holds them: the decoder reads ahead of the lines it
-    yields, so the file is re-read as bytes to find it."""
+    """``path`` opened for reading as UTF-8 text, any line ending, a
+    leading byte-order mark dropped. Bytes that are not UTF-8 raise
+    ``DataFormatError("path:N: not UTF-8 text")``, N the line that holds
+    them: the decoder reads ahead of the lines it yields, so the file is
+    re-read as bytes to find it."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             yield handle
     except UnicodeDecodeError:
         with open(path, "rb") as handle:

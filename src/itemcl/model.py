@@ -17,14 +17,23 @@ in the slot, so the user tower projects each distinct item of a call once
 and gathers the projections per slot; its backward pass sums the slot
 gradients per distinct item before the projection weights see them.
 
+``items`` and ``slot_item`` come from a presence array over the catalog
+and a catalog-to-row lookup, not a sort; every negative entry is padding
+and maps to one row.
+
 A ``UserTrace`` keeps the per-item rows (one per row of ``items``) of
 the embedding ``x`` and of ``q``, ``k``, ``v``, ``o`` and ``f``, plus
 ``slot_item``, the attention weights and the MLP trace; it holds no (m,
-window, d) array. Per-slot arrays live only inside one call, each for
-the one product that reads it: the forward gathers ``q`` and ``k`` per
-slot to form the scores and ``f`` to form ``relu(probs @ f)``, and the
-backward gathers ``f``, ``k`` and ``q`` again one at a time, summing each
-slot gradient per item before it forms the next.
+window, d) array. The per-slot stage (the gathers, the batched products
+and the softmax, ReLU and padding passes, forward and backward) runs
+over blocks of ``USER_BLOCK`` users, whose arrays stay in cache; each
+block writes its rows of whole arrays allocated once per call. Every
+reduction across users stays whole, so that the block size changes no
+bit: the first layer's products, those with ``attn.Wf2`` on the
+unfolded path, and each per-item sum of slot gradients, one sparse
+product over all slots that adds up an item's slots in slot order. The
+backward sums the gradient of ``f`` per item before it forms those of
+``q`` and ``k``, so it holds at most two slot-gradient arrays at once.
 
 Between attention and the feed-forward ReLU everything is affine, and
 every attention row sums to 1 (an all-padding row spreads uniform weight
@@ -59,9 +68,10 @@ from scipy import sparse
 from .augment import AugmentationPlan, augmentation_masks
 from .data import ItemCatalog, UserProfileTable
 from .rng import substream
-from .util import atomic_write_bytes, sorted_unique
+from .util import atomic_write_bytes
 
 PAD = -1
+USER_BLOCK = 64  # users per block of the user tower's per-slot stage (module docstring)
 
 _CHECKPOINT_MAGIC = b"ITEMCL-CHECKPOINT-V1\n"
 
@@ -464,6 +474,11 @@ def item_tower_backward(
     return g_raw
 
 
+def _user_blocks(m: int) -> typing.Iterator[slice]:
+    """Consecutive slices of ``USER_BLOCK`` users covering ``m``."""
+    return (slice(lo, lo + USER_BLOCK) for lo in range(0, m, USER_BLOCK))
+
+
 def pad_histories(histories: list[list[int]], window: int) -> np.ndarray:
     """Right-align each history into a (m, window) int array, -1 padded.
 
@@ -484,7 +499,7 @@ def pad_histories(histories: list[list[int]], window: int) -> np.ndarray:
 class UserTrace:
     valid: np.ndarray
     profile_idx: np.ndarray
-    items: np.ndarray  # (n_distinct,) sorted distinct history entries, padding included
+    items: np.ndarray  # (n_distinct,) sorted distinct history entries, -1 first if any entry is padding
     slot_item: np.ndarray  # (m, window) row of ``items`` holding each slot's entry
     x: np.ndarray  # (n_distinct, d) item embedding per row of ``items``, zero for padding
     q: np.ndarray  # (n_distinct, d) query per row of ``items``
@@ -528,24 +543,22 @@ def user_tower(
     a = params.arrays
     m = histories.shape[0]
     valid = histories >= 0
-    items = sorted_unique(histories)
-    slot_item = np.searchsorted(items, histories)
+    # entry + 1 indexes ``present`` and ``row_of``; every negative entry
+    # is padding and shares row 0
+    shifted = np.maximum(histories, PAD) + 1
+    present = np.zeros(meta.n_items + 1, dtype=bool)
+    present[shifted] = True
+    rows = np.flatnonzero(present)
+    row_of = np.empty(meta.n_items + 1, dtype=np.intp)
+    row_of[rows] = np.arange(rows.size)
+    items, slot_item = rows + PAD, row_of[shifted]
     x = a["emb.item_id"].take(items, axis=0)
-    x[: np.searchsorted(items, 0)] = 0.0  # padding entries sort first
+    x[: int(present[0])] = 0.0  # padding sorts first
     q = _affine(x, a["attn.Wq"], a["attn.bq"])
     k = x @ a["attn.Wk"]  # keys take no bias
     v = _affine(x, a["attn.Wv"], a["attn.bv"])
     o = _affine(v, a["attn.Wo"], a["attn.bo"])
     f = _affine(o, a["attn.Wf1"], a["attn.bf1"])
-
-    # each per-slot gather lives only for the one product that reads it
-    scores = np.matmul(q.take(slot_item, axis=0), k.take(slot_item, axis=0).transpose(0, 2, 1))
-    scores /= np.sqrt(d)
-    scores[~np.broadcast_to(valid[:, None, :], scores.shape)] = -1e30
-    shift = scores.max(axis=2, keepdims=True)
-    scores -= shift
-    probs = np.exp(scores, out=scores)
-    probs /= probs.sum(axis=2, keepdims=True)
 
     # fold attn.Wf2 and attn.bf2 into the first layer's slot blocks when
     # that costs less than running Wf2 per slot (module docstring); folded,
@@ -563,12 +576,23 @@ def user_tower(
         z[:, n_ffn : n_ffn + window] = valid
         for j, rows in enumerate(profile):
             z[:, n_ffn + window + j * d : n_ffn + window + (j + 1) * d] = rows
-        ffn_h = z[:, :n_ffn].reshape(m, window, -1)  # a view: the matmul below writes into z
+        ffn_h = z[:, :n_ffn].reshape(m, window, -1)  # a view: the blocks below write into z
     else:
         ffn_h = np.empty((m, window, meta.dims.ffn_dim))
-    np.matmul(probs, f.take(slot_item, axis=0), out=ffn_h)
-    np.maximum(ffn_h, 0.0, out=ffn_h)
-    ffn_h[~valid] = 0.0  # padding slots feed nothing; the backward's relu mask then masks them too
+
+    # the per-slot stage, USER_BLOCK users at a time (module docstring)
+    probs = np.empty((m, window, window))
+    for blk in _user_blocks(m):
+        slots, keep = slot_item[blk], valid[blk]
+        p = np.matmul(q.take(slots, axis=0), k.take(slots, axis=0).transpose(0, 2, 1), out=probs[blk])
+        p /= np.sqrt(d)
+        np.copyto(p, -1e30, where=~keep[:, None, :])
+        p -= p.max(axis=2, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=2, keepdims=True)
+        h = np.matmul(p, f.take(slots, axis=0), out=ffn_h[blk])
+        np.maximum(h, 0.0, out=h)
+        h[~keep] = 0.0  # padding slots feed nothing; the backward's relu mask then masks them too
     if not folded:
         encoded = _affine(ffn_h.reshape(m * window, -1), a["attn.Wf2"], a["attn.bf2"]).reshape(m, window, d)
         encoded[~valid] = 0.0
@@ -583,17 +607,14 @@ def user_tower(
 
 
 def _ffn_backward(
-    params: ModelParams,
-    trace: UserTrace,
-    grad_u: np.ndarray,
-    grads: dict[str, np.ndarray],
-    per_item: sparse.csc_matrix,
+    params: ModelParams, trace: UserTrace, grad_u: np.ndarray, grads: dict[str, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
     """The user tower's backward from the user vector through the MLP, the
-    profile embeddings and ``attn.Wf2`` down to ``relu(probs @ f)``.
-    Returns the gradient of ``probs`` and that of ``f`` summed per item by
-    ``per_item``. The gradient of the first layer's input, the largest
-    array of the backward, lives only inside this call."""
+    profile embeddings, ``attn.Wf2``, ``relu(probs @ f)`` and the softmax.
+    Returns the gradient of the scores, scaled by their 1 / sqrt(d), and
+    that of ``f`` per slot, (m * window, ffn). The gradient of the first
+    layer's input, the largest array of the backward, lives only inside
+    this call."""
     meta = params.meta
     a = params.arrays
     d = meta.dims.d_field
@@ -618,9 +639,7 @@ def _ffn_backward(
         grads["user_tower.W0"][window * d :] += g_w0[offset:]
         grads["attn.Wf2"] += np.tensordot(g_fold, w0_slots, axes=([0, 2], [0, 2]))
         grads["attn.bf2"] += np.tensordot(w0_slots, g_bias, axes=([0, 2], [0, 1]))
-        g_ffn = gz[:, :n_ffn]
-        g_ffn *= trace.mlp.x[:, :n_ffn] > 0.0  # the 2-D slice: a strided 3-D multiply is slower
-        g_ffn = g_ffn.reshape(m, window, -1)
+        g_ffn, ffn_h = gz[:, :n_ffn], trace.mlp.x[:, :n_ffn]
     else:
         grads["user_tower.W0"] += g_w0
         g_encoded = gz[:, :offset].reshape(m, window, d)
@@ -628,11 +647,22 @@ def _ffn_backward(
         g_flat = g_encoded.reshape(m * window, d)
         grads["attn.Wf2"] += trace.ffn_h.reshape(m * window, -1).T @ g_flat
         grads["attn.bf2"] += g_flat.sum(axis=0)
-        g_ffn = (g_flat @ a["attn.Wf2"].T).reshape(m, window, -1)
-        g_ffn *= trace.ffn_h > 0.0
-    g_probs = np.matmul(g_ffn, trace.f.take(trace.slot_item, axis=0).transpose(0, 2, 1))
-    g_f = per_item @ np.matmul(trace.probs.transpose(0, 2, 1), g_ffn).reshape(m * window, -1)
-    return g_probs, g_f
+        g_ffn, ffn_h = (g_flat @ a["attn.Wf2"].T).reshape(m, n_ffn), trace.ffn_h.reshape(m, n_ffn)
+
+    # the per-slot stage, USER_BLOCK users at a time (module docstring)
+    g_scores = np.empty_like(trace.probs)
+    g_f = np.empty((m, window, meta.dims.ffn_dim))
+    for blk in _user_blocks(m):
+        p = trace.probs[blk]
+        g = g_ffn[blk]
+        g *= ffn_h[blk] > 0.0
+        g = g.reshape(p.shape[0], window, -1)
+        gs = np.matmul(g, trace.f.take(trace.slot_item[blk], axis=0).transpose(0, 2, 1), out=g_scores[blk])
+        np.matmul(p.transpose(0, 2, 1), g, out=g_f[blk])
+        gs -= (gs * p).sum(axis=2, keepdims=True)
+        gs *= p
+        gs /= np.sqrt(d)
+    return g_scores, g_f.reshape(m * window, -1)
 
 
 def user_tower_backward(
@@ -645,13 +675,16 @@ def user_tower_backward(
     # slot gradients summed per distinct item, padding included: the
     # biases see every slot, the weights and embeddings the item rows
     per_item = _segment_matrix(trace.slot_item.ravel(), trace.items.size)
-    g_scores, g_f = _ffn_backward(params, trace, grad_u, grads, per_item)
-    g_scores -= (g_scores * trace.probs).sum(axis=2, keepdims=True)
-    g_scores *= trace.probs
-    g_scores /= np.sqrt(d)
-    slots = trace.slot_item
-    g_q = per_item @ np.matmul(g_scores, trace.k.take(slots, axis=0)).reshape(m * window, -1)
-    g_k = per_item @ np.matmul(g_scores.transpose(0, 2, 1), trace.q.take(slots, axis=0)).reshape(m * window, -1)
+    g_scores, g_f = _ffn_backward(params, trace, grad_u, grads)
+    g_f = per_item @ g_f
+    g_q = np.empty((m, window, d))
+    g_k = np.empty((m, window, d))
+    for blk in _user_blocks(m):
+        slots, gs = trace.slot_item[blk], g_scores[blk]
+        np.matmul(gs, trace.k.take(slots, axis=0), out=g_q[blk])
+        np.matmul(gs.transpose(0, 2, 1), trace.q.take(slots, axis=0), out=g_k[blk])
+    g_q = per_item @ g_q.reshape(m * window, -1)
+    g_k = per_item @ g_k.reshape(m * window, -1)
     grads["attn.Wq"] += trace.x.T @ g_q
     grads["attn.bq"] += g_q.sum(axis=0)
     grads["attn.Wk"] += trace.x.T @ g_k

@@ -1,5 +1,6 @@
 """Catalog/interaction ingestion and chronological splitting."""
 
+import codecs
 import json
 import re
 
@@ -274,6 +275,27 @@ class TestTextInput:
         lf.write_bytes(text.encode())
         crlf.write_bytes(text.replace("\n", "\r\n").encode())
         assert load(str(crlf), tmp_path) == load(str(lf), tmp_path)
+
+    @pytest.mark.parametrize("reader", sorted(TEXT_READERS))
+    def test_byte_order_mark_is_dropped(self, tmp_path, reader):
+        text, load = TEXT_READERS[reader]
+        plain, bom = tmp_path / "plain", tmp_path / "bom"
+        plain.write_bytes(text.encode())
+        bom.write_bytes(codecs.BOM_UTF8 + text.encode())
+        assert load(str(bom), tmp_path) == load(str(plain), tmp_path)
+
+    @pytest.mark.parametrize("reader", sorted(TEXT_READERS))
+    def test_non_utf8_byte_after_byte_order_mark_names_its_line(self, tmp_path, reader):
+        text, load = TEXT_READERS[reader]
+        lines = text.encode().split(b"\n")
+        lines[1] = lines[1][:3] + b"\xff" + lines[1][3:]
+        path = tmp_path / "bad"
+        path.write_bytes(codecs.BOM_UTF8 + b"\n".join(lines))
+        with pytest.raises(DataFormatError, match="^" + re.escape(f"{path}:2: not UTF-8 text") + "$"):
+            load(str(path), tmp_path)
+        path.write_bytes(codecs.BOM_UTF8 + b"\xff" + text.encode())
+        with pytest.raises(DataFormatError, match="^" + re.escape(f"{path}:1: not UTF-8 text") + "$"):
+            load(str(path), tmp_path)
 
     def test_line_count_takes_every_ending_and_reaches_past_the_read_ahead(self, tmp_path):
         path = tmp_path / "mixed"

@@ -9,12 +9,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from itemcl import model
 from itemcl.config import TrainConfig
 from itemcl.data import Item, ItemCatalog, UserProfileTable
 from itemcl.model import (
     ITEM_FIELDS,
     EncodedCatalog,
     EncodedProfiles,
+    PAD,
     ModelDims,
     _scatter_rows,
     build_meta,
@@ -186,6 +188,24 @@ class TestUserTower:
         np.testing.assert_array_equal(u_long, u_clip)
 
 
+    def test_every_negative_entry_is_padding(self, tiny):
+        params = tiny["params"]
+        profile_idx = tiny["prof_enc"].rows(["u1", "u2", "u1"])
+        odd = np.array([[-2, 0, 2], [-7, -2, -1], [4, -7, 1]])
+        runs = []
+        for hist in (odd, np.where(odd < 0, PAD, odd)):
+            u, trace = user_tower(params, hist, profile_idx)
+            grads = zero_grads(params)
+            user_tower_backward(params, trace, np.ones_like(u), grads)
+            runs.append((u, grads, trace.items))
+        (u, grads, items), (ref_u, ref_grads, ref_items) = runs
+        np.testing.assert_array_equal(items, [PAD, 0, 1, 2, 4])
+        np.testing.assert_array_equal(items, ref_items)
+        assert u.tobytes() == ref_u.tobytes()
+        for name in params.arrays:
+            assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+
+
 def slot_by_slot_user_tower(params, hist, profile_idx, grad_u):
     """Reference user tower: every history slot builds its own input row
     and runs its own query/key/value projections; the backward pass
@@ -315,6 +335,46 @@ class TestUserTowerMatchesSlotBySlotReference:
             assert_relative(u_alone[0], u_batch[row])
 
 
+class TestUserTowerBlocks:
+    """The per-slot stage runs ``USER_BLOCK`` users at a time; where the
+    blocks start and end must not change a bit of the output or of any
+    gradient."""
+
+    DIMS = ModelDims(d_field=4, tower_dims=(16, 4, 4), behavior_window=5, ffn_dim=3, d_proj=2)
+    EDGES = (0, 2, 3, 6, 7, 13, 14, 15, 63, 64, 127, 128, 149)  # rows next to a block edge
+
+    @staticmethod
+    def run(params, histories, profile_idx, grad_u):
+        u, trace = user_tower(params, histories, profile_idx)
+        grads = zero_grads(params)
+        user_tower_backward(params, trace, grad_u, grads)
+        return trace.folded, u, grads
+
+    @pytest.mark.parametrize("block", [1, 3, 7, 64])
+    @pytest.mark.parametrize("m", [16, 150])  # as many users as h1 (unfolded), and far more (folded)
+    def test_bit_equal_to_one_block(self, tiny, monkeypatch, m, block):
+        profiles = UserProfileTable(("seg",), {"u1": ("s1",), "u2": ("s2",)})
+        meta = build_meta(tiny["catalog"], profiles, self.DIMS)
+        params = init_params(meta, 0)
+        rng = np.random.default_rng(4)
+        for arr in params.arrays.values():
+            arr[...] = rng.uniform(-0.6, 0.6, size=arr.shape)
+        histories = [list(row) for row in rng.integers(PAD, meta.n_items, size=(m, self.DIMS.behavior_window))]
+        for i in self.EDGES[: np.searchsorted(self.EDGES, m)]:
+            histories[i] = [] if i % 2 else [PAD] * 3  # empty, and all padding
+        profile_idx = rng.integers(0, 3, size=(m, 1))
+        grad_u = rng.normal(size=(m, self.DIMS.d_out))
+
+        monkeypatch.setattr(model, "USER_BLOCK", m)
+        folded, ref_u, ref_grads = self.run(params, histories, profile_idx, grad_u)
+        monkeypatch.setattr(model, "USER_BLOCK", block)
+        assert folded == (m > 16)
+        _, u, grads = self.run(params, histories, profile_idx, grad_u)
+        assert u.tobytes() == ref_u.tobytes()
+        for name in params.arrays:
+            assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+
+
 def trace_arrays(obj):
     """Every array a trace holds, through nested dataclasses and lists."""
     if isinstance(obj, np.ndarray):
@@ -331,7 +391,8 @@ class TestUserTowerMemory:
     # P is one per-slot array, m * window * d float64 values. A trace that
     # kept the per-slot q, k and f, with a backward that formed every slot
     # gradient before summing any, peaked at 11.1 P above the call's entry
-    # here; per-item tables and one per-slot array at a time give 4.8 P.
+    # here. Per-item tables, per-slot work in blocks of 64 users and at
+    # most two slot-gradient arrays at once give 4.8 P (4.4 P at 1745 users).
     BOUND_P = 6.0
 
     def test_folded_step_stays_under_bound_and_trace_holds_no_per_slot_array(self):

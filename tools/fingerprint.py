@@ -16,7 +16,9 @@ Covered, on small synthetic data and one BLAS thread:
 * the checkpoint and the per-epoch loss record (timings left out) of
   several training variants: full, taxonomy pool, negatives-only
   denominator, ``element`` augmentation, base (every contrastive task off),
-  small batches (the user tower's unfolded path), and a 40-item catalog
+  small batches (the user tower's unfolded path), the default model widths
+  at 128 clicks a step (unfolded user-tower calls, all but the last of
+  more than 64 users, so spanning two blocks), and a 40-item catalog
   whose contrastive rows take the scarce-negatives fallback, under both
   denominators (the negatives-only one over ragged negative rows);
 * the full model's ``evaluate`` report under dot and cosine scoring, and
@@ -134,6 +136,9 @@ def fingerprint() -> dict[str, object]:
         "element": {"augment_strategy": "element"},
         "base": {"lambda_feature": 0.0, "lambda_semantic": 0.0, "lambda_session": 0.0},
         "small_batch": {"batch_size": 24, "epochs": 1},
+        "default_dims": {
+            **{key: getattr(itemcl.TrainConfig(), key) for key in SMALL_MODEL}, "batch_size": 128, "epochs": 1
+        },
     }
     with tempfile.TemporaryDirectory() as workdir:
         trained = {}

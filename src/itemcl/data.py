@@ -17,12 +17,17 @@ On-disk formats:
 
 Item indices are assigned in catalog file order (0..n-1), so every
 downstream artifact is reproducible byte for byte.
+
+A split's behavior histories (``Histories``) hold every train click as
+CSR, one time-ordered row per user, and read each row's last ``window``
+items as a list per user id, or for many users at once as one padded
+array gathered by one index array (what ``train`` and ``evaluate`` read).
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TextIO
@@ -181,18 +186,72 @@ class UserProfileTable:
     rows: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
 
+class Histories(Mapping[str, list[int]]):
+    """Each user's time-ordered train clicks as CSR: row ``r`` is
+    ``column[offsets[r]:offsets[r + 1]]``, oldest item first, and ``row_of``
+    maps a user id to its row, in order of the users' first clicks.
+
+    As a mapping, a user id gives that user's most recent ``window`` train
+    items, most-recent-last, as a list; users with no train click are
+    absent. ``get`` looks a user up without raising. ``padded`` gathers
+    many users' histories into the array ``model.user_tower`` reads. The
+    arrays are read-only."""
+
+    def __init__(self, row_of: dict[str, int], offsets: np.ndarray, column: np.ndarray, window: int):
+        self.row_of = row_of
+        self.window = window
+        # an empty row after the last, for absent users, and a -1 after
+        # the last item, which padding slots gather
+        self._offsets = np.append(offsets, offsets[-1])
+        self._column = np.append(column, -1)
+        for arr in (self._offsets, self._column):
+            arr.setflags(write=False)
+        self.offsets, self.column = self._offsets[:-1], self._column[:-1]
+
+    def __getitem__(self, user_id: str) -> list[int]:
+        return self._row(self.row_of[user_id])
+
+    def get(self, user_id: str, default=None):
+        row = self.row_of.get(user_id)
+        return default if row is None else self._row(row)
+
+    def __contains__(self, user_id) -> bool:
+        return user_id in self.row_of
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.row_of)
+
+    def __len__(self) -> int:
+        return len(self.row_of)
+
+    def _row(self, row: int) -> list[int]:
+        start, end = self._offsets[row : row + 2].tolist()
+        return self._column[max(start, end - self.window) : end].tolist()
+
+    def padded(self, user_ids: list[str], width: int) -> np.ndarray:
+        """``model.pad_histories([self.get(u, []) for u in user_ids],
+        width)`` by one gather: each user's most recent ``min(width,
+        window)`` items, right-aligned in a (len(user_ids), width) int64
+        array, -1 padded."""
+        absent = len(self.offsets) - 1
+        rows = np.fromiter((self.row_of.get(u, absent) for u in user_ids), np.intp, len(user_ids))
+        ends = self._offsets[rows + 1, None]
+        starts = np.maximum(self._offsets[rows, None], ends - min(width, self.window))
+        at = ends - width + np.arange(width)
+        return self._column[np.where(at >= starts, at, -1)]
+
+
 @dataclass
 class SplitDataset:
-    """Chronological train/test split plus per-user behavior histories.
-
-    Histories contain each user's most recent train-time item indices,
-    most-recent-last, at most the split's behavior window long. Clicks
-    given as ``Interaction`` rows are held as a ``ClickLog``.
+    """Chronological train/test split plus per-user behavior histories
+    (``Histories``) over the train side, at most the split's behavior
+    window long. Clicks given as ``Interaction`` rows are held as a
+    ``ClickLog``.
     """
 
     train_interactions: ClickLog
     test_interactions: ClickLog
-    behavior_histories: dict[str, list[int]]
+    behavior_histories: Histories
 
     def __post_init__(self):
         self.train_interactions = ClickLog.of(self.train_interactions)
@@ -346,21 +405,19 @@ def _time_ordered(log: ClickLog) -> ClickLog:
     return log
 
 
-def build_histories(train: ClickLog, behavior_window: int) -> dict[str, list[int]]:
-    """Most recent ``behavior_window`` train item indices per user,
-    most-recent-last, keyed in order of first appearance. ``train`` must
-    already be time-ordered."""
+def build_histories(train: ClickLog, behavior_window: int) -> Histories:
+    """Each user's train clicks as ``Histories`` capped at
+    ``behavior_window``, from one stable sort by user code. ``train``
+    must already be time-ordered."""
     if behavior_window <= 0:
         raise ValueError("behavior_window must be positive")
     order = argsort_codes(train.user)  # each user's clicks stay in time order
-    user, items = train.user[order], train.item[order].tolist()
+    user = train.user[order]
     heads = np.flatnonzero(np.diff(user, prepend=-1))
-    ends = np.append(heads[1:], user.size)
-    first = np.argsort(order[heads])  # users in order of their first click
-    return {
-        train.user_ids[user[lo]]: items[max(lo, hi - behavior_window) : hi]
-        for lo, hi in zip(heads[first].tolist(), ends[first].tolist())
-    }
+    names = [train.user_ids[c] for c in user[heads].tolist()]
+    first = np.argsort(order[heads]).tolist()  # rows in order of their user's first click
+    row_of = {names[r]: r for r in first}
+    return Histories(row_of, np.append(heads, user.size), train.item[order], behavior_window)
 
 
 def assemble_split(

@@ -104,7 +104,9 @@ def evaluate(
     ``n_max`` when the item is absent; ``first_rank`` holds each item's
     lowest position in any user's list, or ``n_max``. HIT@N is
     ``count(test_rank < N) / n_test`` and coverage@N is
-    ``count(first_rank < N) / n_items``.
+    ``count(first_rank < N) / n_items``. Both are read off a rank table
+    per chunk of users, chunk x n_items in the narrowest dtype that holds
+    ``n_max``, filled once the chunk's score matrix is freed.
     """
     if not split.test_interactions:
         raise ValueError("test split is empty")
@@ -127,19 +129,20 @@ def evaluate(
     test_rank = np.full(len(test_item), n_max)
     first_rank = np.full(enc.n_items, n_max)
     window = params.meta.dims.behavior_window
+    dtype = np.min_scalar_type(n_max)
     for lo in range(0, len(users), _EVAL_CHUNK):
         block = users[lo : lo + _EVAL_CHUNK]
-        hist = pad_histories([split.behavior_histories.get(u, []) for u in block], window)
-        prof = prof_enc.rows(block)
-        u_vecs, _ = user_tower(params, hist, prof)
+        hist = split.behavior_histories.padded(block, window)
+        u_vecs, _ = user_tower(params, hist, prof_enc.rows(block))
         if similarity == "cosine":
             u_vecs = _normalize_rows(u_vecs)
         top = _top_n(u_vecs @ items.T, n_max)
+        # rank[r, i]: item i's position in the chunk's r-th list, n_max if absent
+        rank = np.full((len(block), enc.n_items), n_max, dtype=dtype)
+        rank[np.arange(len(block))[:, None], top] = np.arange(n_max, dtype=dtype)
         clicks = np.flatnonzero((user_row >= lo) & (user_row < lo + _EVAL_CHUNK))
-        found = top[user_row[clicks] - lo] == test_item[clicks, None]
-        test_rank[clicks] = np.where(found.any(axis=1), found.argmax(axis=1), n_max)
-        # flat operands: numpy 2.4's ufunc.at misreads values broadcast against 2-D indices
-        np.minimum.at(first_rank, top.ravel(), np.tile(np.arange(n_max), len(block)))
+        test_rank[clicks] = rank[user_row[clicks] - lo, test_item[clicks]]
+        np.minimum(first_rank, rank.min(axis=0), out=first_rank)
 
     n_test = len(test_item)
     return EvalReport(

@@ -61,6 +61,8 @@ import io
 import json
 import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 from scipy import sparse
@@ -303,17 +305,16 @@ class EncodedProfiles:
 
     def __init__(self, profiles: UserProfileTable | None, meta: ModelMeta):
         names = meta.user_field_names
-        oov = [len(meta.user_field_vocabs[name]) for name in names]
-        rows: dict[str, list[int]] = {}
-        if profiles is not None and names:
-            value_index = [{v: i for i, v in enumerate(meta.user_field_vocabs[name])} for name in names]
-            reorder = [profiles.field_names.index(name) for name in names]
-            rows = {
-                user_id: [index.get(values[src], o) for index, src, o in zip(value_index, reorder, oov)]
-                for user_id, values in profiles.rows.items()
-            }
+        rows = profiles.rows if profiles is not None and names else {}
         self.row_of = {user_id: i for i, user_id in enumerate(rows)}
-        self.table = np.asarray([*rows.values(), oov], dtype=np.int64).reshape(len(rows) + 1, len(names))
+        self.table = np.empty((len(rows) + 1, len(names)), dtype=np.int64)
+        for j, name in enumerate(names):  # one column per field
+            vocab = meta.user_field_vocabs[name]
+            index, oov = {v: i for i, v in enumerate(vocab)}.get, len(vocab)
+            if rows:
+                values = map(itemgetter(profiles.field_names.index(name)), rows.values())
+                self.table[:-1, j] = list(map(index, values, repeat(oov)))
+            self.table[-1, j] = oov
         self.oov_row = self.table[-1]
 
     def row(self, user_id: str) -> np.ndarray:

@@ -30,7 +30,6 @@ from .model import (
     build_meta,
     init_params,
     load_checkpoint,
-    pad_histories,
     save_checkpoint,
 )
 from .rng import substream
@@ -143,9 +142,7 @@ def train(
 
     user_ids, ev_user = split.train_interactions.users()
     ev_item = split.train_interactions.item
-    histories_all = pad_histories(
-        [split.behavior_histories.get(uid, []) for uid in user_ids], config.behavior_window
-    )
+    histories_all = split.behavior_histories.padded(user_ids, config.behavior_window)
     profiles_all = prof_enc.rows(user_ids)
 
     rng_shuffle = substream(config.seed, "shuffle")

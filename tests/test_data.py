@@ -20,6 +20,7 @@ from itemcl.data import (
     open_text,
     save_catalog,
 )
+from itemcl.model import pad_histories
 from itemcl.semantics import load_semantic_pool
 from itemcl.sessions import load_cooccurrence
 from itemcl.util import ItemclWarning
@@ -421,3 +422,63 @@ class TestAssembleSplit:
         assert rows(split.test_interactions) == rows(test)
         assert split.behavior_histories == histories
         assert list(split.behavior_histories) == list(histories)
+
+
+class TestHistories:
+    WINDOW = 6
+
+    def split(self):
+        """Twelve users with more train clicks than the window, two with
+        fewer, and "late", who clicks only on the test side."""
+        events = shuffled_clicks_with_ties(5) + [ev("short1", 3, 40), ev("short2", 4, 60), ev("short2", 5, 80)]
+        return events, chronological_split(events, split_time=900, behavior_window=self.WINDOW)
+
+    @pytest.mark.parametrize("width", [1, 4, 6, 9])
+    def test_padded_equals_pad_histories_of_get(self, width):
+        _, split = self.split()
+        histories = split.behavior_histories
+        rng = np.random.default_rng(width)
+        asked = [*histories, "late", "nobody"]
+        asked = [asked[i] for i in rng.integers(len(asked), size=60)]  # unsorted, with repeats
+        assert {"short1", "short2", "late"} <= set(asked)
+        expected = pad_histories([histories.get(u, []) for u in asked], width)
+        got = histories.padded(asked, width)
+        assert got.dtype == expected.dtype and got.shape == (60, width)
+        np.testing.assert_array_equal(got, expected)
+        # the split's window caps the history whatever the width
+        assert (got >= 0).sum(axis=1).max() == min(width, self.WINDOW)
+
+    def test_empty_train_side(self):
+        split = assemble_split([], [ev("u", 1, 5)], behavior_window=3)
+        histories = split.behavior_histories
+        assert len(histories) == 0 and histories.get("u") is None
+        np.testing.assert_array_equal(histories.padded(["u", "v", "u"], 4), np.full((3, 4), -1))
+        assert histories.padded([], 4).shape == (0, 4)
+
+    def test_mapping_behavior(self):
+        events, split = self.split()
+        histories = split.behavior_histories
+        _, _, reference = reference_split(events, 900, self.WINDOW)
+        assert histories == reference
+        assert list(histories) == list(reference)  # users in order of first train click
+        assert len(histories) == len(reference) == 14
+        assert "short2" in histories and "late" not in histories and 7 not in histories
+        assert histories["short2"] == [4, 5]
+        assert histories.get("late") is None and histories.get("late", []) == []
+        with pytest.raises(KeyError):
+            histories["late"]
+        histories["short2"].append(9)  # each lookup is a fresh list
+        assert histories["short2"] == [4, 5]
+
+    def test_rows_hold_every_train_click_read_only(self):
+        events, split = self.split()
+        histories = split.behavior_histories
+        row = histories.row_of["u3"]
+        ordered = sorted(events, key=lambda e: e.timestamp)
+        full = [e.item_index for e in ordered if e.user_id == "u3" and e.timestamp < 900]
+        assert len(full) > self.WINDOW
+        assert histories.column[histories.offsets[row] : histories.offsets[row + 1]].tolist() == full
+        assert histories["u3"] == full[-self.WINDOW :]
+        for arr in (histories.offsets, histories.column):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1

@@ -1,5 +1,7 @@
 """Exact retrieval, HIT@N / coverage oracles, and embedding export."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,16 @@ class TestEvaluate:
             report = evaluate(params, enc, prof, split, ns=(50, 100))
             assert report.hit == {50: hit_at_50, 100: 1.0}
 
+    def test_click_outside_the_list_ranks_n_max(self):
+        # N = 255 and 256 straddle the rank table's one- and two-byte
+        # widths, so an absent item must read n_max, never wrap below it
+        data, params, enc, prof = random_model(n_items=300, n_users=4)
+        for n_max in (255, 256):
+            split = build_eval_split(data, params, enc, prof, {"u00000": [n_max, n_max - 1]})
+            report = evaluate(params, enc, prof, split, ns=(1, n_max))
+            assert report.hit == {1: 0.0, n_max: 0.5}
+            assert report.coverage == {1: 1 / 300, n_max: n_max / 300}
+
     def test_fifty_user_fixture_matches_membership_recount(self, monkeypatch):
         data, params, enc, prof = random_model(n_items=300, n_users=50, seed=3)
         split = assemble_split(
@@ -168,9 +180,12 @@ class TestEvaluate:
             data.interactions[len(data.interactions) * 4 // 5 :],
             behavior_window=5,
         )
-        ns = (10, 50, 100)
-        # the default chunk holds all fifty users; 7 gives eight chunks, the last partial
-        for similarity, chunk in (("dot", 1024), ("dot", 7), ("cosine", 7)):
+        # largest N 100 and 255 fill a one-byte rank table, 256 and the whole
+        # 300-item catalog a two-byte one; the default chunk holds all fifty
+        # users, 7 gives eight chunks, the last partial
+        for ns, (similarity, chunk) in itertools.product(
+            ((10, 50, 100), (50, 255), (10, 256, 300)), (("dot", 1024), ("dot", 7), ("cosine", 7))
+        ):
             monkeypatch.setattr("itemcl.evaluation._EVAL_CHUNK", chunk)
             report = evaluate(params, enc, prof, split, ns=ns, similarity=similarity)
 

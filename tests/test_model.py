@@ -634,6 +634,26 @@ class TestEncodings:
         # missing users fall back to the OOV row too
         np.testing.assert_array_equal(prof.row("nobody"), prof.oov_row)
 
+    def test_profile_table_matches_per_user_lookup(self):
+        catalog = ItemCatalog([Item("a", ("t1",), "p1")])
+        seen = UserProfileTable(("age", "seg"), {"u1": ("20s", "x"), "u2": ("30s", "y"), "u3": ("20s", "y")})
+        meta = build_meta(catalog, seen, ModelDims(d_field=2, tower_dims=(2, 2, 2), behavior_window=2))
+        # another table: fields in another order, an unseen value, a new user
+        other = UserProfileTable(("seg", "age"), {"u3": ("y", "40s"), "u1": ("x", "20s"), "u9": ("z", "30s")})
+        prof = EncodedProfiles(other, meta)
+        vocabs = meta.user_field_vocabs
+        oov = [len(vocabs["age"]), len(vocabs["seg"])]
+        expected = [
+            [vocabs["age"].index(age) if age in vocabs["age"] else oov[0],
+             vocabs["seg"].index(seg) if seg in vocabs["seg"] else oov[1]]
+            for seg, age in other.rows.values()
+        ]
+        assert prof.row_of == {"u3": 0, "u1": 1, "u9": 2}
+        assert prof.table.dtype == np.int64 and prof.table.tolist() == [*expected, oov]
+        assert prof.rows(["u9", "nobody", "u1"]).tolist() == [expected[2], oov, expected[1]]
+        empty = EncodedProfiles(None, meta)
+        assert empty.row_of == {} and empty.table.tolist() == [oov]
+
     def test_unknown_tags_map_to_oov(self):
         catalog = ItemCatalog([Item("a", ("t1",), "p1"), Item("b", ("t2",), "p2")])
         meta = build_meta(catalog, None, ModelDims(d_field=2, tower_dims=(2, 2, 2), behavior_window=2))

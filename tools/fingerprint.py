@@ -18,11 +18,16 @@ Covered, on small synthetic data and one BLAS thread:
   denominator, ``element`` augmentation, base (every contrastive task off),
   small batches (the user tower's unfolded path), the default model widths
   at 128 clicks a step (unfolded user-tower calls, all but the last of
-  more than 64 users, so spanning two blocks), and a 40-item catalog
-  whose contrastive rows take the scarce-negatives fallback, under both
-  denominators (the negatives-only one over ragged negative rows);
-* the full model's ``evaluate`` report under dot and cosine scoring, and
-  ``retrieve_topn`` lists for 40 test users;
+  more than 64 users, so spanning two blocks), model behavior windows of
+  5 and 12 over the split's 8, half the train clicks rebuilt from rows
+  (a user vocabulary of its own), and a 40-item catalog whose contrastive
+  rows take the scarce-negatives fallback, under both denominators (the
+  negatives-only one over ragged negative rows);
+* the full model's ``evaluate`` report under dot and cosine scoring, also
+  on a split rebuilt from rows (a third of the test users and three
+  users with no train click), and ``retrieve_topn`` lists for 40 test
+  users; an untrained model's reports on a 320-item catalog at N = 255,
+  256 and 320;
 * the bytes of every text file the program writes (catalog, click log and
   profiles, the co-occurrence and both semantic-pool dumps, the full
   model's exported embeddings), and what each file's loader reads back.
@@ -105,6 +110,51 @@ def _text_files(itemcl, data, table, pools, params, enc, workdir: str) -> dict[s
     return out
 
 
+def _row_built_splits(itemcl, split, data, params, enc, prof, base, workdir: str) -> dict[str, object]:
+    """Splits rebuilt from click rows, so each holds its own user
+    vocabulary beside the full split's histories: training on half the
+    train clicks, and ``evaluate`` on a subset of the test users plus
+    three users with no train click."""
+    from itemcl.evaluation import evaluate
+
+    rng = np.random.default_rng(17)
+    train = split.train_interactions
+    keep = np.sort(rng.choice(len(train), size=len(train) // 2, replace=False))
+    half = dataclasses.replace(split, train_interactions=[train[i] for i in keep])
+    config = itemcl.TrainConfig(**{**base, "epochs": 1})
+    out: dict[str, object] = {}
+    out["train.row_built"], _ = _train(itemcl, config, half, data.catalog, data.profiles, workdir, "row_built")
+
+    test_users = split.test_interactions.users()[0]
+    chosen = set(rng.choice(test_users, size=len(test_users) // 3, replace=False).tolist())
+    rows = [ev for ev in split.test_interactions if ev.user_id in chosen]
+    rows += [itemcl.Interaction(f"new{j}", 7 * j + i, 10**9 + i) for j in range(3) for i in range(j + 1)]
+    subset = dataclasses.replace(split, test_interactions=rows)
+    for similarity in ("dot", "cosine"):
+        report = evaluate(params, enc, prof, subset, (10, 50), similarity)
+        out[f"evaluate.row_built.{similarity}"] = _sha(report.to_dict())
+    return out
+
+
+def _wide_catalog(itemcl, spec, base) -> dict[str, object]:
+    """``evaluate`` of an untrained model on a 320-item catalog, at N of
+    255 and 256 (the widths of one and two bytes) and at N = the catalog."""
+    from itemcl.evaluation import evaluate
+
+    data = itemcl.synthetic.generate(dataclasses.replace(spec, n_items=320, n_users=150, n_interactions=6000))
+    split = itemcl.chronological_split(data.interactions, itemcl.default_split_time(data.interactions), 8)
+    config = itemcl.TrainConfig(**base)
+    params = itemcl.init_params(itemcl.build_meta(data.catalog, data.profiles, config.model_dims()), config.seed)
+    enc = itemcl.EncodedCatalog(data.catalog, params.meta)
+    prof = itemcl.EncodedProfiles(data.profiles, params.meta)
+    out: dict[str, object] = {}
+    for similarity in ("dot", "cosine"):
+        for ns in ((10, 255), (10, 256), (100, 320)):
+            report = evaluate(params, enc, prof, split, ns, similarity)
+            out[f"evaluate.wide.{similarity}.{ns[-1]}"] = _sha(report.to_dict())
+    return out
+
+
 def fingerprint() -> dict[str, object]:
     import itemcl
     from itemcl import synthetic
@@ -139,6 +189,9 @@ def fingerprint() -> dict[str, object]:
         "default_dims": {
             **{key: getattr(itemcl.TrainConfig(), key) for key in SMALL_MODEL}, "batch_size": 128, "epochs": 1
         },
+        # model windows below and above the split's 8
+        "window5": {"behavior_window": 5},
+        "window12": {"behavior_window": 12},
     }
     with tempfile.TemporaryDirectory() as workdir:
         trained = {}
@@ -160,6 +213,8 @@ def fingerprint() -> dict[str, object]:
             for u in users
         ]
         out["retrieve_topn"] = _sha(lists)
+        out.update(_row_built_splits(itemcl, split, data, params, enc, prof, base, workdir))
+        out.update(_wide_catalog(itemcl, spec, base))
         out.update(_text_files(itemcl, data, table, pools, params, enc, workdir))
 
         # 40 items, 20 negatives: an item with more than 19 co-occurrence

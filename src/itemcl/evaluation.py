@@ -83,7 +83,7 @@ def retrieve_topn(
     if items is None:
         items = item_matrix(params, enc)
     hist = pad_histories([history], params.meta.dims.behavior_window)
-    u, _ = user_tower(params, hist, profile_row.reshape(1, -1))
+    u, _ = user_tower(params, hist, profile_row.reshape(1, -1), params.served_first_layer())
     if similarity == "cosine":
         u = _normalize_rows(u)
         items = _normalize_rows(items)
@@ -130,10 +130,11 @@ def evaluate(
     first_rank = np.full(enc.n_items, n_max)
     window = params.meta.dims.behavior_window
     dtype = np.min_scalar_type(n_max)
+    w0 = params.served_first_layer()
     for lo in range(0, len(users), _EVAL_CHUNK):
         block = users[lo : lo + _EVAL_CHUNK]
         hist = split.behavior_histories.padded(block, window)
-        u_vecs, _ = user_tower(params, hist, prof_enc.rows(block))
+        u_vecs, _ = user_tower(params, hist, prof_enc.rows(block), w0)
         if similarity == "cosine":
             u_vecs = _normalize_rows(u_vecs)
         top = _top_n(u_vecs @ items.T, n_max)

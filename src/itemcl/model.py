@@ -29,11 +29,11 @@ and the softmax, ReLU and padding passes, forward and backward) runs
 over blocks of ``USER_BLOCK`` users, whose arrays stay in cache; each
 block writes its rows of whole arrays allocated once per call. Every
 reduction across users stays whole, so that the block size changes no
-bit: the first layer's products, those with ``attn.Wf2`` on the
-unfolded path, and each per-item sum of slot gradients, one sparse
-product over all slots that adds up an item's slots in slot order. The
-backward sums the gradient of ``f`` per item before it forms those of
-``q`` and ``k``, so it holds at most two slot-gradient arrays at once.
+bit: the first layer's products and each per-item sum of slot
+gradients, one sparse product over all slots that adds up an item's
+slots in slot order. The backward sums the gradient of ``f`` per item
+before it forms those of ``q`` and ``k``, so it holds at most two
+slot-gradient arrays at once.
 
 Between attention and the feed-forward ReLU everything is affine, and
 every attention row sums to 1 (an all-padding row spreads uniform weight
@@ -42,17 +42,14 @@ over padding values), so ``relu(((probs @ v) Wo + bo) Wf1 + bf1)`` equals
 + bf1``. ``f`` is computed per distinct item like the query and key, so
 ``attn.Wv``, ``attn.Wo`` and ``attn.Wf1`` never run per slot.
 
-The encoded slots feed only the user MLP's first layer, so the product
-``valid * (ffn_h Wf2 + bf2)`` times each slot block ``W0_s`` of its
-weight can be associated either way. Running ``attn.Wf2`` per slot costs
-m * window * ffn * d for m users; folding it into the slot blocks, as
-``Wf2 W0_s`` plus ``valid @ (bf2 W0_s)``, costs window * ffn * d * h1 per
-call. A call with more users than the first layer has units (``h1 =
-tower_dims[0]``) folds: training batches and evaluation chunks do,
-single-user retrieval does not. The two orders share everything up to
-the feed-forward hidden layer and agree to rounding. A folded call writes
-``relu(probs @ f)`` straight into the first layer's input, whose first
-window * ffn columns then stand for it in the trace.
+The encoded slots ``valid * (relu(probs @ f) Wf2 + bf2)`` feed only the
+user MLP's first layer, so ``attn.Wf2`` and ``attn.bf2`` are folded into
+that layer's slot blocks ``W0_s`` as ``Wf2 W0_s`` and ``bf2 W0_s``
+(``fold_first_layer``). The tower writes ``relu(probs @ f)`` and
+``valid`` straight into the first layer's input, whose first window *
+ffn columns then stand for the feed-forward's hidden layer in the trace.
+Training folds on every call, since its updates write the arrays in
+place; serving reads one fold per ``ModelParams.served_first_layer``.
 """
 
 from __future__ import annotations
@@ -212,11 +209,23 @@ def _array_shapes(meta: ModelMeta) -> list[tuple[str, tuple[int, ...]]]:
 
 class ModelParams:
     """All trainable state: a name->float64 ndarray dict plus the meta that
-    fixes the shapes. The trainer is the single writer."""
+    fixes the shapes. The trainer is the single writer; it writes in place
+    and ``train()`` returns fresh arrays, so serving never sees an in-place
+    write. ``served_first_layer`` memoizes on the identity of the arrays
+    it folds, so a new array under one of their names folds afresh."""
 
     def __init__(self, meta: ModelMeta, arrays: dict[str, np.ndarray]):
         self.meta = meta
         self.arrays = arrays
+        self._fold: tuple[list[np.ndarray], np.ndarray] | None = None  # (fold inputs, fold)
+
+    def served_first_layer(self) -> np.ndarray:
+        """``fold_first_layer(self)``, computed once while the arrays it is
+        folded from stay the same objects."""
+        inputs = [self.arrays[name] for name in ("user_tower.W0", "attn.Wf2", "attn.bf2")]
+        if self._fold is None or any(a is not b for a, b in zip(self._fold[0], inputs)):
+            self._fold = (inputs, fold_first_layer(self))
+        return self._fold[1]
 
     def n_parameters(self) -> int:
         return int(sum(a.size for a in self.arrays.values()))
@@ -312,6 +321,8 @@ class EncodedProfiles:
             vocab = meta.user_field_vocabs[name]
             index, oov = {v: i for i, v in enumerate(vocab)}.get, len(vocab)
             if rows:
+                if name not in profiles.field_names:
+                    raise ValueError(f"profile table lacks field {name!r}; its fields: {list(profiles.field_names)}")
                 values = map(itemgetter(profiles.field_names.index(name)), rows.values())
                 self.table[:-1, j] = list(map(index, values, repeat(oov)))
             self.table[-1, j] = oov
@@ -509,24 +520,35 @@ class UserTrace:
     o: np.ndarray  # (n_distinct, d) value through attn.Wo
     f: np.ndarray  # (n_distinct, ffn) value chain: ``o`` through attn.Wf1
     probs: np.ndarray  # (m, window, window) attention weights
-    # (m, window, ffn) relu(probs @ f) per slot; None when folded, where it
-    # is the first window * ffn columns of ``mlp.x``
-    ffn_h: np.ndarray | None
-    folded: bool  # attn.Wf2 folded into the first layer's weight
-    w0: np.ndarray  # the weight the first layer applies to ``mlp.x``
+    w0: np.ndarray  # the folded weight the first layer applies to ``mlp.x``
+    # ``mlp.x`` is [relu(probs @ f) per slot, (m, window * ffn) | valid | profile]
     mlp: MlpTrace
+
+
+def fold_first_layer(params: ModelParams) -> np.ndarray:
+    """The user MLP's first-layer weight over ``[relu(probs @ f) | valid |
+    profile]``: ``user_tower.W0`` with ``attn.Wf2`` and ``attn.bf2`` folded
+    into its slot blocks (module docstring)."""
+    a = params.arrays
+    window, d, h1 = params.meta.dims.behavior_window, params.meta.dims.d_field, params.meta.dims.tower_dims[0]
+    w0 = a["user_tower.W0"]
+    w0_slots = w0[: window * d].reshape(window, d, h1)
+    return np.concatenate([(a["attn.Wf2"] @ w0_slots).reshape(-1, h1), a["attn.bf2"] @ w0_slots, w0[window * d :]])
 
 
 def user_tower(
     params: ModelParams,
     histories: np.ndarray | list[list[int]],
     profile_idx: np.ndarray,
+    w0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, UserTrace]:
     """Behavior histories + profile fields -> user representation.
 
     ``histories`` may be a padded (m, window) index array or raw lists.
     Padding keys receive zero attention weight and padding positions are
     zeroed after the feed-forward, so they contribute nothing downstream.
+    ``w0`` is the folded first-layer weight, ``fold_first_layer(params)``
+    when not given.
 
     Queries, keys and the value chain run once per distinct entry of
     ``histories`` and are gathered per slot. Padding runs a zero row, so
@@ -536,7 +558,6 @@ def user_tower(
     meta = params.meta
     d = meta.dims.d_field
     window = meta.dims.behavior_window
-    h1 = meta.dims.tower_dims[0]
     if not isinstance(histories, np.ndarray):
         histories = pad_histories(histories, window)
     if histories.shape[1] != window:
@@ -561,25 +582,14 @@ def user_tower(
     o = _affine(v, a["attn.Wo"], a["attn.bo"])
     f = _affine(o, a["attn.Wf1"], a["attn.bf1"])
 
-    # fold attn.Wf2 and attn.bf2 into the first layer's slot blocks when
-    # that costs less than running Wf2 per slot (module docstring); folded,
-    # relu(probs @ f) is written straight into the first layer's input
-    w0 = a["user_tower.W0"]
-    folded = m > h1
-    profile = [a[f"user_emb.{name}"][profile_idx[:, j]] for j, name in enumerate(meta.user_field_names)]
-    if folded:
-        w0_slots = w0[: window * d].reshape(window, d, h1)
-        w0 = np.concatenate(
-            [(a["attn.Wf2"] @ w0_slots).reshape(-1, h1), a["attn.bf2"] @ w0_slots, w0[window * d :]]
-        )
-        n_ffn = window * meta.dims.ffn_dim
-        z = np.empty((m, w0.shape[0]))
-        z[:, n_ffn : n_ffn + window] = valid
-        for j, rows in enumerate(profile):
-            z[:, n_ffn + window + j * d : n_ffn + window + (j + 1) * d] = rows
-        ffn_h = z[:, :n_ffn].reshape(m, window, -1)  # a view: the blocks below write into z
-    else:
-        ffn_h = np.empty((m, window, meta.dims.ffn_dim))
+    if w0 is None:
+        w0 = fold_first_layer(params)
+    n_ffn = window * meta.dims.ffn_dim
+    z = np.empty((m, w0.shape[0]))
+    z[:, n_ffn : n_ffn + window] = valid
+    for j, name in enumerate(meta.user_field_names):
+        z[:, n_ffn + window + j * d : n_ffn + window + (j + 1) * d] = a[f"user_emb.{name}"][profile_idx[:, j]]
+    ffn_h = z[:, :n_ffn].reshape(m, window, -1)  # a view: the blocks below write into z
 
     # the per-slot stage, USER_BLOCK users at a time (module docstring)
     probs = np.empty((m, window, window))
@@ -594,28 +604,19 @@ def user_tower(
         h = np.matmul(p, f.take(slots, axis=0), out=ffn_h[blk])
         np.maximum(h, 0.0, out=h)
         h[~keep] = 0.0  # padding slots feed nothing; the backward's relu mask then masks them too
-    if not folded:
-        encoded = _affine(ffn_h.reshape(m * window, -1), a["attn.Wf2"], a["attn.bf2"]).reshape(m, window, d)
-        encoded[~valid] = 0.0
-        parts = [encoded.reshape(m, window * d)] + profile
-        z = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
     u, mlp = _mlp3_forward(params, "user_tower", z, w0)
-    trace = UserTrace(
-        valid, profile_idx, items, slot_item, x, q, k, v, o, f, probs,
-        None if folded else ffn_h, folded, w0, mlp,
-    )
-    return u, trace
+    return u, UserTrace(valid, profile_idx, items, slot_item, x, q, k, v, o, f, probs, w0, mlp)
 
 
 def _ffn_backward(
     params: ModelParams, trace: UserTrace, grad_u: np.ndarray, grads: dict[str, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
     """The user tower's backward from the user vector through the MLP, the
-    profile embeddings, ``attn.Wf2``, ``relu(probs @ f)`` and the softmax.
-    Returns the gradient of the scores, scaled by their 1 / sqrt(d), and
-    that of ``f`` per slot, (m * window, ffn). The gradient of the first
-    layer's input, the largest array of the backward, lives only inside
-    this call."""
+    profile embeddings, the fold of ``attn.Wf2``, ``relu(probs @ f)`` and
+    the softmax. Returns the gradient of the scores, scaled by their 1 /
+    sqrt(d), and that of ``f`` per slot, (m * window, ffn). The gradient
+    of the first layer's input, the largest array of the backward, lives
+    only inside this call."""
     meta = params.meta
     a = params.arrays
     d = meta.dims.d_field
@@ -629,34 +630,25 @@ def _ffn_backward(
         g_slice = gz[:, offset + j * d : offset + (j + 1) * d]
         _scatter_rows(grads[f"user_emb.{name}"], trace.profile_idx[:, j], g_slice)
 
-    if trace.folded:
-        h1 = g_w0.shape[1]
-        w0_slots = a["user_tower.W0"][: window * d].reshape(window, d, h1)
-        g_fold = g_w0[:n_ffn].reshape(window, -1, h1)
-        g_bias = g_w0[n_ffn:offset]
-        grads["user_tower.W0"][: window * d] += (
-            a["attn.Wf2"].T @ g_fold + a["attn.bf2"][:, None] * g_bias[:, None, :]
-        ).reshape(window * d, h1)
-        grads["user_tower.W0"][window * d :] += g_w0[offset:]
-        grads["attn.Wf2"] += np.tensordot(g_fold, w0_slots, axes=([0, 2], [0, 2]))
-        grads["attn.bf2"] += np.tensordot(w0_slots, g_bias, axes=([0, 2], [0, 1]))
-        g_ffn, ffn_h = gz[:, :n_ffn], trace.mlp.x[:, :n_ffn]
-    else:
-        grads["user_tower.W0"] += g_w0
-        g_encoded = gz[:, :offset].reshape(m, window, d)
-        g_encoded[~trace.valid] = 0.0
-        g_flat = g_encoded.reshape(m * window, d)
-        grads["attn.Wf2"] += trace.ffn_h.reshape(m * window, -1).T @ g_flat
-        grads["attn.bf2"] += g_flat.sum(axis=0)
-        g_ffn, ffn_h = (g_flat @ a["attn.Wf2"].T).reshape(m, n_ffn), trace.ffn_h.reshape(m, n_ffn)
+    # back through fold_first_layer to the arrays it is folded from
+    h1 = g_w0.shape[1]
+    w0_slots = a["user_tower.W0"][: window * d].reshape(window, d, h1)
+    g_fold = g_w0[:n_ffn].reshape(window, -1, h1)
+    g_bias = g_w0[n_ffn:offset]
+    grads["user_tower.W0"][: window * d] += (
+        a["attn.Wf2"].T @ g_fold + a["attn.bf2"][:, None] * g_bias[:, None, :]
+    ).reshape(window * d, h1)
+    grads["user_tower.W0"][window * d :] += g_w0[offset:]
+    grads["attn.Wf2"] += np.tensordot(g_fold, w0_slots, axes=([0, 2], [0, 2]))
+    grads["attn.bf2"] += np.tensordot(w0_slots, g_bias, axes=([0, 2], [0, 1]))
 
     # the per-slot stage, USER_BLOCK users at a time (module docstring)
     g_scores = np.empty_like(trace.probs)
     g_f = np.empty((m, window, meta.dims.ffn_dim))
     for blk in _user_blocks(m):
         p = trace.probs[blk]
-        g = g_ffn[blk]
-        g *= ffn_h[blk] > 0.0
+        g = gz[blk, :n_ffn]
+        g *= trace.mlp.x[blk, :n_ffn] > 0.0
         g = g.reshape(p.shape[0], window, -1)
         gs = np.matmul(g, trace.f.take(trace.slot_item[blk], axis=0).transpose(0, 2, 1), out=g_scores[blk])
         np.matmul(p.transpose(0, 2, 1), g, out=g_f[blk])

@@ -14,6 +14,7 @@ from itemcl.evaluation import (
     item_matrix,
     retrieve_topn,
 )
+from itemcl import model
 from itemcl.model import EncodedCatalog, EncodedProfiles, build_meta, init_params, pad_histories, user_tower
 from itemcl.synthetic import SyntheticSpec, generate
 
@@ -116,6 +117,60 @@ class TestRetrieve:
         row = prof.rows(["u00000"])[0]
         default = retrieve_topn(params, enc, [1, 2], row, 50)
         assert {1, 2} <= set(default.tolist())  # re-exposure is the default
+
+
+class TestServedFold:
+    """``retrieve_topn`` and ``evaluate`` read the user tower's folded first
+    layer from one fold per ``ModelParams``."""
+
+    @staticmethod
+    def count_folds(monkeypatch):
+        calls = []
+        fold = model.fold_first_layer
+
+        def counted(params):
+            calls.append(params)
+            return fold(params)
+
+        monkeypatch.setattr(model, "fold_first_layer", counted)
+        return calls
+
+    def test_many_retrievals_and_an_evaluation_fold_once(self, monkeypatch):
+        data, params, enc, prof = random_model(n_items=100, n_users=20)
+        split = assemble_split(data.interactions[:160], data.interactions[160:], behavior_window=5)
+        items = item_matrix(params, enc)
+        calls = self.count_folds(monkeypatch)
+        for user in ("u00000", "u00001", "u00002"):
+            for history in ([], [3], [1, 2, 3, 4, 5, 6]):
+                for similarity in ("dot", "cosine"):
+                    retrieve_topn(params, enc, history, prof.row(user), 10, similarity, items=items)
+        evaluate(params, enc, prof, split, ns=(10,))
+        assert calls == [params]
+
+    @pytest.mark.parametrize("name", ["user_tower.W0", "attn.Wf2", "attn.bf2"])
+    def test_copy_or_new_array_folds_afresh(self, monkeypatch, name):
+        data, params, enc, prof = random_model(n_items=50, n_users=5)
+        row = prof.row("u00000")
+        calls = self.count_folds(monkeypatch)
+        first = retrieve_topn(params, enc, [1, 2], row, 10)
+        copied = params.copy()
+        assert retrieve_topn(copied, enc, [1, 2], row, 10).tolist() == first.tolist()
+        assert calls == [params, copied]
+        params.arrays["user_tower.W1"] = params.arrays["user_tower.W1"] * 2.0  # not folded: no new fold
+        retrieve_topn(params, enc, [1, 2], row, 10)
+        assert len(calls) == 2
+        params.arrays[name] = params.arrays[name] * -1.0
+        retrieve_topn(params, enc, [1, 2], row, 10)
+        assert calls == [params, copied, params]
+        assert params.served_first_layer().tobytes() == model.fold_first_layer(params).tobytes()
+
+    def test_served_user_vector_is_the_default_bit_for_bit(self):
+        # an oracle re-encoding a served user through the default fold gets the same bits
+        data, params, enc, prof = random_model(n_items=50, n_users=5)
+        hist = pad_histories([[4, 1, 4]], params.meta.dims.behavior_window)
+        row = prof.rows(["u00001"])
+        served, _ = user_tower(params, hist, row, params.served_first_layer())
+        assert served.tobytes() == user_tower(params, hist, row)[0].tobytes()
 
 
 @pytest.mark.parametrize("call", ["evaluate", "retrieve_topn", "TrainConfig.validate"])

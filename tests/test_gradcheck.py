@@ -15,7 +15,7 @@ from itemcl.gradcheck import (
     max_relative_error,
 )
 from itemcl.losses import loss_feature_cl, loss_matching
-from itemcl.model import pad_histories, user_tower
+from itemcl.model import pad_histories
 from itemcl.rng import substream
 
 
@@ -116,7 +116,6 @@ def assert_matching_gradient(reverse_slots, **batch):
     match = dataclasses.replace(fix["match"], **batch)
     if reverse_slots:
         match.histories = match.histories[:, ::-1].copy()
-    _, trace = user_tower(params, match.histories, match.profile_idx)
 
     def value(p):
         return loss_matching(p, fix["enc"], match)[0]
@@ -126,21 +125,19 @@ def assert_matching_gradient(reverse_slots, **batch):
         assert np.abs(grads[name]).max() > 1e-5, name  # ten times the error floor
     numeric = finite_difference_gradient(value, params)
     assert max_relative_error(flatten(grads), numeric) < 1e-5
-    return trace
 
 
 @pytest.mark.parametrize("reverse_slots", [False, True])
 def test_matching_gradient_with_repeated_history_items(reverse_slots):
     # item 2 repeats within each user and across both, next to padding
-    trace = assert_matching_gradient(reverse_slots, histories=pad_histories([[2, 0, 2], [2, 2]], 3))
-    assert not trace.folded
+    assert_matching_gradient(reverse_slots, histories=pad_histories([[2, 0, 2], [2, 2]], 3))
 
 
 @pytest.mark.parametrize("reverse_slots", [False, True])
 def test_matching_gradient_through_the_folded_first_layer(reverse_slots):
-    # five users against a first hidden layer of three units: the user
-    # tower folds attn.Wf2 into that layer's weight
-    trace = assert_matching_gradient(
+    # five users, more than the first hidden layer's three units, one of
+    # them with an empty history
+    assert_matching_gradient(
         reverse_slots,
         user_rows=np.array([0, 1, 2, 3, 4, 1]),
         histories=pad_histories([[2, 0, 2], [1, 3, 4], [], [5, 5], [4, 1]], 3),
@@ -148,4 +145,3 @@ def test_matching_gradient_through_the_folded_first_layer(reverse_slots):
         pos_items=np.array([1, 4, 5, 0, 3, 2]),
         neg_items=np.array([[0, 3], [2, 5], [0, 2], [1, 4], [5, 0], [3, 1]]),
     )
-    assert trace.folded

@@ -106,15 +106,21 @@ class TestItemTower:
             item_tower(tiny["params"], np.zeros((2, 5)))
 
 
+def slot_hidden(params, trace):
+    """relu(probs @ f) per slot, (m, window, ffn): the first window * ffn
+    columns of the first layer's input."""
+    dims = params.meta.dims
+    m = trace.valid.shape[0]
+    return trace.mlp.x[:, : dims.behavior_window * dims.ffn_dim].reshape(m, dims.behavior_window, dims.ffn_dim)
+
+
 class TestUserTower:
     def test_empty_history_driven_by_profile_alone(self, tiny):
         params, prof = tiny["params"], tiny["prof_enc"]
         profile_width = params.meta.user_other_width
-        # alone, and first of a batch larger than the first hidden layer,
-        # which folds attn.Wf2 into that layer's weight
+        # alone, and first of a batch of four
         for histories in ([[]], [[], [0, 2], [1], [3, 4, 5]]):
             u, trace = user_tower(params, histories, prof.rows(["u1"] * len(histories)))
-            assert trace.folded == (len(histories) > params.meta.dims.tower_dims[0])
             np.testing.assert_array_equal(trace.valid[0], False)
             # the behavior part of the first layer's input is exactly zero
             np.testing.assert_array_equal(trace.mlp.x[0, :-profile_width], 0.0)
@@ -129,7 +135,7 @@ class TestUserTower:
         expected_f = ((x @ a["attn.Wv"] + a["attn.bv"]) @ a["attn.Wo"] + a["attn.bo"]) @ a["attn.Wf1"] + a["attn.bf1"]
         np.testing.assert_allclose(trace.f[trace.slot_item[0, -1]], expected_f, atol=1e-12)
         # the one valid key takes all of the slot's attention
-        np.testing.assert_allclose(trace.ffn_h[0, -1], np.maximum(expected_f, 0.0), atol=1e-12)
+        np.testing.assert_allclose(slot_hidden(params, trace)[0, -1], np.maximum(expected_f, 0.0), atol=1e-12)
 
     def test_attention_matches_hand_computed_softmax(self, tiny):
         params = tiny["params"]
@@ -147,7 +153,7 @@ class TestUserTower:
         np.testing.assert_allclose(trace.probs[0], probs, atol=1e-12)
         # attention output through attn.Wo and the feed-forward's first layer
         ffn_h = np.maximum(((probs @ v) @ a["attn.Wo"] + a["attn.bo"]) @ a["attn.Wf1"] + a["attn.bf1"], 0.0)
-        np.testing.assert_allclose(trace.ffn_h[0], ffn_h, atol=1e-10)
+        np.testing.assert_allclose(slot_hidden(params, trace)[0], ffn_h, atol=1e-10)
 
     def test_padding_slot_runs_the_bias_chains(self, tiny):
         # a padding slot runs a zero input: its query is exactly the bias,
@@ -290,7 +296,7 @@ class TestUserTowerMatchesSlotBySlotReference:
         # repeats within a user, across users, padding, an empty history
         "batch": [[0, 2, 0, 2, 1], [2, 2, 3, -1, 4], [-1, -1, -1, -1, -1], [5, 5, 5, 5, 5], [-1, -1, 1, 3, 0]],
         "single_user": [[3, -1, 3, 3, 0]],
-        # more users than the first hidden layer's 6 units: attn.Wf2 folds into it
+        # more users than the first hidden layer's 6 units
         "folded": [
             [0, 2, 0, 2, 1], [2, 2, 3, -1, 4], [-1, -1, -1, -1, -1], [5, 5, 5, 5, 5],
             [-1, -1, 1, 3, 0], [3, -1, 3, 3, 0], [1, 1, -1, 4, 4], [0, 5, 2, 3, 1],
@@ -317,7 +323,6 @@ class TestUserTowerMatchesSlotBySlotReference:
     def test_output_and_every_gradient(self, tiny, case, reverse_slots):
         params, hist, profile_idx, grad_u = self.params_and_inputs(tiny, case, reverse_slots)
         u, trace = user_tower(params, hist, profile_idx)
-        assert trace.folded == (case == "folded")
         grads = zero_grads(params)
         user_tower_backward(params, trace, grad_u, grads)
         ref_u, ref_grads = slot_by_slot_user_tower(params, hist, profile_idx, grad_u)
@@ -327,11 +332,16 @@ class TestUserTowerMatchesSlotBySlotReference:
         assert np.abs(grads["emb.item_id"][[0, 1, 2, 3, 5]]).max() > 0.0
 
     def test_user_alone_matches_user_in_folded_batch(self, tiny):
+        # a 150-user call, three blocks of the per-slot stage, holding the
+        # case's users at both ends and random histories between them
         params, hist, profile_idx, _ = self.params_and_inputs(tiny, "folded")
+        rng = np.random.default_rng(12)
+        n = 150 - 2 * len(hist)
+        hist = np.concatenate([hist, rng.integers(PAD, params.meta.n_items, size=(n, hist.shape[1])), hist])
+        profile_idx = np.concatenate([profile_idx, rng.integers(0, 3, size=(n, 1)), profile_idx])
         u_batch, _ = user_tower(params, hist, profile_idx)
         for row in range(len(hist)):
-            u_alone, trace = user_tower(params, hist[row : row + 1], profile_idx[row : row + 1])
-            assert not trace.folded
+            u_alone, _ = user_tower(params, hist[row : row + 1], profile_idx[row : row + 1])
             assert_relative(u_alone[0], u_batch[row])
 
 
@@ -348,10 +358,10 @@ class TestUserTowerBlocks:
         u, trace = user_tower(params, histories, profile_idx)
         grads = zero_grads(params)
         user_tower_backward(params, trace, grad_u, grads)
-        return trace.folded, u, grads
+        return u, grads
 
     @pytest.mark.parametrize("block", [1, 3, 7, 64])
-    @pytest.mark.parametrize("m", [16, 150])  # as many users as h1 (unfolded), and far more (folded)
+    @pytest.mark.parametrize("m", [16, 150])  # as many users as h1, and more than two blocks of 64
     def test_bit_equal_to_one_block(self, tiny, monkeypatch, m, block):
         profiles = UserProfileTable(("seg",), {"u1": ("s1",), "u2": ("s2",)})
         meta = build_meta(tiny["catalog"], profiles, self.DIMS)
@@ -366,10 +376,9 @@ class TestUserTowerBlocks:
         grad_u = rng.normal(size=(m, self.DIMS.d_out))
 
         monkeypatch.setattr(model, "USER_BLOCK", m)
-        folded, ref_u, ref_grads = self.run(params, histories, profile_idx, grad_u)
+        ref_u, ref_grads = self.run(params, histories, profile_idx, grad_u)
         monkeypatch.setattr(model, "USER_BLOCK", block)
-        assert folded == (m > 16)
-        _, u, grads = self.run(params, histories, profile_idx, grad_u)
+        u, grads = self.run(params, histories, profile_idx, grad_u)
         assert u.tobytes() == ref_u.tobytes()
         for name in params.arrays:
             assert grads[name].tobytes() == ref_grads[name].tobytes(), name
@@ -400,7 +409,7 @@ class TestUserTowerMemory:
         meta = build_meta(data.catalog, data.profiles, ModelDims())
         params = init_params(meta, 0)
         dims = meta.dims
-        m = 600  # far more users than the first layer's units: the folded path
+        m = 600
         rng = np.random.default_rng(0)
         hist = rng.integers(-1, meta.n_items, size=(m, dims.behavior_window))
         users = sorted(data.profiles.rows)
@@ -415,7 +424,6 @@ class TestUserTowerMemory:
             peak = tracemalloc.get_traced_memory()[1] - entry
         finally:
             tracemalloc.stop()
-        assert trace.folded
         per_slot = m * dims.behavior_window * dims.d_field
         assert peak < self.BOUND_P * per_slot * 8, f"peak {peak / (per_slot * 8):.2f} P"
         assert all(arr.size != per_slot for arr in trace_arrays(trace))
@@ -653,6 +661,13 @@ class TestEncodings:
         assert prof.rows(["u9", "nobody", "u1"]).tolist() == [expected[2], oov, expected[1]]
         empty = EncodedProfiles(None, meta)
         assert empty.row_of == {} and empty.table.tolist() == [oov]
+
+    def test_profile_table_lacking_a_model_field_is_named(self):
+        catalog = ItemCatalog([Item("a", ("t1",), "p1")])
+        seen = UserProfileTable(("age", "seg"), {"u1": ("20s", "x")})
+        meta = build_meta(catalog, seen, ModelDims(d_field=2, tower_dims=(2, 2, 2), behavior_window=2))
+        with pytest.raises(ValueError, match=r"lacks field 'seg'; its fields: \['age'\]"):
+            EncodedProfiles(UserProfileTable(("age",), {"u1": ("20s",)}), meta)
 
     def test_unknown_tags_map_to_oov(self):
         catalog = ItemCatalog([Item("a", ("t1",), "p1"), Item("b", ("t2",), "p2")])

@@ -16,11 +16,12 @@ Covered, on small synthetic data and one BLAS thread:
 * the checkpoint and the per-epoch loss record (timings left out) of
   several training variants: full, taxonomy pool, negatives-only
   denominator, ``element`` augmentation, base (every contrastive task off),
-  small batches (the user tower's unfolded path), the default model widths
-  at 128 clicks a step (unfolded user-tower calls, all but the last of
-  more than 64 users, so spanning two blocks), model behavior windows of
-  5 and 12 over the split's 8, half the train clicks rebuilt from rows
-  (a user vocabulary of its own), and a 40-item catalog whose contrastive
+  small batches (user-tower calls of fewer users than the first layer's
+  units), the default model widths at 128 clicks a step (user-tower calls
+  of at most 128 users, all but the last of more than 64, so spanning two
+  blocks of the per-slot stage), model behavior windows of 5 and 12 over
+  the split's 8, half the train clicks rebuilt from rows (a user
+  vocabulary of its own), and a 40-item catalog whose contrastive
   rows take the scarce-negatives fallback, under both denominators (the
   negatives-only one over ragged negative rows);
 * the full model's ``evaluate`` report under dot and cosine scoring, also

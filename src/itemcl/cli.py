@@ -28,6 +28,7 @@ from .data import (
     save_interactions,
     save_profiles,
     chronological_split,
+    write_lines,
 )
 from .evaluation import DEFAULT_NS, SIMILARITIES, evaluate, export_embeddings
 from .gradcheck import DEFAULT_STEP, DEFAULT_THRESHOLD, gradcheck_suite
@@ -36,7 +37,6 @@ from .semantics import dump_semantic_pool, mine_semantic_pool
 from .sessions import build_cooccurrence, dump_cooccurrence, segment_sessions
 from .synthetic import TRAIN_FRACTION, SyntheticSpec, default_split_time, generate
 from .training import mine_artifacts, save_checkpoint, train
-from .util import atomic_write_text
 
 
 def _emit(payload: dict) -> None:
@@ -165,9 +165,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     params, report = train(config, split, catalog, profiles, pool, sampler, table)
     save_checkpoint(params, args.checkpoint, config.to_dict())
     if args.report:
-        atomic_write_text(
-            args.report, "".join(json.dumps(e, sort_keys=True) + "\n" for e in report.epochs)
-        )
+        write_lines(args.report, (json.dumps(e, sort_keys=True) for e in report.epochs))
     _emit({"checkpoint": args.checkpoint, "report": args.report, "final": report.final()})
     return 0
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .augment import AugmentationPlan
-from .data import open_text
+from .data import DataFormatError, read_lines, record_key
 from .evaluation import check_similarity
 from .model import ModelDims
 from .semantics import check_semantic_source
@@ -117,25 +117,22 @@ _KEY_OF = {attr: key for key, (attr, _) in KEYMAP.items()}
 def parse_config_file(path: str) -> dict[str, str]:
     """Read ``key = value`` lines; '#' starts a comment. A malformed line,
     an unknown key, a value its key cannot parse or ``validate`` rejects,
-    or a key given twice raises ``ValueError`` naming ``path:line``."""
+    or a key given twice raises ``DataFormatError`` naming ``path:line``."""
     settings: dict[str, str] = {}
     first_line: dict[str, int] = {}
-    with open_text(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = (part.strip() for part in line.partition("="))
-            if key in first_line:
-                raise ValueError(f"{path}:{lineno}: config key {key!r} repeats line {first_line[key]}")
-            try:
-                apply_settings(TrainConfig(), {key: value}).validate()
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            first_line[key] = lineno
-            settings[key] = value
+    for lineno, line in read_lines(path):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DataFormatError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = (part.strip() for part in line.partition("="))
+        record_key(first_line, key, path, lineno, "config key {!r}", key)
+        try:
+            apply_settings(TrainConfig(), {key: value}).validate()
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+        settings[key] = value
     return settings
 
 

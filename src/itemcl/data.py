@@ -15,6 +15,10 @@ On-disk formats:
 
     {"user_id": str, "fields": {name: str}}
 
+Every text file is read by ``read_lines`` and written by ``write_lines``.
+A malformed line raises ``DataFormatError`` naming ``path:line``, the first
+bad line in file order, whether its fault is its format or its encoding.
+
 Item indices are assigned in catalog file order (0..n-1), so every
 downstream artifact is reproducible byte for byte.
 
@@ -26,15 +30,15 @@ array gathered by one index array (what ``train`` and ``evaluate`` read).
 
 from __future__ import annotations
 
+import itertools
 import json
+import re
 from collections.abc import Iterable, Iterator, Mapping
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TextIO
 
 import numpy as np
 
-from .util import argsort_codes, atomic_write_text, warn
+from .util import argsort_codes, atomic_write_bytes, warn
 
 
 class DataFormatError(ValueError):
@@ -42,26 +46,45 @@ class DataFormatError(ValueError):
     the offending file and line."""
 
 
-@contextmanager
-def open_text(path: str) -> Iterator[TextIO]:
-    """``path`` opened for reading as UTF-8 text, any line ending, a
-    leading byte-order mark dropped. Bytes that are not UTF-8 raise
-    ``DataFormatError("path:N: not UTF-8 text")``, N the line that holds
-    them: the decoder reads ahead of the lines it yields, so the file is
-    re-read as bytes to find it."""
-    try:
-        with open(path, "r", encoding="utf-8-sig") as handle:
-            yield handle
-    except UnicodeDecodeError:
-        with open(path, "rb") as handle:
-            data = handle.read()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            head = data[: exc.start]  # line breaks as text mode counts them: \n, \r\n or a lone \r
-            line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-            raise DataFormatError(f"{path}:{line}: not UTF-8 text") from None
-        raise
+def read_lines(path: str, strip: bool = False) -> Iterator[tuple[int, str]]:
+    """``(N, line)`` for each non-empty line N of the UTF-8 file ``path``, its
+    break (``\\n``, ``\\r\\n`` or a lone ``\\r``) and a leading byte-order
+    mark removed; ``strip`` strips each line first, skipping blank ones. A
+    byte that is not UTF-8 raises ``DataFormatError("path:N: not UTF-8
+    text")`` only on reaching its line N. The file is split at once and
+    its lines numbered by C-level iterators."""
+    with open(path, "rb") as handle:
+        text = handle.read().decode("utf-8-sig", errors="surrogateescape")
+    if "\r" in text:  # a search for one character is far cheaper than a replace
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    # ``surrogateescape`` decodes each byte that is not UTF-8 to one of U+DC80..U+DCFF
+    bad = None if text.isascii() else re.search("[\udc80-\udcff]", text)
+    lines = text.split("\n") if bad is None else text[: bad.start()].split("\n")[:-1]  # those ahead of bad's line
+    lines = list(map(str.strip, lines)) if strip else lines
+    numbered = itertools.compress(enumerate(lines, 1), lines)
+    if bad is None:
+        return numbered
+    return itertools.chain(numbered, _raise(DataFormatError(f"{path}:{len(lines) + 1}: not UTF-8 text")))
+
+
+def _raise(error: Exception) -> Iterator:
+    """An iterator that raises ``error`` when first advanced."""
+    raise error
+    yield
+
+
+def record_key(first_line: dict, key, path: str, lineno: int, what: str, *shown) -> None:
+    """Record ``key`` in ``first_line`` as read on line ``lineno``; a key read on
+    line M before raises ``DataFormatError("path:lineno: <what.format(*shown)> repeats line M")``."""
+    first = first_line.setdefault(key, lineno)
+    if first != lineno:
+        raise DataFormatError(f"{path}:{lineno}: {what.format(*shown)} repeats line {first}")
+
+
+def write_lines(path: str, lines: Iterable[str]) -> None:
+    """Write each of ``lines`` and a line break after it to ``path`` as UTF-8,
+    through a temporary file renamed into place; no lines, an empty file."""
+    atomic_write_bytes(path, "".join(f"{line}\n" for line in lines).encode("utf-8"))
 
 
 @dataclass(frozen=True)
@@ -262,20 +285,13 @@ def load_catalog(path: str) -> ItemCatalog:
     """Parse a JSONL item catalog; indices follow file order."""
     items: list[Item] = []
     first_line: dict[str, int] = {}
-    with open_text(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-                item = _item_from_row(row)
-            except (ValueError, KeyError, TypeError) as exc:
-                raise DataFormatError(f"{path}:{lineno}: malformed item row ({exc})") from None
-            if item.item_id in first_line:
-                raise DataFormatError(f"{path}:{lineno}: item_id {item.item_id!r} repeats line {first_line[item.item_id]}")
-            first_line[item.item_id] = lineno
-            items.append(item)
+    for lineno, line in read_lines(path, strip=True):
+        try:
+            item = _item_from_row(json.loads(line))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DataFormatError(f"{path}:{lineno}: malformed item row ({exc})") from None
+        record_key(first_line, item.item_id, path, lineno, "item_id {!r}", item.item_id)
+        items.append(item)
     return ItemCatalog(items)
 
 
@@ -307,17 +323,17 @@ def _item_from_row(row: dict) -> Item:
 
 def save_catalog(catalog: ItemCatalog, path: str) -> None:
     """Write the catalog back to JSONL in index order (round-trip exact)."""
-    lines = []
-    for item in catalog.items:
-        row = {
+    rows = (
+        {
             "item_id": item.item_id,
             "tags": list(item.tags),
             "provider": item.provider,
             "taxonomy": item.taxonomy,
             "title_vector": None if item.title_vector is None else [float(x) for x in item.title_vector],
         }
-        lines.append(json.dumps(row, sort_keys=True))
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+        for item in catalog.items
+    )
+    write_lines(path, (json.dumps(row, sort_keys=True) for row in rows))
 
 
 def load_interactions(path: str, catalog: ItemCatalog) -> ClickLog:
@@ -325,26 +341,22 @@ def load_interactions(path: str, catalog: ItemCatalog) -> ClickLog:
     dropped and reported in one warning with the rejected count."""
     rows: list[tuple[str, int, int]] = []
     rejected = 0
-    with open_text(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataFormatError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            user_id, item_id, ts_text = parts
-            if not user_id:
-                raise DataFormatError(f"{path}:{lineno}: empty user_id")
-            try:
-                timestamp = int(ts_text)
-            except ValueError:
-                raise DataFormatError(f"{path}:{lineno}: bad timestamp {ts_text!r}") from None
-            index = catalog.index_of.get(item_id)
-            if index is None:
-                rejected += 1
-                continue
-            rows.append((user_id, index, timestamp))
+    for lineno, line in read_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise DataFormatError(f"{path}:{lineno}: expected 3 tab-separated fields")
+        user_id, item_id, ts_text = parts
+        if not user_id:
+            raise DataFormatError(f"{path}:{lineno}: empty user_id")
+        try:
+            timestamp = int(ts_text)
+        except ValueError:
+            raise DataFormatError(f"{path}:{lineno}: bad timestamp {ts_text!r}") from None
+        index = catalog.index_of.get(item_id)
+        if index is None:
+            rejected += 1
+            continue
+        rows.append((user_id, index, timestamp))
     if rejected:
         warn(f"dropped {rejected} interaction rows with item_ids missing from the catalog")
     return ClickLog.from_rows(rows)
@@ -352,10 +364,8 @@ def load_interactions(path: str, catalog: ItemCatalog) -> ClickLog:
 
 def save_interactions(log: ClickLog, catalog: ItemCatalog, path: str) -> None:
     names, ids = log.user_ids, catalog.item_ids()
-    lines = [
-        f"{names[u]}\t{ids[i]}\t{t}" for u, i, t in zip(log.user.tolist(), log.item.tolist(), log.time.tolist())
-    ]
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    rows = zip(log.user.tolist(), log.item.tolist(), log.time.tolist())
+    write_lines(path, (f"{names[u]}\t{ids[i]}\t{t}" for u, i, t in rows))
 
 
 def load_profiles(path: str) -> UserProfileTable:
@@ -363,38 +373,28 @@ def load_profiles(path: str) -> UserProfileTable:
     field_names: tuple[str, ...] | None = None
     rows: dict[str, tuple[str, ...]] = {}
     first_line: dict[str, int] = {}
-    with open_text(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-                user_id = row["user_id"]
-                fields = row["fields"]
-                if not isinstance(user_id, str) or not isinstance(fields, dict):
-                    raise ValueError("user_id must be a string and fields an object")
-            except (ValueError, KeyError, TypeError) as exc:
-                raise DataFormatError(f"{path}:{lineno}: malformed profile row ({exc})") from None
-            if user_id in first_line:
-                raise DataFormatError(f"{path}:{lineno}: user_id {user_id!r} repeats line {first_line[user_id]}")
-            first_line[user_id] = lineno
-            if field_names is None:
-                field_names = tuple(sorted(fields))
-            elif tuple(sorted(fields)) != field_names:
-                raise DataFormatError(
-                    f"{path}:{lineno}: profile fields {sorted(fields)} do not match schema {list(field_names)}"
-                )
-            rows[user_id] = tuple(str(fields[name]) for name in field_names)
+    for lineno, line in read_lines(path, strip=True):
+        try:
+            row = json.loads(line)
+            user_id, fields = row["user_id"], row["fields"]
+            if not isinstance(user_id, str) or not isinstance(fields, dict):
+                raise ValueError("user_id must be a string and fields an object")
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DataFormatError(f"{path}:{lineno}: malformed profile row ({exc})") from None
+        record_key(first_line, user_id, path, lineno, "user_id {!r}", user_id)
+        if field_names is None:
+            field_names = tuple(sorted(fields))
+        elif tuple(sorted(fields)) != field_names:
+            raise DataFormatError(
+                f"{path}:{lineno}: profile fields {sorted(fields)} do not match schema {list(field_names)}"
+            )
+        rows[user_id] = tuple(str(fields[name]) for name in field_names)
     return UserProfileTable(field_names or (), rows)
 
 
 def save_profiles(profiles: UserProfileTable, path: str) -> None:
-    lines = []
-    for user_id, values in profiles.rows.items():
-        row = {"user_id": user_id, "fields": dict(zip(profiles.field_names, values))}
-        lines.append(json.dumps(row, sort_keys=True))
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    rows = ({"user_id": u, "fields": dict(zip(profiles.field_names, values))} for u, values in profiles.rows.items())
+    write_lines(path, (json.dumps(row, sort_keys=True) for row in rows))
 
 
 def _time_ordered(log: ClickLog) -> ClickLog:

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ItemCatalog, SplitDataset
+from .data import ItemCatalog, SplitDataset, write_lines
 from .model import EncodedCatalog, EncodedProfiles, ModelParams, embed_items, item_tower, pad_histories, user_tower
-from .util import atomic_write_text, top_k
+from .util import top_k
 
 _EVAL_CHUNK = 1024
 
@@ -161,9 +161,6 @@ def export_embeddings(
     """Write ``item_id TAB v1 .. TAB vD`` per catalog item; ten significant
     digits, so a re-import agrees to well under 1e-6."""
     items = item_matrix(params, enc)
-    lines = []
-    for i in range(len(catalog)):
-        values = "\t".join(format(x, ".10g") for x in items[i])
-        lines.append(f"{catalog[i].item_id}\t{values}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = zip(catalog.item_ids(), items.tolist())
+    write_lines(path, ("\t".join([item_id, *(format(x, ".10g") for x in row)]) for item_id, row in rows))
 

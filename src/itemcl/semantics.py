@@ -11,10 +11,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DataFormatError, ItemCatalog, open_text
+from .data import DataFormatError, ItemCatalog, read_lines, record_key, write_lines
 from .rng import substream
 from .sampling import exclusion_rows
-from .util import atomic_write_text, top_k, warn
+from .util import top_k, warn
 
 _KNN_CHUNK = 512
 
@@ -133,12 +133,9 @@ def mine_semantic_pool(catalog: ItemCatalog, source: str, k: int, seed: int) -> 
 def dump_semantic_pool(pool: SemanticPositivePool, catalog: ItemCatalog, path: str) -> None:
     """One ``item_id TAB comma-joined positive ids`` row per item, sorted
     by item_id."""
-    rows = []
-    for i in range(len(catalog)):
-        ids = ",".join(catalog[int(j)].item_id for j in pool.positives[i])
-        rows.append((catalog[i].item_id, ids))
-    rows.sort()
-    atomic_write_text(path, "".join(f"{a}\t{b}\n" for a, b in rows))
+    ids = catalog.item_ids()
+    rows = sorted((ids[i], ",".join(ids[j] for j in pool.positives[i].tolist())) for i in range(len(catalog)))
+    write_lines(path, (f"{a}\t{b}" for a, b in rows))
 
 
 def load_semantic_pool(path: str, catalog: ItemCatalog, source: str) -> SemanticPositivePool:
@@ -147,25 +144,19 @@ def load_semantic_pool(path: str, catalog: ItemCatalog, source: str) -> Semantic
     ``DataFormatError`` naming ``path:line``."""
     positives: list[np.ndarray] = [np.empty(0, dtype=np.int64) for _ in range(len(catalog))]
     first_line: dict[int, int] = {}
-    with open_text(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            item_id, tab, joined = line.partition("\t")
-            owner = catalog.index_at(item_id, f"{path}:{lineno}")
-            if owner in first_line:
-                raise DataFormatError(f"{path}:{lineno}: item {item_id!r} repeats line {first_line[owner]}")
-            if not tab:
-                raise DataFormatError(f"{path}:{lineno}: expected item_id, a tab and the positives")
-            first_line[owner] = lineno
-            if joined:
-                names = joined.split(",")
-                row = [catalog.index_at(x, f"{path}:{lineno}") for x in names]
-                if owner in row:
-                    raise DataFormatError(f"{path}:{lineno}: item {item_id!r} listed as its own positive")
-                repeated = next((x for i, x in enumerate(names) if x in names[:i]), None)
-                if repeated is not None:
-                    raise DataFormatError(f"{path}:{lineno}: positive {repeated!r} listed twice")
-                positives[owner] = np.asarray(row, dtype=np.int64)
+    for lineno, line in read_lines(path):
+        item_id, tab, joined = line.partition("\t")
+        owner = catalog.index_at(item_id, f"{path}:{lineno}")
+        record_key(first_line, owner, path, lineno, "item {!r}", item_id)
+        if not tab:
+            raise DataFormatError(f"{path}:{lineno}: expected item_id, a tab and the positives")
+        if joined:
+            names = joined.split(",")
+            row = [catalog.index_at(x, f"{path}:{lineno}") for x in names]
+            if owner in row:
+                raise DataFormatError(f"{path}:{lineno}: item {item_id!r} listed as its own positive")
+            repeated = next((x for i, x in enumerate(names) if x in names[:i]), None)
+            if repeated is not None:
+                raise DataFormatError(f"{path}:{lineno}: positive {repeated!r} listed twice")
+            positives[owner] = np.asarray(row, dtype=np.int64)
     return SemanticPositivePool(positives, source)

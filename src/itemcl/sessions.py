@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataFormatError, ItemCatalog, SplitDataset, open_text
+from .data import DataFormatError, ItemCatalog, SplitDataset, read_lines, record_key, write_lines
 from .sampling import exclusion_rows
-from .util import argsort_codes, atomic_write_text, sorted_unique
+from .util import argsort_codes, sorted_unique
 
 
 @dataclass(frozen=True)
@@ -162,11 +162,9 @@ def dump_cooccurrence(table: CooccurrenceTable, catalog: ItemCatalog, path: str)
     """Write ``item_id_a TAB item_id_b TAB count`` rows, each pair ordered
     and the file sorted lexicographically, for diffable golden files."""
     ids = catalog.item_ids()
-    rows = sorted(
-        (*sorted((ids[a], ids[b])), c) for (a, b), c in zip(table.pairs.tolist(), table.counts.tolist())
-    )
-    body = "".join(f"{a}\t{b}\t{c}\n" for a, b, c in rows)
-    atomic_write_text(path, body)
+    pairs = zip(table.pairs.tolist(), table.counts.tolist())
+    rows = sorted((*sorted((ids[a], ids[b])), c) for (a, b), c in pairs)
+    write_lines(path, (f"{a}\t{b}\t{c}" for a, b, c in rows))
 
 
 def load_cooccurrence(path: str, catalog: ItemCatalog, k: int = 10) -> CooccurrenceTable:
@@ -174,28 +172,19 @@ def load_cooccurrence(path: str, catalog: ItemCatalog, k: int = 10) -> Cooccurre
     twice in either order, raises ``DataFormatError`` naming ``path:line``."""
     counts: list[int] = []
     first_line: dict[tuple[int, int], int] = {}  # in file order, as ``counts``
-    with open_text(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataFormatError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            a, b = (catalog.index_at(x, f"{path}:{lineno}") for x in parts[:2])
-            if a == b:
-                raise DataFormatError(f"{path}:{lineno}: item {parts[0]!r} paired with itself")
-            try:
-                count = int(parts[2])
-            except ValueError:
-                raise DataFormatError(f"{path}:{lineno}: bad count {parts[2]!r}") from None
-            if count <= 0:
-                raise DataFormatError(f"{path}:{lineno}: nonpositive count {count}")
-            key = (a, b) if a < b else (b, a)
-            if key in first_line:
-                raise DataFormatError(
-                    f"{path}:{lineno}: pair {parts[0]!r} {parts[1]!r} repeats line {first_line[key]}"
-                )
-            first_line[key] = lineno
-            counts.append(count)
+    for lineno, line in read_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise DataFormatError(f"{path}:{lineno}: expected 3 tab-separated fields")
+        a, b = (catalog.index_at(x, f"{path}:{lineno}") for x in parts[:2])
+        if a == b:
+            raise DataFormatError(f"{path}:{lineno}: item {parts[0]!r} paired with itself")
+        try:
+            count = int(parts[2])
+        except ValueError:
+            raise DataFormatError(f"{path}:{lineno}: bad count {parts[2]!r}") from None
+        if count <= 0:
+            raise DataFormatError(f"{path}:{lineno}: nonpositive count {count}")
+        record_key(first_line, (min(a, b), max(a, b)), path, lineno, "pair {!r} {!r}", *parts[:2])
+        counts.append(count)
     return CooccurrenceTable(list(first_line), counts, len(catalog), k)

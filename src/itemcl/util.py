@@ -67,11 +67,6 @@ def warn(message: str) -> None:
     warnings.warn(message, ItemclWarning, stacklevel=3)
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` via a temp file and rename."""
-    atomic_write_bytes(path, text.encode("utf-8"))
-
-
 def atomic_write_bytes(path: str, data: bytes) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)

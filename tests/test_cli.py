@@ -437,8 +437,11 @@ class TestErrors:
             # sinusoidal positions were an option once; older config files may still name it
             ("train.seed = 0\nmodel.positional_encoding = false\n", ":2: unknown config key 'model.positional_encoding'"),
             ("train.epochs = 1\ntrain.seed = -1\n", ":2: train.seed must be nonnegative"),
+            ("train.seed = 0\n \t \ntrain.seed = 1\n", ":3: config key 'train.seed' repeats line 1"),
         ],
-        ids=["unknown-key", "bad-value", "repeated-key", "out-of-range", "removed-key", "negative-seed"],
+        ids=[
+            "unknown-key", "bad-value", "repeated-key", "out-of-range", "removed-key", "negative-seed", "whitespace-line"
+        ],
     )
     def test_bad_config_file_names_path_line_and_key(self, pipeline_dir, capsys, tmp_path, body, message):
         config_file = tmp_path / "bad.conf"
@@ -452,7 +455,7 @@ class TestErrors:
             "--config", str(config_file),
         )
         assert code == 2
-        assert f"{config_file}{message}" in json.loads(err.strip().split("\n")[-1])["error"]
+        assert last_json(err)["error"].startswith(f"DataFormatError: {config_file}{message}")
 
     def test_bad_set_value_names_the_key(self, pipeline_dir, capsys):
         code, _, err = run_cli(
@@ -464,7 +467,7 @@ class TestErrors:
             "--set", "loss.negatives=many",
         )
         assert code == 2
-        assert "bad value for config key 'loss.negatives'" in err
+        assert last_json(err)["error"].startswith("ValueError: bad value for config key 'loss.negatives'")
 
     @pytest.mark.parametrize(
         "setting, message",

@@ -17,7 +17,7 @@ from itemcl.data import (
     load_catalog,
     load_interactions,
     load_profiles,
-    open_text,
+    read_lines,
     save_catalog,
 )
 from itemcl.model import pad_histories
@@ -256,6 +256,23 @@ TEXT_READERS = {
     "config": ("train.seed = 3\nloss.tau = 0.5  # comment\ntrain.epochs = 2\n", _read_config),
 }
 
+# reader -> (a first line its format rejects, the start of the message naming it)
+MALFORMED_FIRST_LINE = {
+    "catalog": ("{not json", "malformed item row"),
+    "interactions": ("u1\ta", "expected 3 tab-separated fields"),
+    "profiles": ('{"user_id": 1, "fields": {}}', "malformed profile row"),
+    "cooccurrence": ("a\ta\t1", "item 'a' paired with itself"),
+    "semantic_pool": ("a", "expected item_id, a tab and the positives"),
+    "config": ("train.seed 3", "expected 'key = value'"),
+}
+
+# reader -> the error a line of two tabs raises; the JSONL and config readers skip it
+TAB_ONLY_LINE = {
+    "interactions": "empty user_id",
+    "cooccurrence": "unknown item_id ''",
+    "semantic_pool": "unknown item_id ''",
+}
+
 
 class TestTextInput:
     @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["lf", "crlf"])
@@ -298,17 +315,40 @@ class TestTextInput:
         with pytest.raises(DataFormatError, match="^" + re.escape(f"{path}:1: not UTF-8 text") + "$"):
             load(str(path), tmp_path)
 
+    @pytest.mark.parametrize("reader", sorted(TEXT_READERS))
+    def test_malformed_line_ahead_of_a_non_utf8_byte_is_named_first(self, tmp_path, reader):
+        text, load = TEXT_READERS[reader]
+        bad_line, message = MALFORMED_FIRST_LINE[reader]
+        lines = text.encode().split(b"\n")
+        path = tmp_path / "bad"
+        path.write_bytes(b"\n".join([bad_line.encode(), lines[0], lines[1][:3] + b"\xff" + lines[1][3:]]) + b"\n")
+        with pytest.raises(DataFormatError, match="^" + re.escape(f"{path}:1: {message}")):
+            load(str(path), tmp_path)
+
+    @pytest.mark.parametrize("reader", sorted(TEXT_READERS))
+    def test_tab_only_line_is_skipped_by_jsonl_and_config_and_rejected_by_tsv(self, tmp_path, reader):
+        text, load = TEXT_READERS[reader]
+        first, rest = text.split("\n", 1)
+        plain, tabs = tmp_path / "plain", tmp_path / "tabs"
+        plain.write_text(text, encoding="utf-8")
+        tabs.write_text(f"{first}\n\t\t\n{rest}", encoding="utf-8")
+        if reader not in TAB_ONLY_LINE:
+            assert load(str(tabs), tmp_path) == load(str(plain), tmp_path)
+            return
+        with pytest.raises(DataFormatError, match="^" + re.escape(f"{tabs}:2: {TAB_ONLY_LINE[reader]}")):
+            load(str(tabs), tmp_path)
+
     def test_line_count_takes_every_ending_and_reaches_past_the_read_ahead(self, tmp_path):
         path = tmp_path / "mixed"
         # 1: "a\r", 2: "b\r\n", 3: "c\n", then 5000 lines ahead of the bad byte
         path.write_bytes(b"a\rb\r\nc\n" + b"0123456789\n" * 5000 + b"ok \xc3( here\n")
         with pytest.raises(DataFormatError, match="^" + re.escape(f"{path}:5004: not UTF-8 text") + "$"):
-            with open_text(str(path)) as handle:
-                list(handle)
+            list(read_lines(str(path)))
         path.write_bytes(b"a\rb\r\nc\n\xe2\x82")  # a sequence cut short at the end of the file
+        lines = read_lines(str(path))
+        assert [next(lines) for _ in range(3)] == [(1, "a"), (2, "b"), (3, "c")]
         with pytest.raises(DataFormatError, match="^" + re.escape(f"{path}:4: not UTF-8 text") + "$"):
-            with open_text(str(path)) as handle:
-                list(handle)
+            next(lines)
 
 
 def ev(user, item, ts):

@@ -235,6 +235,7 @@ class TestDump:
             ("c", "item 'c' repeats line 1"),
             ("b", "expected item_id, a tab and the positives"),
             ("a\tb,c,b", "positive 'b' listed twice"),
+            (" ", "unknown item_id ' '"),
         ],
     )
     def test_malformed_row_names_file_and_line(self, tmp_path, row, message):

@@ -358,6 +358,7 @@ class TestLoadCooccurrence:
             ("a\tb", "expected 3 tab-separated fields"),
             ("a\tc\t5", "pair 'a' 'c' repeats line 1"),
             ("c\ta\t5", "pair 'c' 'a' repeats line 1"),
+            (" ", "expected 3 tab-separated fields"),
         ],
     )
     def test_malformed_row_names_file_and_line(self, tmp_path, row, message):

@@ -31,7 +31,7 @@ from .data import (
     write_lines,
 )
 from .evaluation import DEFAULT_NS, SIMILARITIES, evaluate, export_embeddings
-from .gradcheck import DEFAULT_STEP, DEFAULT_THRESHOLD, gradcheck_suite
+from .gradcheck import DEFAULT_THRESHOLD, gradcheck_suite
 from .model import EncodedCatalog, EncodedProfiles, build_meta, check_shapes, load_checkpoint
 from .semantics import dump_semantic_pool, mine_semantic_pool
 from .sessions import build_cooccurrence, dump_cooccurrence, segment_sessions
@@ -207,14 +207,14 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
-    errors = gradcheck_suite(seed=args.seed, step=args.step)
+    errors = gradcheck_suite()
     worst = max(errors.values())
     payload = {f"max_rel_err_{name}": err for name, err in errors.items()}
     payload["max_rel_err"] = worst
-    payload["threshold"] = args.threshold
-    payload["pass"] = bool(worst < args.threshold)
+    payload["threshold"] = DEFAULT_THRESHOLD
+    payload["pass"] = bool(worst < DEFAULT_THRESHOLD)
     _emit(payload)
-    return 0 if worst < args.threshold else 1
+    return 0 if payload["pass"] else 1
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -289,10 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_export)
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--step", type=float, default=DEFAULT_STEP)
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
+    p = sub.add_parser("gradcheck", help="criterion 1: finite-difference gradient verification")
     p.set_defaults(handler=_cmd_gradcheck)
 
     return parser

@@ -40,6 +40,8 @@ import numpy as np
 
 from .util import argsort_codes, atomic_write_bytes, warn
 
+PAD = -1  # the item index of a padding slot in a behavior history
+
 
 class DataFormatError(ValueError):
     """Raised for malformed or inconsistent input files; the message names
@@ -120,16 +122,12 @@ class ClickLog:
 
     @classmethod
     def of(cls, clicks: ClickLog | Iterable[Interaction]) -> ClickLog:
-        """``clicks`` unchanged if it is a ``ClickLog``, else its rows as one."""
+        """``clicks`` unchanged if it is a ``ClickLog``, else its rows as
+        columns, in row order."""
         if isinstance(clicks, ClickLog):
             return clicks
-        return cls.from_rows((ev.user_id, ev.item_index, ev.timestamp) for ev in clicks)
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[tuple[str, int, int]]) -> ClickLog:
-        """``(user_id, item, time)`` rows as columns, in row order."""
         code_of: dict[str, int] = {}
-        coded = [(code_of.setdefault(user_id, len(code_of)), item, time) for user_id, item, time in rows]
+        coded = [(code_of.setdefault(ev.user_id, len(code_of)), ev.item_index, ev.timestamp) for ev in clicks]
         return cls.from_codes(list(code_of), *np.array(coded, dtype=np.int64).reshape(-1, 3).T)
 
     @classmethod
@@ -223,10 +221,10 @@ class Histories(Mapping[str, list[int]]):
     def __init__(self, row_of: dict[str, int], offsets: np.ndarray, column: np.ndarray, window: int):
         self.row_of = row_of
         self.window = window
-        # an empty row after the last, for absent users, and a -1 after
+        # an empty row after the last, for absent users, and a PAD after
         # the last item, which padding slots gather
         self._offsets = np.append(offsets, offsets[-1])
-        self._column = np.append(column, -1)
+        self._column = np.append(column, PAD)
         for arr in (self._offsets, self._column):
             arr.setflags(write=False)
         self.offsets, self.column = self._offsets[:-1], self._column[:-1]
@@ -255,7 +253,7 @@ class Histories(Mapping[str, list[int]]):
         """``model.pad_histories([self.get(u, []) for u in user_ids],
         width)`` by one gather: each user's most recent ``min(width,
         window)`` items, right-aligned in a (len(user_ids), width) int64
-        array, -1 padded."""
+        array, ``PAD`` padded."""
         absent = len(self.offsets) - 1
         rows = np.fromiter((self.row_of.get(u, absent) for u in user_ids), np.intp, len(user_ids))
         ends = self._offsets[rows + 1, None]
@@ -339,7 +337,10 @@ def save_catalog(catalog: ItemCatalog, path: str) -> None:
 def load_interactions(path: str, catalog: ItemCatalog) -> ClickLog:
     """Parse a TSV click log; rows whose item_id is not in the catalog are
     dropped and reported in one warning with the rejected count."""
-    rows: list[tuple[str, int, int]] = []
+    code_of: dict[str, int] = {}
+    users: list[int] = []
+    items: list[int] = []
+    times: list[int] = []
     rejected = 0
     for lineno, line in read_lines(path):
         parts = line.split("\t")
@@ -356,10 +357,12 @@ def load_interactions(path: str, catalog: ItemCatalog) -> ClickLog:
         if index is None:
             rejected += 1
             continue
-        rows.append((user_id, index, timestamp))
+        users.append(code_of.setdefault(user_id, len(code_of)))
+        items.append(index)
+        times.append(timestamp)
     if rejected:
         warn(f"dropped {rejected} interaction rows with item_ids missing from the catalog")
-    return ClickLog.from_rows(rows)
+    return ClickLog.from_codes(list(code_of), users, items, times)
 
 
 def save_interactions(log: ClickLog, catalog: ItemCatalog, path: str) -> None:

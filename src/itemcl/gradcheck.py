@@ -4,7 +4,9 @@ Runs each loss (and the joint objective) on a deliberately tiny fixture,
 re-seeding the sampling streams on every evaluation so each loss is a
 deterministic, differentiable function of the parameters, then compares
 the hand-written gradients against central differences coordinate by
-coordinate.
+coordinate. This is acceptance criterion 1, and it has one configuration:
+the fixture's seed 0, the step ``STEP`` and the threshold
+``DEFAULT_THRESHOLD``.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .rng import substream
 from .semantics import mine_taxonomy
 from .sessions import CooccurrenceTable, SessionPositiveSampler
 
-DEFAULT_STEP = 1e-4
+STEP = 1e-4
 DEFAULT_THRESHOLD = 1e-5
 
 
@@ -46,30 +48,20 @@ def flatten(arrays: dict[str, np.ndarray]) -> np.ndarray:
     return np.concatenate([arrays[name].ravel() for name in arrays])
 
 
-def assign_flat(params: ModelParams, vec: np.ndarray) -> None:
-    cursor = 0
+def finite_difference_gradient(value_fn: Callable[[ModelParams], float], params: ModelParams) -> np.ndarray:
+    """Central differences over every parameter coordinate, in ``flatten``
+    order; each coordinate is moved in place and put back."""
+    grad = []
     for arr in params.arrays.values():
-        arr[...] = vec[cursor : cursor + arr.size].reshape(arr.shape)
-        cursor += arr.size
-
-
-def finite_difference_gradient(
-    value_fn: Callable[[ModelParams], float], params: ModelParams, step: float = DEFAULT_STEP
-) -> np.ndarray:
-    """Central differences over every parameter coordinate."""
-    base = flatten(params.arrays)
-    grad = np.zeros_like(base)
-    for i in range(base.size):
-        probe = base.copy()
-        probe[i] = base[i] + step
-        assign_flat(params, probe)
-        plus = value_fn(params)
-        probe[i] = base[i] - step
-        assign_flat(params, probe)
-        minus = value_fn(params)
-        grad[i] = (plus - minus) / (2.0 * step)
-    assign_flat(params, base)
-    return grad
+        for index in np.ndindex(arr.shape):
+            base = arr[index]
+            arr[index] = base + STEP
+            plus = value_fn(params)
+            arr[index] = base - STEP
+            minus = value_fn(params)
+            arr[index] = base
+            grad.append((plus - minus) / (2.0 * STEP))
+    return np.array(grad)
 
 
 def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -84,8 +76,9 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(err.max()) if err.size else 0.0
 
 
-def build_fixture(seed: int = 0) -> dict:
-    """A complete miniature pipeline with well under 200 parameters."""
+def build_fixture() -> dict:
+    """A complete miniature pipeline with well under 200 parameters, every
+    draw from seed 0."""
     items = [
         Item("a", ("t1", "t2"), "p1", "c1"),
         Item("b", ("t2",), "p2", "c1"),
@@ -98,10 +91,10 @@ def build_fixture(seed: int = 0) -> dict:
     profiles = UserProfileTable(("seg",), {"u1": ("s1",), "u2": ("s2",)})
     dims = ModelDims(d_field=2, tower_dims=(3, 2, 2), behavior_window=3, ffn_dim=2, d_proj=2)
     meta = build_meta(catalog, profiles, dims)
-    params = init_params(meta, seed)
+    params = init_params(meta, 0)
     # healthy parameter magnitudes keep every gradient well away from the
     # finite-difference noise floor
-    rng = substream(seed, "fd", "values")
+    rng = substream(0, "fd", "values")
     for name, arr in params.arrays.items():
         arr[...] = rng.uniform(-0.6, 0.6, size=arr.shape)
     # raised biases leave some units of the user tower's first layer and of
@@ -140,13 +133,11 @@ def build_fixture(seed: int = 0) -> dict:
         "match": match,
         "contrastive": contrastive,
         "plan": plan,
-        "seed": seed,
     }
 
 
 def _loss_closures(fix: dict) -> dict[str, Callable[[ModelParams], tuple[float, dict]]]:
     enc = fix["enc"]
-    seed = fix["seed"]
 
     def matching(params):
         return loss_matching(params, enc, fix["match"])
@@ -157,16 +148,16 @@ def _loss_closures(fix: dict) -> dict[str, Callable[[ModelParams], tuple[float, 
             enc,
             fix["contrastive"],
             fix["plan"],
-            substream(seed, "fd", "fea"),
-            substream(seed, "fd", "drop"),
+            substream(0, "fd", "fea"),
+            substream(0, "fd", "drop"),
         )
 
     def semantic(params):
-        return loss_semantic_cl(params, enc, fix["contrastive"], fix["pool"], substream(seed, "fd", "sem"))
+        return loss_semantic_cl(params, enc, fix["contrastive"], fix["pool"], substream(0, "fd", "sem"))
 
     def session(params):
         return loss_session_cl(
-            params, enc, fix["contrastive"], fix["sampler"], fix["table"], substream(seed, "fd", "sess")
+            params, enc, fix["contrastive"], fix["sampler"], fix["table"], substream(0, "fd", "sess")
         )
 
     def joint(params):
@@ -174,10 +165,10 @@ def _loss_closures(fix: dict) -> dict[str, Callable[[ModelParams], tuple[float, 
             fix["match"], fix["contrastive"], fix["plan"], fix["pool"], fix["sampler"], fix["table"]
         )
         rngs = {
-            "feature": substream(seed, "fd", "fea"),
-            "dropout": substream(seed, "fd", "drop"),
-            "semantic": substream(seed, "fd", "sem"),
-            "session": substream(seed, "fd", "sess"),
+            "feature": substream(0, "fd", "fea"),
+            "dropout": substream(0, "fd", "drop"),
+            "semantic": substream(0, "fd", "sem"),
+            "session": substream(0, "fd", "sess"),
         }
         value, _, grads = loss_joint(params, enc, inputs, (1.0, 0.3, 0.1), rngs)
         return value, grads
@@ -185,14 +176,17 @@ def _loss_closures(fix: dict) -> dict[str, Callable[[ModelParams], tuple[float, 
     return {"matching": matching, "feature": feature, "semantic": semantic, "session": session, "joint": joint}
 
 
-def gradcheck_suite(seed: int = 0, step: float = DEFAULT_STEP) -> dict[str, float]:
-    """Max relative error of the analytic gradient per loss."""
-    fix = build_fixture(seed)
-    params: ModelParams = fix["params"]
-    errors: dict[str, float] = {}
-    for name, closure in _loss_closures(fix).items():
-        _, grads = closure(params)
-        analytic = flatten(grads)
-        numeric = finite_difference_gradient(lambda p: closure(p)[0], params, step)
-        errors[name] = max_relative_error(analytic, numeric)
-    return errors
+def closure_error(
+    closure: Callable[[ModelParams], tuple[float, dict]], params: ModelParams
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Max relative error of ``closure``'s analytic gradient at ``params``
+    against central differences, and that gradient by array name."""
+    _, grads = closure(params)
+    numeric = finite_difference_gradient(lambda p: closure(p)[0], params)
+    return max_relative_error(flatten(grads), numeric), grads
+
+
+def gradcheck_suite() -> dict[str, float]:
+    """Max relative error of the analytic gradient per loss: criterion 1."""
+    fix = build_fixture()
+    return {name: closure_error(closure, fix["params"])[0] for name, closure in _loss_closures(fix).items()}

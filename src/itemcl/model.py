@@ -65,11 +65,10 @@ import numpy as np
 from scipy import sparse
 
 from .augment import AugmentationPlan, augmentation_masks
-from .data import ItemCatalog, UserProfileTable
+from .data import PAD, ItemCatalog, UserProfileTable
 from .rng import substream
 from .util import atomic_write_bytes
 
-PAD = -1
 USER_BLOCK = 64  # users per block of the user tower's per-slot stage (module docstring)
 
 _CHECKPOINT_MAGIC = b"ITEMCL-CHECKPOINT-V1\n"
@@ -492,7 +491,7 @@ def _user_blocks(m: int) -> typing.Iterator[slice]:
 
 
 def pad_histories(histories: list[list[int]], window: int) -> np.ndarray:
-    """Right-align each history into a (m, window) int array, -1 padded.
+    """Right-align each history into a (m, window) int array, ``PAD`` padded.
 
     Explicit padding entries (negative values) in the input are dropped
     first, then the most recent ``window`` items are kept, so appending

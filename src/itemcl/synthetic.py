@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import ClickLog, Item, ItemCatalog, UserProfileTable
+from .data import ClickLog, Item, ItemCatalog, UserProfileTable, _time_ordered
 from .rng import substream
 
 TRAIN_FRACTION = 0.8  # share of clicks before the default split time
@@ -203,7 +203,7 @@ def generate(spec: SyntheticSpec) -> SyntheticDataset:
             remaining -= len(session_items)
 
     log = ClickLog.from_codes(list(profile_rows), click_user, click_item, click_time)
-    return SyntheticDataset(catalog, log[np.argsort(log.time, kind="stable")], profiles, clusters, motifs)
+    return SyntheticDataset(catalog, _time_ordered(log), profiles, clusters, motifs)
 
 
 def default_split_time(interactions: ClickLog, train_fraction: float = TRAIN_FRACTION) -> int:

@@ -8,7 +8,7 @@ from itemcl.gradcheck import build_fixture
 def tiny():
     """The miniature end-to-end fixture: 6-item catalog, 2 users, small
     dims, mined pools, random but healthy parameter values."""
-    return build_fixture(seed=0)
+    return build_fixture()
 
 
 @pytest.fixture

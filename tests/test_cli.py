@@ -387,11 +387,23 @@ class TestGoldenBytes:
 
 class TestGradcheckCommand:
     def test_passes_and_reports(self, capsys):
-        code, out, _ = run_cli(capsys, "gradcheck", "--seed", "0")
+        code, out, _ = run_cli(capsys, "gradcheck")
         assert code == 0
         payload = last_json(out)
         assert payload["pass"] is True
         assert payload["max_rel_err"] < 1e-5
+        losses = ("matching", "feature", "semantic", "session", "joint")
+        assert set(payload) == {f"max_rel_err_{name}" for name in losses} | {"max_rel_err", "threshold", "pass"}
+        assert payload["threshold"] == 1e-5
+
+    @pytest.mark.parametrize("option", [["--seed", "4"], ["--step", "0.01"], ["--threshold", "1"]], ids=lambda o: o[0])
+    def test_takes_no_options(self, capsys, option):
+        # criterion 1 has one configuration: the fixture's seed, the step
+        # and the threshold are not settable
+        with pytest.raises(SystemExit) as excinfo:
+            main(["gradcheck", *option])
+        assert excinfo.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
 
 class TestErrors:

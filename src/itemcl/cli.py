@@ -200,6 +200,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 def _cmd_export(args: argparse.Namespace) -> int:
     catalog = load_catalog(args.catalog)
     params, _ = load_checkpoint(args.checkpoint)
+    # export reads no profile table, so the user side is the checkpoint's own
+    expected = build_meta(catalog, None, params.meta.dims)
+    expected.user_field_names, expected.user_field_vocabs = params.meta.user_field_names, params.meta.user_field_vocabs
+    check_shapes(params, expected, args.checkpoint)
     enc = EncodedCatalog(catalog, params.meta)
     export_embeddings(params, enc, catalog, args.out)
     _emit({"out": args.out, "n_items": len(catalog)})

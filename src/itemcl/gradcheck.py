@@ -5,8 +5,7 @@ re-seeding the sampling streams on every evaluation so each loss is a
 deterministic, differentiable function of the parameters, then compares
 the hand-written gradients against central differences coordinate by
 coordinate. This is acceptance criterion 1, and it has one configuration:
-the fixture's seed 0, the step ``STEP`` and the threshold
-``DEFAULT_THRESHOLD``.
+the fixture, the step ``STEP`` and the threshold ``DEFAULT_THRESHOLD``.
 """
 
 from __future__ import annotations
@@ -76,9 +75,20 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(err.max()) if err.size else 0.0
 
 
+def quiet_arrays(grads: dict[str, np.ndarray]) -> list[str]:
+    """Arrays whose largest |gradient| lies in (1e-12, 1e-5]: reached, but
+    within ten times ``max_relative_error``'s floor, so checked only to an
+    absolute precision. At most 1e-12 is the round-off of an exact zero,
+    an array the closure does not reach."""
+    return [name for name, g in grads.items() if 1e-12 < np.abs(g).max() <= 1e-5]
+
+
 def build_fixture() -> dict:
-    """A complete miniature pipeline with well under 200 parameters, every
-    draw from seed 0."""
+    """A complete miniature pipeline, 170 parameters each drawn uniform in
+    [-1, 1), on which no closure has a quiet array and no ReLU input lies
+    within 0.01 of its kink. Its six users, more than the user tower's
+    first layer has units, repeat items within and across histories; one
+    history is empty, one profile unknown, the last padded at its end."""
     items = [
         Item("a", ("t1", "t2"), "p1", "c1"),
         Item("b", ("t2",), "p2", "c1"),
@@ -92,16 +102,9 @@ def build_fixture() -> dict:
     dims = ModelDims(d_field=2, tower_dims=(3, 2, 2), behavior_window=3, ffn_dim=2, d_proj=2)
     meta = build_meta(catalog, profiles, dims)
     params = init_params(meta, 0)
-    # healthy parameter magnitudes keep every gradient well away from the
-    # finite-difference noise floor
-    rng = substream(0, "fd", "values")
-    for name, arr in params.arrays.items():
-        arr[...] = rng.uniform(-0.6, 0.6, size=arr.shape)
-    # raised biases leave some units of the user tower's first layer and of
-    # the attention feed-forward active (none within 0.03 of its kink), so
-    # every gradient below them is checked too
-    params.arrays["user_tower.b0"] += 1.0
-    params.arrays["attn.bf1"] += 0.3
+    rng = substream(5, "fd", "values")
+    for arr in params.arrays.values():
+        arr[...] = rng.uniform(-1.0, 1.0, size=arr.shape)
 
     enc = EncodedCatalog(catalog, meta)
     prof_enc = EncodedProfiles(profiles, meta)
@@ -109,14 +112,14 @@ def build_fixture() -> dict:
     table = CooccurrenceTable([(0, 1), (0, 2), (1, 2), (3, 4), (2, 4)], [3, 1, 2, 2, 1], 6, k=10)
     sampler = SessionPositiveSampler(table)
 
-    histories = pad_histories([[0, 2], [1, 3, 4]], dims.behavior_window)
-    profile_idx = prof_enc.rows(["u1", "u2"])
+    histories = pad_histories([[0, 2], [1, 3, 4], [2, 0, 2], [], [5, 5], [2, 2]], dims.behavior_window)
+    histories[-1] = histories[-1, ::-1]
     match = MatchBatch(
-        user_rows=np.array([0, 1, 0]),
+        user_rows=np.array([0, 1, 2, 3, 4, 5, 1]),
         histories=histories,
-        profile_idx=profile_idx,
-        pos_items=np.array([1, 4, 5]),
-        neg_items=np.array([[0, 3], [2, 5], [0, 2]]),
+        profile_idx=prof_enc.rows(["u1", "u2", "u1", "u2", "u1", "unprofiled"]),
+        pos_items=np.array([1, 4, 5, 0, 3, 2, 5]),
+        neg_items=np.array([[0, 3], [2, 5], [0, 2], [1, 4], [5, 0], [3, 1], [0, 2]]),
     )
     contrastive = ContrastiveBatch(
         anchors=np.unique(match.pos_items), tau=1.0, num_negatives=2, include_positive=True
@@ -138,39 +141,29 @@ def build_fixture() -> dict:
 
 def _loss_closures(fix: dict) -> dict[str, Callable[[ModelParams], tuple[float, dict]]]:
     enc = fix["enc"]
+    tags = {"feature": "fea", "dropout": "drop", "semantic": "sem", "session": "sess"}
+
+    def rngs():  # every evaluation draws from fresh streams
+        return {task: substream(0, "fd", tag) for task, tag in tags.items()}
 
     def matching(params):
         return loss_matching(params, enc, fix["match"])
 
     def feature(params):
-        return loss_feature_cl(
-            params,
-            enc,
-            fix["contrastive"],
-            fix["plan"],
-            substream(0, "fd", "fea"),
-            substream(0, "fd", "drop"),
-        )
+        r = rngs()
+        return loss_feature_cl(params, enc, fix["contrastive"], fix["plan"], r["feature"], r["dropout"])
 
     def semantic(params):
-        return loss_semantic_cl(params, enc, fix["contrastive"], fix["pool"], substream(0, "fd", "sem"))
+        return loss_semantic_cl(params, enc, fix["contrastive"], fix["pool"], rngs()["semantic"])
 
     def session(params):
-        return loss_session_cl(
-            params, enc, fix["contrastive"], fix["sampler"], fix["table"], substream(0, "fd", "sess")
-        )
+        return loss_session_cl(params, enc, fix["contrastive"], fix["sampler"], fix["table"], rngs()["session"])
 
     def joint(params):
         inputs = JointLossInputs(
             fix["match"], fix["contrastive"], fix["plan"], fix["pool"], fix["sampler"], fix["table"]
         )
-        rngs = {
-            "feature": substream(0, "fd", "fea"),
-            "dropout": substream(0, "fd", "drop"),
-            "semantic": substream(0, "fd", "sem"),
-            "session": substream(0, "fd", "sess"),
-        }
-        value, _, grads = loss_joint(params, enc, inputs, (1.0, 0.3, 0.1), rngs)
+        value, _, grads = loss_joint(params, enc, inputs, (1.0, 0.3, 0.1), rngs())
         return value, grads
 
     return {"matching": matching, "feature": feature, "semantic": semantic, "session": session, "joint": joint}

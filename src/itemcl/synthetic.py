@@ -209,6 +209,8 @@ def generate(spec: SyntheticSpec) -> SyntheticDataset:
 def default_split_time(interactions: ClickLog, train_fraction: float = TRAIN_FRACTION) -> int:
     """Timestamp at the given quantile of the click log, for chronological
     splitting."""
+    if not 0.0 <= train_fraction <= 1.0:  # NaN fails this too
+        raise ValueError(f"train fraction must lie in [0, 1], got {train_fraction}")
     ts = interactions.time
     if not ts.size:
         raise ValueError("interactions must be non-empty")

@@ -1,5 +1,6 @@
 """End-to-end operator pipeline through the command line."""
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -406,6 +407,26 @@ class TestGradcheckCommand:
         assert "usage:" in capsys.readouterr().err
 
 
+def unfitting_checkpoint(pipeline_dir, tmp_path, edit):
+    """An untrained checkpoint and a catalog file it does not fit: its own
+    catalog lacks the last item ("one-item-fewer"), or the file gives the
+    first item a tag it lacks ("new-tag")."""
+    from itemcl.data import ItemCatalog, load_catalog, load_profiles, save_catalog
+    from itemcl.model import ModelDims, build_meta, init_params, save_checkpoint
+
+    data = pipeline_dir / "data"
+    items = list(load_catalog(str(data / "catalog.jsonl")).items)
+    ckpt_items = items[:-1] if edit == "one-item-fewer" else list(items)
+    if edit == "new-tag":
+        items[0] = dataclasses.replace(items[0], tags=items[0].tags + ("new-tag",))
+    dims = ModelDims(d_field=4, tower_dims=(8, 4, 4), behavior_window=5, ffn_dim=4, d_proj=4)
+    meta = build_meta(ItemCatalog(ckpt_items), load_profiles(str(data / "profiles.jsonl")), dims)
+    ckpt, catalog = tmp_path / "m.ckpt", tmp_path / "catalog.jsonl"
+    save_checkpoint(init_params(meta, 0), str(ckpt))
+    save_catalog(ItemCatalog(items), str(catalog))
+    return ckpt, catalog
+
+
 class TestErrors:
     def test_unknown_command_usage_exit(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -583,25 +604,29 @@ class TestErrors:
         assert "--n" in error and "'x'" in error and "FileNotFoundError" not in error
 
     def test_evaluate_names_a_checkpoint_that_does_not_fit_the_catalog(self, pipeline_dir, capsys, tmp_path):
-        from itemcl.data import ItemCatalog, load_catalog, load_profiles
-        from itemcl.model import ModelDims, build_meta, init_params, save_checkpoint
-
-        data = pipeline_dir / "data"
-        dims = ModelDims(d_field=4, tower_dims=(8, 4, 4), behavior_window=5, ffn_dim=4, d_proj=4)
-        catalog, profiles = load_catalog(str(data / "catalog.jsonl")), load_profiles(str(data / "profiles.jsonl"))
-        ckpt = tmp_path / "short.ckpt"
-        save_checkpoint(init_params(build_meta(ItemCatalog(catalog.items[:-1]), profiles, dims), 0), str(ckpt))
+        ckpt, catalog = unfitting_checkpoint(pipeline_dir, tmp_path, "one-item-fewer")
         code, _, err = run_cli(
             capsys,
             "evaluate",
             "--checkpoint", str(ckpt),
-            "--catalog", str(data / "catalog.jsonl"),
+            "--catalog", str(catalog),
             "--train", str(pipeline_dir / "splits" / "train.tsv"),
             "--test", str(pipeline_dir / "splits" / "test.tsv"),
-            "--profiles", str(data / "profiles.jsonl"),
+            "--profiles", str(pipeline_dir / "data" / "profiles.jsonl"),
         )
         assert code == 2
         assert f"{ckpt}: shape mismatch for 'emb.item_id'" in last_json(err)["error"]
+
+    @pytest.mark.parametrize("edit, array", [("one-item-fewer", "emb.item_id"), ("new-tag", "emb.tags")])
+    def test_export_names_a_checkpoint_that_does_not_fit_the_catalog(
+        self, pipeline_dir, capsys, tmp_path, edit, array
+    ):
+        ckpt, catalog = unfitting_checkpoint(pipeline_dir, tmp_path, edit)
+        out = tmp_path / "emb.tsv"
+        code, _, err = run_cli(capsys, "export", "--checkpoint", str(ckpt), "--catalog", str(catalog), "--out", str(out))
+        assert code == 2
+        assert f"{ckpt}: shape mismatch for {array!r}" in last_json(err)["error"]
+        assert not out.exists()
 
     def test_config_file_applies(self, pipeline_dir, capsys, tmp_path):
         config_file = tmp_path / "train.conf"

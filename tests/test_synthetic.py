@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from itemcl.data import chronological_split, save_catalog, save_interactions, save_profiles
+from itemcl.data import ClickLog, chronological_split, save_catalog, save_interactions, save_profiles
 from itemcl.semantics import mine_title_knn
 from itemcl.sessions import build_cooccurrence, segment_sessions
 from itemcl.synthetic import SyntheticSpec, default_split_time, generate
@@ -196,6 +196,11 @@ class TestShape:
         split_time = default_split_time(data.interactions, 0.8)
         n_before = sum(1 for e in data.interactions if e.timestamp < split_time)
         assert 0.7 < n_before / len(data.interactions) < 0.9
+
+    @pytest.mark.parametrize("fraction", [1.5, -0.2, float("nan")])
+    def test_split_fraction_outside_0_1_named(self, fraction):
+        with pytest.raises(ValueError, match=rf"^train fraction must lie in \[0, 1\], got {fraction}$"):
+            default_split_time(ClickLog.from_codes(["u"], [0], [0], [5]), fraction)
 
     def test_timestamps_sorted(self):
         data = generate(SMALL_SPEC)

@@ -48,7 +48,7 @@ MUTATIONS = (
         'a["attn.Wf2"].T @ g_fold + a["attn.bf2"][:, None] * g_bias[:, None, :]',
         'a["attn.Wf2"].T @ g_fold',
         True,
-        "matching and joint errors about 1.05 when recorded",
+        "matching and joint errors about 0.636 when recorded",
     ),
     Mutation(
         "fold: drop the attn.bf2 gradient",
@@ -64,7 +64,7 @@ MUTATIONS = (
         "np.where(trace.zero_mask, 0.0, grad_out)",
         "grad_out",
         True,
-        "feature and joint errors about 1.18 and 1.26 when recorded",
+        "feature and joint errors about 1.84 and 1.85 when recorded",
     ),
     Mutation(
         "attention: drop the attn.Wq gradient",
@@ -72,8 +72,39 @@ MUTATIONS = (
         '    grads["attn.Wq"] += trace.x.T @ g_q\n',
         "",
         True,
-        "matching and joint errors about 0.571 when recorded, only through the 1e-6"
-        " error floor: the dropped gradient is about 5.7e-7, below the floor",
+        "matching and joint errors about 1.0 when recorded",
+    ),
+    Mutation(
+        "attention: drop the attn.bq gradient",
+        MODEL,
+        '    grads["attn.bq"] += g_q.sum(axis=0)\n',
+        "",
+        True,
+        "matching and joint errors about 1.0 when recorded",
+    ),
+    Mutation(
+        "attention: drop the attn.Wk gradient",
+        MODEL,
+        '    grads["attn.Wk"] += trace.x.T @ g_k\n',
+        "",
+        True,
+        "matching and joint errors about 1.0 when recorded",
+    ),
+    Mutation(
+        "attention: drop the g_q term of g_x",
+        MODEL,
+        'g_x = g_q @ a["attn.Wq"].T + g_k',
+        "g_x = g_k",
+        True,
+        "matching and joint errors about 0.042 and 1.3e-3 when recorded",
+    ),
+    Mutation(
+        "attention: drop the g_k term of g_x",
+        MODEL,
+        '+ g_k @ a["attn.Wk"].T + g_v',
+        "+ g_v",
+        True,
+        "matching and joint errors about 0.078 and 4.8e-4 when recorded",
     ),
 )
 

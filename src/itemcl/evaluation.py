@@ -74,16 +74,21 @@ def retrieve_topn(
     items: np.ndarray | None = None,
 ) -> np.ndarray:
     """Exact top-n catalog scan for one user; ``items`` is the catalog's
-    ``item_matrix`` when the caller already has it."""
+    ``item_matrix`` when the caller already has it. The user vector reads
+    the model's ``served()`` value, so a request runs no attention
+    affine; a history item outside the catalog raises ``ValueError``."""
     check_similarity(similarity)
     if n < 1:
         raise ValueError(f"n = {n} must be at least 1")
     if n > enc.n_items:
         raise ValueError(f"n = {n} exceeds catalog size {enc.n_items}")
+    unknown = next((item for item in history if item >= enc.n_items), None)
+    if unknown is not None:
+        raise ValueError(f"history item {unknown} is not in the catalog of {enc.n_items} items")
     if items is None:
         items = item_matrix(params, enc)
     hist = pad_histories([history], params.meta.dims.behavior_window)
-    u, _ = user_tower(params, hist, profile_row.reshape(1, -1), params.served_first_layer())
+    u, _ = user_tower(params, hist, profile_row.reshape(1, -1), params.served())
     if similarity == "cosine":
         u = _normalize_rows(u)
         items = _normalize_rows(items)
@@ -130,11 +135,11 @@ def evaluate(
     first_rank = np.full(enc.n_items, n_max)
     window = params.meta.dims.behavior_window
     dtype = np.min_scalar_type(n_max)
-    w0 = params.served_first_layer()
+    served = params.served()
     for lo in range(0, len(users), _EVAL_CHUNK):
         block = users[lo : lo + _EVAL_CHUNK]
         hist = split.behavior_histories.padded(block, window)
-        u_vecs, _ = user_tower(params, hist, prof_enc.rows(block), w0)
+        u_vecs, _ = user_tower(params, hist, prof_enc.rows(block), served)
         if similarity == "cosine":
             u_vecs = _normalize_rows(u_vecs)
         top = _top_n(u_vecs @ items.T, n_max)

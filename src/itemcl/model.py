@@ -48,8 +48,18 @@ that layer's slot blocks ``W0_s`` as ``Wf2 W0_s`` and ``bf2 W0_s``
 (``fold_first_layer``). The tower writes ``relu(probs @ f)`` and
 ``valid`` straight into the first layer's input, whose first window *
 ffn columns then stand for the feed-forward's hidden layer in the trace.
-Training folds on every call, since its updates write the arrays in
-place; serving reads one fold per ``ModelParams.served_first_layer``.
+
+Training folds and projects on every call, since its updates write the
+arrays in place. Serving reads one ``Served`` value per model
+(``ModelParams.served``): the fold and the ``q``, ``k`` and ``f`` rows
+of every item, one table each with padding in row 0 and item i in row
+i + 1, so a served call gathers its slots' rows by ``entry + 1`` and runs
+no attention affine. On the OpenBLAS build this was checked on, a row of
+a matrix product has the same bits whatever the product's row count (at
+two or more), so a served user vector equals the default path's bit for
+bit, except for a full window of one item: the default path projects
+that single distinct row by a matrix-vector product, which may sum in
+another order.
 """
 
 from __future__ import annotations
@@ -206,25 +216,52 @@ def _array_shapes(meta: ModelMeta) -> list[tuple[str, tuple[int, ...]]]:
     return shapes
 
 
+# the arrays a ``Served`` value is computed from: the fold's, then the attention chain's
+SERVED_INPUTS = (
+    "user_tower.W0", "attn.Wf2", "attn.bf2",
+    "emb.item_id", "attn.Wq", "attn.bq", "attn.Wk", "attn.Wv", "attn.bv", "attn.Wo", "attn.bo", "attn.Wf1", "attn.bf1",
+)
+
+
+@dataclass(frozen=True)
+class Served:
+    """What serving reads of a frozen model (module docstring): the folded
+    first layer and the attention rows ``q``, ``k`` and ``f`` of every
+    item, n_items + 1 rows each, padding in row 0 and item i in row i + 1.
+    The arrays are read-only."""
+
+    w0: np.ndarray
+    q: np.ndarray
+    k: np.ndarray
+    f: np.ndarray
+
+
 class ModelParams:
     """All trainable state: a name->float64 ndarray dict plus the meta that
     fixes the shapes. The trainer is the single writer; it writes in place
     and ``train()`` returns fresh arrays, so serving never sees an in-place
-    write. ``served_first_layer`` memoizes on the identity of the arrays
-    it folds, so a new array under one of their names folds afresh."""
+    write. ``served`` memoizes on the identity of the ``SERVED_INPUTS``
+    arrays, so a new array under one of their names builds it afresh."""
 
     def __init__(self, meta: ModelMeta, arrays: dict[str, np.ndarray]):
         self.meta = meta
         self.arrays = arrays
-        self._fold: tuple[list[np.ndarray], np.ndarray] | None = None  # (fold inputs, fold)
+        self._served: tuple[list[np.ndarray], Served] | None = None  # (inputs, value)
 
-    def served_first_layer(self) -> np.ndarray:
-        """``fold_first_layer(self)``, computed once while the arrays it is
-        folded from stay the same objects."""
-        inputs = [self.arrays[name] for name in ("user_tower.W0", "attn.Wf2", "attn.bf2")]
-        if self._fold is None or any(a is not b for a, b in zip(self._fold[0], inputs)):
-            self._fold = (inputs, fold_first_layer(self))
-        return self._fold[1]
+    def served(self) -> Served:
+        """The model's ``Served`` value, built once while the arrays it is
+        computed from stay the same objects. Its tables hold (n_items + 1)
+        * (2 * d_field + ffn_dim) float64s."""
+        inputs = [self.arrays[name] for name in SERVED_INPUTS]
+        if self._served is None or any(a is not b for a, b in zip(self._served[0], inputs)):
+            x = self.arrays["emb.item_id"].take(np.arange(PAD, self.meta.n_items), axis=0)
+            x[0] = 0.0  # padding's row, as in ``user_tower``
+            q, k, _, _, f = _attention_rows(self, x)
+            value = Served(fold_first_layer(self), q, k, f)
+            for arr in (value.w0, q, k, f):
+                arr.flags.writeable = False
+            self._served = (inputs, value)
+        return self._served[1]
 
     def n_parameters(self) -> int:
         return int(sum(a.size for a in self.arrays.values()))
@@ -508,15 +545,19 @@ def pad_histories(histories: list[list[int]], window: int) -> np.ndarray:
 
 @dataclass
 class UserTrace:
+    """What ``user_tower_backward`` reads. A served call (``served`` given)
+    has no backward: its ``items``, ``x``, ``v`` and ``o`` are None, and its
+    rows are the ``Served`` tables'."""
+
     valid: np.ndarray
     profile_idx: np.ndarray
-    items: np.ndarray  # (n_distinct,) sorted distinct history entries, -1 first if any entry is padding
-    slot_item: np.ndarray  # (m, window) row of ``items`` holding each slot's entry
-    x: np.ndarray  # (n_distinct, d) item embedding per row of ``items``, zero for padding
+    items: np.ndarray | None  # (n_distinct,) sorted distinct history entries, -1 first if any entry is padding
+    slot_item: np.ndarray  # (m, window) row of q, k and f holding each slot's entry
+    x: np.ndarray | None  # (n_distinct, d) item embedding per row of ``items``, zero for padding
     q: np.ndarray  # (n_distinct, d) query per row of ``items``
     k: np.ndarray  # (n_distinct, d) key
-    v: np.ndarray  # (n_distinct, d) value
-    o: np.ndarray  # (n_distinct, d) value through attn.Wo
+    v: np.ndarray | None  # (n_distinct, d) value
+    o: np.ndarray | None  # (n_distinct, d) value through attn.Wo
     f: np.ndarray  # (n_distinct, ffn) value chain: ``o`` through attn.Wf1
     probs: np.ndarray  # (m, window, window) attention weights
     w0: np.ndarray  # the folded weight the first layer applies to ``mlp.x``
@@ -535,24 +576,37 @@ def fold_first_layer(params: ModelParams) -> np.ndarray:
     return np.concatenate([(a["attn.Wf2"] @ w0_slots).reshape(-1, h1), a["attn.bf2"] @ w0_slots, w0[window * d :]])
 
 
+def _attention_rows(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The query, key, value, value through ``attn.Wo`` and value chain
+    ``f`` of item embedding rows ``x`` (module docstring)."""
+    a = params.arrays
+    q = _affine(x, a["attn.Wq"], a["attn.bq"])
+    k = x @ a["attn.Wk"]  # keys take no bias
+    v = _affine(x, a["attn.Wv"], a["attn.bv"])
+    o = _affine(v, a["attn.Wo"], a["attn.bo"])
+    f = _affine(o, a["attn.Wf1"], a["attn.bf1"])
+    return q, k, v, o, f
+
+
 def user_tower(
     params: ModelParams,
     histories: np.ndarray | list[list[int]],
     profile_idx: np.ndarray,
-    w0: np.ndarray | None = None,
+    served: Served | None = None,
 ) -> tuple[np.ndarray, UserTrace]:
     """Behavior histories + profile fields -> user representation.
 
     ``histories`` may be a padded (m, window) index array or raw lists.
     Padding keys receive zero attention weight and padding positions are
     zeroed after the feed-forward, so they contribute nothing downstream.
-    ``w0`` is the folded first-layer weight, ``fold_first_layer(params)``
-    when not given.
 
-    Queries, keys and the value chain run once per distinct entry of
-    ``histories`` and are gathered per slot. Padding runs a zero row, so
-    its query is exactly ``bq``, its key exactly zero and its value chain
-    that of ``bv``, whatever else the call holds.
+    Without ``served``, queries, keys and the value chain run once per
+    distinct entry of ``histories`` and are gathered per slot, and the
+    first layer is folded afresh. Padding runs a zero row, so its query is
+    exactly ``bq``, its key exactly zero and its value chain that of
+    ``bv``, whatever else the call holds. With ``served``
+    (``params.served()``), the slots gather the served tables' rows and
+    the fold is the served one.
     """
     meta = params.meta
     d = meta.dims.d_field
@@ -564,25 +618,24 @@ def user_tower(
     a = params.arrays
     m = histories.shape[0]
     valid = histories >= 0
-    # entry + 1 indexes ``present`` and ``row_of``; every negative entry
-    # is padding and shares row 0
+    # entry + 1 indexes ``present``, ``row_of`` and the served tables;
+    # every negative entry is padding and shares row 0
     shifted = np.maximum(histories, PAD) + 1
-    present = np.zeros(meta.n_items + 1, dtype=bool)
-    present[shifted] = True
-    rows = np.flatnonzero(present)
-    row_of = np.empty(meta.n_items + 1, dtype=np.intp)
-    row_of[rows] = np.arange(rows.size)
-    items, slot_item = rows + PAD, row_of[shifted]
-    x = a["emb.item_id"].take(items, axis=0)
-    x[: int(present[0])] = 0.0  # padding sorts first
-    q = _affine(x, a["attn.Wq"], a["attn.bq"])
-    k = x @ a["attn.Wk"]  # keys take no bias
-    v = _affine(x, a["attn.Wv"], a["attn.bv"])
-    o = _affine(v, a["attn.Wo"], a["attn.bo"])
-    f = _affine(o, a["attn.Wf1"], a["attn.bf1"])
-
-    if w0 is None:
+    if served is None:
+        present = np.zeros(meta.n_items + 1, dtype=bool)
+        present[shifted] = True
+        rows = np.flatnonzero(present)
+        row_of = np.empty(meta.n_items + 1, dtype=np.intp)
+        row_of[rows] = np.arange(rows.size)
+        items, slot_item = rows + PAD, row_of[shifted]
+        x = a["emb.item_id"].take(items, axis=0)
+        x[: int(present[0])] = 0.0  # padding sorts first
+        q, k, v, o, f = _attention_rows(params, x)
         w0 = fold_first_layer(params)
+    else:
+        items = x = v = o = None
+        slot_item, q, k, f, w0 = shifted, served.q, served.k, served.f, served.w0
+
     n_ffn = window * meta.dims.ffn_dim
     z = np.empty((m, w0.shape[0]))
     z[:, n_ffn : n_ffn + window] = valid
@@ -780,8 +833,9 @@ def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
 
 
 def check_shapes(params: ModelParams, expect_meta: ModelMeta, path: str) -> None:
-    """Validate loaded arrays against the meta derived from the current
-    catalog; the first mismatch raises ``ValueError`` naming ``path``."""
+    """Validate loaded arrays, and the tag and provider vocabularies, against
+    the meta derived from the current catalog; the first mismatch raises
+    ``ValueError`` naming ``path``."""
     expected = dict(_array_shapes(expect_meta))
     for name, shape in expected.items():
         if name not in params.arrays:
@@ -793,3 +847,11 @@ def check_shapes(params: ModelParams, expect_meta: ModelMeta, path: str) -> None
     for name in params.arrays:
         if name not in expected:
             raise ValueError(f"{path}: checkpoint has unexpected array {name!r}")
+    # a vocabulary of the checkpoint's size may still hold other names
+    for kind, known, names in (
+        ("tag", set(params.meta.tag_vocab), expect_meta.tag_vocab),
+        ("provider", set(params.meta.provider_vocab), expect_meta.provider_vocab),
+    ):
+        unknown = next((name for name in names if name not in known), None)
+        if unknown is not None:
+            raise ValueError(f"{path}: the catalog's {kind} {unknown!r} is not in the checkpoint's {kind} vocabulary")

@@ -409,8 +409,10 @@ class TestGradcheckCommand:
 
 def unfitting_checkpoint(pipeline_dir, tmp_path, edit):
     """An untrained checkpoint and a catalog file it does not fit: its own
-    catalog lacks the last item ("one-item-fewer"), or the file gives the
-    first item a tag it lacks ("new-tag")."""
+    catalog lacks the last item ("one-item-fewer"), the file gives the
+    first item a tag it lacks ("new-tag"), or the file renames the first
+    item's first tag or its provider everywhere, so that the vocabulary
+    keeps its size ("renamed-tag", "renamed-provider")."""
     from itemcl.data import ItemCatalog, load_catalog, load_profiles, save_catalog
     from itemcl.model import ModelDims, build_meta, init_params, save_checkpoint
 
@@ -419,6 +421,12 @@ def unfitting_checkpoint(pipeline_dir, tmp_path, edit):
     ckpt_items = items[:-1] if edit == "one-item-fewer" else list(items)
     if edit == "new-tag":
         items[0] = dataclasses.replace(items[0], tags=items[0].tags + ("new-tag",))
+    if edit == "renamed-tag":
+        old = items[0].tags[0]
+        items = [dataclasses.replace(it, tags=tuple("renamed" if t == old else t for t in it.tags)) for it in items]
+    if edit == "renamed-provider":
+        old = items[0].provider
+        items = [dataclasses.replace(it, provider="renamed") if it.provider == old else it for it in items]
     dims = ModelDims(d_field=4, tower_dims=(8, 4, 4), behavior_window=5, ffn_dim=4, d_proj=4)
     meta = build_meta(ItemCatalog(ckpt_items), load_profiles(str(data / "profiles.jsonl")), dims)
     ckpt, catalog = tmp_path / "m.ckpt", tmp_path / "catalog.jsonl"
@@ -626,6 +634,25 @@ class TestErrors:
         code, _, err = run_cli(capsys, "export", "--checkpoint", str(ckpt), "--catalog", str(catalog), "--out", str(out))
         assert code == 2
         assert f"{ckpt}: shape mismatch for {array!r}" in last_json(err)["error"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "export"])
+    @pytest.mark.parametrize("edit, kind", [("renamed-tag", "tag"), ("renamed-provider", "provider")])
+    def test_names_a_vocabulary_name_the_checkpoint_lacks(self, pipeline_dir, capsys, tmp_path, command, edit, kind):
+        # same vocabulary sizes, so every shape fits; the renamed items
+        # would otherwise be pooled over the OOV row
+        ckpt, catalog = unfitting_checkpoint(pipeline_dir, tmp_path, edit)
+        out = tmp_path / "emb.tsv"
+        splits = pipeline_dir / "splits"
+        rest = {
+            "evaluate": ["--train", str(splits / "train.tsv"), "--test", str(splits / "test.tsv"),
+                         "--profiles", str(pipeline_dir / "data" / "profiles.jsonl")],
+            "export": ["--out", str(out)],
+        }[command]
+        code, _, err = run_cli(capsys, command, "--checkpoint", str(ckpt), "--catalog", str(catalog), *rest)
+        assert code == 2
+        error = last_json(err)["error"]
+        assert f"{ckpt}: the catalog's {kind} 'renamed' is not in the checkpoint's {kind} vocabulary" in error
         assert not out.exists()
 
     def test_config_file_applies(self, pipeline_dir, capsys, tmp_path):

@@ -105,6 +105,12 @@ class TestRetrieve:
         with pytest.raises(ValueError, match=f"n = {n} must be at least 1"):
             retrieve_topn(params, enc, [1], prof.rows(["u00000"])[0], n)
 
+    @pytest.mark.parametrize("history, unknown", [([50], 50), ([3, -1, 77, 51], 77)])
+    def test_history_item_outside_the_catalog_named(self, history, unknown):
+        data, params, enc, prof = random_model(n_items=50, n_users=5)
+        with pytest.raises(ValueError, match=f"^history item {unknown} is not in the catalog of 50 items$"):
+            retrieve_topn(params, enc, history, prof.rows(["u00000"])[0], 10)
+
     def test_cosine_option_changes_ranking_scale_free(self):
         data, params, enc, prof = random_model(n_items=50, n_users=5)
         row = prof.rows(["u00000"])[0]
@@ -120,26 +126,28 @@ class TestRetrieve:
 
 
 class TestServedFold:
-    """``retrieve_topn`` and ``evaluate`` read the user tower's folded first
-    layer from one fold per ``ModelParams``."""
+    """``retrieve_topn`` and ``evaluate`` read one ``Served`` value per
+    ``ModelParams``: the folded first layer and every item's attention
+    rows, built once while its ``SERVED_INPUTS`` stay the same arrays."""
 
     @staticmethod
-    def count_folds(monkeypatch):
+    def count_builds(monkeypatch):
+        # every build projects the whole catalog once; a served call never does
         calls = []
-        fold = model.fold_first_layer
+        rows = model._attention_rows
 
-        def counted(params):
+        def counted(params, x):
             calls.append(params)
-            return fold(params)
+            return rows(params, x)
 
-        monkeypatch.setattr(model, "fold_first_layer", counted)
+        monkeypatch.setattr(model, "_attention_rows", counted)
         return calls
 
     def test_many_retrievals_and_an_evaluation_fold_once(self, monkeypatch):
         data, params, enc, prof = random_model(n_items=100, n_users=20)
         split = assemble_split(data.interactions[:160], data.interactions[160:], behavior_window=5)
         items = item_matrix(params, enc)
-        calls = self.count_folds(monkeypatch)
+        calls = self.count_builds(monkeypatch)
         for user in ("u00000", "u00001", "u00002"):
             for history in ([], [3], [1, 2, 3, 4, 5, 6]):
                 for similarity in ("dot", "cosine"):
@@ -147,30 +155,60 @@ class TestServedFold:
         evaluate(params, enc, prof, split, ns=(10,))
         assert calls == [params]
 
-    @pytest.mark.parametrize("name", ["user_tower.W0", "attn.Wf2", "attn.bf2"])
+    @pytest.mark.parametrize("name", model.SERVED_INPUTS)
     def test_copy_or_new_array_folds_afresh(self, monkeypatch, name):
         data, params, enc, prof = random_model(n_items=50, n_users=5)
         row = prof.row("u00000")
-        calls = self.count_folds(monkeypatch)
+        calls = self.count_builds(monkeypatch)
         first = retrieve_topn(params, enc, [1, 2], row, 10)
         copied = params.copy()
         assert retrieve_topn(copied, enc, [1, 2], row, 10).tolist() == first.tolist()
         assert calls == [params, copied]
-        params.arrays["user_tower.W1"] = params.arrays["user_tower.W1"] * 2.0  # not folded: no new fold
+        params.arrays["user_tower.W1"] = params.arrays["user_tower.W1"] * 2.0  # not served: no new build
         retrieve_topn(params, enc, [1, 2], row, 10)
         assert len(calls) == 2
         params.arrays[name] = params.arrays[name] * -1.0
         retrieve_topn(params, enc, [1, 2], row, 10)
         assert calls == [params, copied, params]
-        assert params.served_first_layer().tobytes() == model.fold_first_layer(params).tobytes()
+        served = params.served()
+        assert served.w0.tobytes() == model.fold_first_layer(params).tobytes()
+        x = params.arrays["emb.item_id"].copy()
+        x[-1] = 0.0  # the padding row, which the tables hold first
+        q, k, _, _, f = model._attention_rows(params, np.roll(x, 1, axis=0))
+        assert [served.q.tobytes(), served.k.tobytes(), served.f.tobytes()] == [q.tobytes(), k.tobytes(), f.tobytes()]
+
+    # empty, one item plus padding, repeated items, a full window of
+    # distinct items, longer than the window of 5
+    HISTORIES = [[], [4], [4, 1, 4], [0, 9, 3, 7, 2], [5, 6, 5, 8, 1, 2, 3, 4]]
 
     def test_served_user_vector_is_the_default_bit_for_bit(self):
-        # an oracle re-encoding a served user through the default fold gets the same bits
+        # an oracle re-encoding a served user through the default path gets the same bits
         data, params, enc, prof = random_model(n_items=50, n_users=5)
-        hist = pad_histories([[4, 1, 4]], params.meta.dims.behavior_window)
+        hist = pad_histories(self.HISTORIES, params.meta.dims.behavior_window)
+        rows = prof.rows(["u00000", "u00001", "u00002", "u00003", "u00004"])
+        served, _ = user_tower(params, hist, rows, params.served())
+        assert served.tobytes() == user_tower(params, hist, rows)[0].tobytes()
+        for i in range(len(hist)):
+            one, _ = user_tower(params, hist[i : i + 1], rows[i : i + 1], params.served())
+            assert one.tobytes() == user_tower(params, hist[i : i + 1], rows[i : i + 1])[0].tobytes()
+
+    def test_full_window_of_one_item_within_round_off(self):
+        # The default path projects this history's one distinct row by a
+        # matrix-vector product, which may sum in another order than the
+        # served tables' matrix product: the vectors agree to round-off
+        # (for item 22 of this model, they differ in the last bits).
+        data, params, enc, prof = random_model(n_items=50, n_users=5)
+        hist = pad_histories([[22] * 5], params.meta.dims.behavior_window)
         row = prof.rows(["u00001"])
-        served, _ = user_tower(params, hist, row, params.served_first_layer())
-        assert served.tobytes() == user_tower(params, hist, row)[0].tobytes()
+        served, _ = user_tower(params, hist, row, params.served())
+        np.testing.assert_allclose(served, user_tower(params, hist, row)[0], rtol=1e-12, atol=1e-12)
+
+    def test_served_tables_are_read_only(self):
+        data, params, enc, prof = random_model(n_items=20, n_users=5)
+        served = params.served()
+        for table in (served.w0, served.q, served.k, served.f):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1.0
 
 
 @pytest.mark.parametrize("call", ["evaluate", "retrieve_topn", "TrainConfig.validate"])

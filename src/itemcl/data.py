@@ -451,11 +451,8 @@ def chronological_split(
         raise ValueError("interactions must be non-empty")
 
     cut = int(np.searchsorted(log.time, split_time, side="left"))
-    train, test = log[:cut], log[cut:]
-    histories = build_histories(train, behavior_window)
-    if not len(train):
+    if cut == 0:
         warn("chronological split produced an empty train set")
-    if not len(test):
+    if cut == len(log):
         warn("chronological split produced an empty test set")
-
-    return SplitDataset(train, test, histories)
+    return assemble_split(log[:cut], log[cut:], behavior_window)

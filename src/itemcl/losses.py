@@ -380,34 +380,26 @@ def loss_joint(
     ``ItemPass``, so the step runs the item tower once forward and once
     backward and returns one gradient dict.
     """
-    l_fea, l_sem, l_sess = lambdas
     if min(lambdas) < 0:
         raise ValueError("loss weights must be nonnegative")
     items = ItemPass(params, enc)
-    value_match, _ = loss_matching(params, enc, inputs.match, items, 1.0)
+    total, _ = loss_matching(params, enc, inputs.match, items, 1.0)
     components = dict.fromkeys(TASKS, 0.0)
-    components["matching"] = value_match
-    total = value_match
-    if l_fea > 0:
-        if inputs.plan is None:
-            raise ValueError("feature task is enabled but no augmentation plan was given")
-        v, _ = loss_feature_cl(
-            params, enc, inputs.contrastive, inputs.plan, rngs["feature"], rngs["dropout"], items, l_fea
-        )
-        components["feature"] = v
-        total += l_fea * v
-    if l_sem > 0:
-        if inputs.pool is None:
-            raise ValueError("semantic task is enabled but no positive pool was given")
-        v, _ = loss_semantic_cl(params, enc, inputs.contrastive, inputs.pool, rngs["semantic"], items, l_sem)
-        components["semantic"] = v
-        total += l_sem * v
-    if l_sess > 0:
-        if inputs.sampler is None or inputs.table is None:
-            raise ValueError("session task is enabled but no sampler/table was given")
-        v, _ = loss_session_cl(
-            params, enc, inputs.contrastive, inputs.sampler, inputs.table, rngs["session"], items, l_sess
-        )
-        components["session"] = v
-        total += l_sess * v
+    components["matching"] = total
+    c = inputs.contrastive
+    # per task after matching: its missing input or None, and its loss (named at call time)
+    tasks = (
+        ("no augmentation plan" if inputs.plan is None else None,
+         lambda w: loss_feature_cl(params, enc, c, inputs.plan, rngs["feature"], rngs["dropout"], items, w)),
+        ("no positive pool" if inputs.pool is None else None,
+         lambda w: loss_semantic_cl(params, enc, c, inputs.pool, rngs["semantic"], items, w)),
+        ("no sampler/table" if inputs.sampler is None or inputs.table is None else None,
+         lambda w: loss_session_cl(params, enc, c, inputs.sampler, inputs.table, rngs["session"], items, w)),
+    )
+    for name, weight, (missing, loss) in zip(TASKS[1:], lambdas, tasks, strict=True):
+        if weight > 0:
+            if missing is not None:
+                raise ValueError(f"{name} task is enabled but {missing} was given")
+            components[name], _ = loss(weight)
+            total += weight * components[name]
     return total, components, items.backward()

@@ -13,16 +13,15 @@ contribute exactly zero to the flattened behavior representation, so
 appending padding to a history cannot change the user vector.
 
 A history slot's attention query, key and value depend only on the item
-in the slot, so the user tower projects each distinct item of a call once
-and gathers the projections per slot; its backward pass sums the slot
-gradients per distinct item before the projection weights see them.
+in the slot, so one builder, ``_build_rows``, folds the first layer and
+projects a set of table rows once each, and the slots gather the rows.
+Table row r holds history entry r - 1; every negative entry is padding,
+row 0. A training call builds its histories' distinct rows, found by a
+presence array over the table, not a sort; its backward pass sums the
+slot gradients per row before the projection weights see them.
 
-``items`` and ``slot_item`` come from a presence array over the catalog
-and a catalog-to-row lookup, not a sort; every negative entry is padding
-and maps to one row.
-
-A ``UserTrace`` keeps the per-item rows (one per row of ``items``) of
-the embedding ``x`` and of ``q``, ``k``, ``v``, ``o`` and ``f``, plus
+A ``UserTrace`` keeps the builder's value ``attn`` (the fold and, per
+row, the embedding ``x`` and ``q``, ``k``, ``v``, ``o`` and ``f``),
 ``slot_item``, the attention weights and the MLP trace; it holds no (m,
 window, d) array. The per-slot stage (the gathers, the batched products
 and the softmax, ReLU and padding passes, forward and backward) runs
@@ -49,12 +48,12 @@ that layer's slot blocks ``W0_s`` as ``Wf2 W0_s`` and ``bf2 W0_s``
 ``valid`` straight into the first layer's input, whose first window *
 ffn columns then stand for the feed-forward's hidden layer in the trace.
 
-Training folds and projects on every call, since its updates write the
+Training builds its rows on every call, since its updates write the
 arrays in place. Serving reads one ``Served`` value per model
-(``ModelParams.served``): the fold and the ``q``, ``k`` and ``f`` rows
-of every item, one table each with padding in row 0 and item i in row
-i + 1, so a served call gathers its slots' rows by ``entry + 1`` and runs
-no attention affine. On the OpenBLAS build this was checked on, a row of
+(``ModelParams.served``): the same builder over all n_items + 1 table
+rows, less the ``x``, ``v`` and ``o`` that only the backward reads, so a
+served call gathers its slots' rows by ``entry + 1`` and runs no
+attention affine. On the OpenBLAS build this was checked on, a row of
 a matrix product has the same bits whatever the product's row count (at
 two or more), so a served user vector equals the default path's bit for
 bit, except for a full window of one item: the default path projects
@@ -68,7 +67,7 @@ import io
 import json
 import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
-from itertools import repeat
+from itertools import repeat, zip_longest
 from operator import itemgetter
 
 import numpy as np
@@ -225,15 +224,24 @@ SERVED_INPUTS = (
 
 @dataclass(frozen=True)
 class Served:
-    """What serving reads of a frozen model (module docstring): the folded
-    first layer and the attention rows ``q``, ``k`` and ``f`` of every
-    item, n_items + 1 rows each, padding in row 0 and item i in row i + 1.
-    The arrays are read-only."""
+    """What a served call reads (module docstring): the folded first layer
+    and rows ``q``, ``k`` and ``f``, of every table row in ``served()``."""
 
     w0: np.ndarray
     q: np.ndarray
     k: np.ndarray
     f: np.ndarray
+
+
+@dataclass(frozen=True)
+class AttentionRows(Served):
+    """A training call's value: the fold and the attention rows of the
+    ascending table rows ``rows``, and what its backward reads besides."""
+
+    rows: np.ndarray
+    x: np.ndarray  # item embedding, zero for padding
+    v: np.ndarray  # value
+    o: np.ndarray  # value through attn.Wo
 
 
 class ModelParams:
@@ -254,11 +262,9 @@ class ModelParams:
         * (2 * d_field + ffn_dim) float64s."""
         inputs = [self.arrays[name] for name in SERVED_INPUTS]
         if self._served is None or any(a is not b for a, b in zip(self._served[0], inputs)):
-            x = self.arrays["emb.item_id"].take(np.arange(PAD, self.meta.n_items), axis=0)
-            x[0] = 0.0  # padding's row, as in ``user_tower``
-            q, k, _, _, f = _attention_rows(self, x)
-            value = Served(fold_first_layer(self), q, k, f)
-            for arr in (value.w0, q, k, f):
+            every = _build_rows(self, np.arange(self.meta.n_items + 1))
+            value = Served(every.w0, every.q, every.k, every.f)
+            for arr in (value.w0, value.q, value.k, value.f):
                 arr.flags.writeable = False
             self._served = (inputs, value)
         return self._served[1]
@@ -308,13 +314,21 @@ def _scatter_rows(dst: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
 # catalog / profile encodings
 
 
+def _check_item_ids(catalog_ids: list[str], model_ids: list[str], where: str, model: str) -> None:
+    """Raise ``ValueError`` after ``where`` naming the first index where the
+    catalog's and the ``model``'s item ids differ, and both ids there."""
+    for i, (ours, theirs) in enumerate(zip_longest(catalog_ids, model_ids)):
+        if ours != theirs:
+            raise ValueError(f"{where}: item {i} is {ours!r} in the catalog but {theirs!r} in the {model}")
+
+
 class EncodedCatalog:
     """Catalog projected onto the meta's vocabularies: per-item provider
     index and a CSR layout of tag indices."""
 
     def __init__(self, catalog: ItemCatalog, meta: ModelMeta):
-        if catalog.item_ids() != meta.item_ids:
-            raise ValueError("catalog item_ids do not match the model's item vocabulary")
+        where = "catalog item_ids do not match the model's item vocabulary"
+        _check_item_ids(catalog.item_ids(), meta.item_ids, where, "model")
         tag_index = {t: i for i, t in enumerate(meta.tag_vocab)}
         prov_index = {p: i for i, p in enumerate(meta.provider_vocab)}
         tag_oov = len(meta.tag_vocab)
@@ -545,22 +559,14 @@ def pad_histories(histories: list[list[int]], window: int) -> np.ndarray:
 
 @dataclass
 class UserTrace:
-    """What ``user_tower_backward`` reads. A served call (``served`` given)
-    has no backward: its ``items``, ``x``, ``v`` and ``o`` are None, and its
-    rows are the ``Served`` tables'."""
+    """What ``user_tower_backward`` reads. A served call's ``attn`` is the
+    ``Served`` value, which has no backward."""
 
     valid: np.ndarray
     profile_idx: np.ndarray
-    items: np.ndarray | None  # (n_distinct,) sorted distinct history entries, -1 first if any entry is padding
-    slot_item: np.ndarray  # (m, window) row of q, k and f holding each slot's entry
-    x: np.ndarray | None  # (n_distinct, d) item embedding per row of ``items``, zero for padding
-    q: np.ndarray  # (n_distinct, d) query per row of ``items``
-    k: np.ndarray  # (n_distinct, d) key
-    v: np.ndarray | None  # (n_distinct, d) value
-    o: np.ndarray | None  # (n_distinct, d) value through attn.Wo
-    f: np.ndarray  # (n_distinct, ffn) value chain: ``o`` through attn.Wf1
+    attn: Served  # the fold and attention rows; an ``AttentionRows`` without ``served``
+    slot_item: np.ndarray  # (m, window) row of ``attn`` holding each slot's entry
     probs: np.ndarray  # (m, window, window) attention weights
-    w0: np.ndarray  # the folded weight the first layer applies to ``mlp.x``
     # ``mlp.x`` is [relu(probs @ f) per slot, (m, window * ffn) | valid | profile]
     mlp: MlpTrace
 
@@ -588,6 +594,15 @@ def _attention_rows(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, ...
     return q, k, v, o, f
 
 
+def _build_rows(params: ModelParams, rows: np.ndarray) -> AttentionRows:
+    """The fold and the attention rows of ascending table rows ``rows``
+    (module docstring); padding, row 0, runs a zero embedding."""
+    x = params.arrays["emb.item_id"].take(rows + PAD, axis=0)
+    x[: np.searchsorted(rows, 1)] = 0.0  # padding sorts first
+    q, k, v, o, f = _attention_rows(params, x)
+    return AttentionRows(fold_first_layer(params), q, k, f, rows, x, v, o)
+
+
 def user_tower(
     params: ModelParams,
     histories: np.ndarray | list[list[int]],
@@ -600,13 +615,11 @@ def user_tower(
     Padding keys receive zero attention weight and padding positions are
     zeroed after the feed-forward, so they contribute nothing downstream.
 
-    Without ``served``, queries, keys and the value chain run once per
-    distinct entry of ``histories`` and are gathered per slot, and the
-    first layer is folded afresh. Padding runs a zero row, so its query is
-    exactly ``bq``, its key exactly zero and its value chain that of
-    ``bv``, whatever else the call holds. With ``served``
-    (``params.served()``), the slots gather the served tables' rows and
-    the fold is the served one.
+    The slots gather their attention rows and the fold from one value:
+    without ``served``, ``_build_rows`` over the call's distinct table
+    rows; with it (``params.served()``), the served tables. Padding runs a
+    zero row, so its query is exactly ``bq``, its key exactly zero and its
+    value chain that of ``bv``, whatever else the call holds.
     """
     meta = params.meta
     d = meta.dims.d_field
@@ -618,26 +631,19 @@ def user_tower(
     a = params.arrays
     m = histories.shape[0]
     valid = histories >= 0
-    # entry + 1 indexes ``present``, ``row_of`` and the served tables;
-    # every negative entry is padding and shares row 0
-    shifted = np.maximum(histories, PAD) + 1
-    if served is None:
+    # each slot's table row, entry + 1; every negative entry is padding, row 0
+    slot_item = np.maximum(histories, PAD) + 1
+    attn = served
+    if attn is None:
         present = np.zeros(meta.n_items + 1, dtype=bool)
-        present[shifted] = True
-        rows = np.flatnonzero(present)
+        present[slot_item] = True
+        attn = _build_rows(params, np.flatnonzero(present))
         row_of = np.empty(meta.n_items + 1, dtype=np.intp)
-        row_of[rows] = np.arange(rows.size)
-        items, slot_item = rows + PAD, row_of[shifted]
-        x = a["emb.item_id"].take(items, axis=0)
-        x[: int(present[0])] = 0.0  # padding sorts first
-        q, k, v, o, f = _attention_rows(params, x)
-        w0 = fold_first_layer(params)
-    else:
-        items = x = v = o = None
-        slot_item, q, k, f, w0 = shifted, served.q, served.k, served.f, served.w0
+        row_of[attn.rows] = np.arange(attn.rows.size)
+        slot_item = row_of[slot_item]
 
     n_ffn = window * meta.dims.ffn_dim
-    z = np.empty((m, w0.shape[0]))
+    z = np.empty((m, attn.w0.shape[0]))
     z[:, n_ffn : n_ffn + window] = valid
     for j, name in enumerate(meta.user_field_names):
         z[:, n_ffn + window + j * d : n_ffn + window + (j + 1) * d] = a[f"user_emb.{name}"][profile_idx[:, j]]
@@ -647,17 +653,17 @@ def user_tower(
     probs = np.empty((m, window, window))
     for blk in _user_blocks(m):
         slots, keep = slot_item[blk], valid[blk]
-        p = np.matmul(q.take(slots, axis=0), k.take(slots, axis=0).transpose(0, 2, 1), out=probs[blk])
+        p = np.matmul(attn.q.take(slots, axis=0), attn.k.take(slots, axis=0).transpose(0, 2, 1), out=probs[blk])
         p /= np.sqrt(d)
         np.copyto(p, -1e30, where=~keep[:, None, :])
         p -= p.max(axis=2, keepdims=True)
         np.exp(p, out=p)
         p /= p.sum(axis=2, keepdims=True)
-        h = np.matmul(p, f.take(slots, axis=0), out=ffn_h[blk])
+        h = np.matmul(p, attn.f.take(slots, axis=0), out=ffn_h[blk])
         np.maximum(h, 0.0, out=h)
         h[~keep] = 0.0  # padding slots feed nothing; the backward's relu mask then masks them too
-    u, mlp = _mlp3_forward(params, "user_tower", z, w0)
-    return u, UserTrace(valid, profile_idx, items, slot_item, x, q, k, v, o, f, probs, w0, mlp)
+    u, mlp = _mlp3_forward(params, "user_tower", z, attn.w0)
+    return u, UserTrace(valid, profile_idx, attn, slot_item, probs, mlp)
 
 
 def _ffn_backward(
@@ -676,7 +682,7 @@ def _ffn_backward(
     m = trace.valid.shape[0]
     n_ffn = window * meta.dims.ffn_dim
 
-    g_w0, gz = _mlp3_backward(params, "user_tower", trace.mlp, grad_u, grads, trace.w0)
+    g_w0, gz = _mlp3_backward(params, "user_tower", trace.mlp, grad_u, grads, trace.attn.w0)
     offset = gz.shape[1] - len(meta.user_field_names) * d
     for j, name in enumerate(meta.user_field_names):
         g_slice = gz[:, offset + j * d : offset + (j + 1) * d]
@@ -702,7 +708,7 @@ def _ffn_backward(
         g = gz[blk, :n_ffn]
         g *= trace.mlp.x[blk, :n_ffn] > 0.0
         g = g.reshape(p.shape[0], window, -1)
-        gs = np.matmul(g, trace.f.take(trace.slot_item[blk], axis=0).transpose(0, 2, 1), out=g_scores[blk])
+        gs = np.matmul(g, trace.attn.f.take(trace.slot_item[blk], axis=0).transpose(0, 2, 1), out=g_scores[blk])
         np.matmul(p.transpose(0, 2, 1), g, out=g_f[blk])
         gs -= (gs * p).sum(axis=2, keepdims=True)
         gs *= p
@@ -716,34 +722,35 @@ def user_tower_backward(
     a = params.arrays
     d = params.meta.dims.d_field
     m, window = trace.valid.shape
+    attn = trace.attn
 
-    # slot gradients summed per distinct item, padding included: the
-    # biases see every slot, the weights and embeddings the item rows
-    per_item = _segment_matrix(trace.slot_item.ravel(), trace.items.size)
+    # slot gradients summed per table row, padding included: the biases
+    # see every slot, the weights and embeddings the item rows
+    per_item = _segment_matrix(trace.slot_item.ravel(), attn.rows.size)
     g_scores, g_f = _ffn_backward(params, trace, grad_u, grads)
     g_f = per_item @ g_f
     g_q = np.empty((m, window, d))
     g_k = np.empty((m, window, d))
     for blk in _user_blocks(m):
         slots, gs = trace.slot_item[blk], g_scores[blk]
-        np.matmul(gs, trace.k.take(slots, axis=0), out=g_q[blk])
-        np.matmul(gs.transpose(0, 2, 1), trace.q.take(slots, axis=0), out=g_k[blk])
+        np.matmul(gs, attn.k.take(slots, axis=0), out=g_q[blk])
+        np.matmul(gs.transpose(0, 2, 1), attn.q.take(slots, axis=0), out=g_k[blk])
     g_q = per_item @ g_q.reshape(m * window, -1)
     g_k = per_item @ g_k.reshape(m * window, -1)
-    grads["attn.Wq"] += trace.x.T @ g_q
+    grads["attn.Wq"] += attn.x.T @ g_q
     grads["attn.bq"] += g_q.sum(axis=0)
-    grads["attn.Wk"] += trace.x.T @ g_k
-    grads["attn.Wf1"] += trace.o.T @ g_f
+    grads["attn.Wk"] += attn.x.T @ g_k
+    grads["attn.Wf1"] += attn.o.T @ g_f
     grads["attn.bf1"] += g_f.sum(axis=0)
     g_o = g_f @ a["attn.Wf1"].T
-    grads["attn.Wo"] += trace.v.T @ g_o
+    grads["attn.Wo"] += attn.v.T @ g_o
     grads["attn.bo"] += g_o.sum(axis=0)
     g_v = g_o @ a["attn.Wo"].T
-    grads["attn.Wv"] += trace.x.T @ g_v
+    grads["attn.Wv"] += attn.x.T @ g_v
     grads["attn.bv"] += g_v.sum(axis=0)
     g_x = g_q @ a["attn.Wq"].T + g_k @ a["attn.Wk"].T + g_v @ a["attn.Wv"].T
-    n_pad = np.searchsorted(trace.items, 0)
-    grads["emb.item_id"][trace.items[n_pad:]] += g_x[n_pad:]
+    n_pad = np.searchsorted(attn.rows, 1)
+    grads["emb.item_id"][attn.rows[n_pad:] + PAD] += g_x[n_pad:]
 
 
 # ---------------------------------------------------------------------------
@@ -833,9 +840,9 @@ def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
 
 
 def check_shapes(params: ModelParams, expect_meta: ModelMeta, path: str) -> None:
-    """Validate loaded arrays, and the tag and provider vocabularies, against
-    the meta derived from the current catalog; the first mismatch raises
-    ``ValueError`` naming ``path``."""
+    """Validate loaded arrays, the item ids and the tag and provider
+    vocabularies against the meta derived from the current catalog; the
+    first mismatch raises ``ValueError`` naming ``path``."""
     expected = dict(_array_shapes(expect_meta))
     for name, shape in expected.items():
         if name not in params.arrays:
@@ -848,6 +855,7 @@ def check_shapes(params: ModelParams, expect_meta: ModelMeta, path: str) -> None
         if name not in expected:
             raise ValueError(f"{path}: checkpoint has unexpected array {name!r}")
     # a vocabulary of the checkpoint's size may still hold other names
+    _check_item_ids(expect_meta.item_ids, params.meta.item_ids, path, "checkpoint")
     for kind, known, names in (
         ("tag", set(params.meta.tag_vocab), expect_meta.tag_vocab),
         ("provider", set(params.meta.provider_vocab), expect_meta.provider_vocab),

@@ -412,7 +412,8 @@ def unfitting_checkpoint(pipeline_dir, tmp_path, edit):
     catalog lacks the last item ("one-item-fewer"), the file gives the
     first item a tag it lacks ("new-tag"), or the file renames the first
     item's first tag or its provider everywhere, so that the vocabulary
-    keeps its size ("renamed-tag", "renamed-provider")."""
+    keeps its size ("renamed-tag", "renamed-provider"), or renames item 3
+    ("renamed-item")."""
     from itemcl.data import ItemCatalog, load_catalog, load_profiles, save_catalog
     from itemcl.model import ModelDims, build_meta, init_params, save_checkpoint
 
@@ -427,12 +428,27 @@ def unfitting_checkpoint(pipeline_dir, tmp_path, edit):
     if edit == "renamed-provider":
         old = items[0].provider
         items = [dataclasses.replace(it, provider="renamed") if it.provider == old else it for it in items]
+    if edit == "renamed-item":
+        items[3] = dataclasses.replace(items[3], item_id="renamed")
     dims = ModelDims(d_field=4, tower_dims=(8, 4, 4), behavior_window=5, ffn_dim=4, d_proj=4)
     meta = build_meta(ItemCatalog(ckpt_items), load_profiles(str(data / "profiles.jsonl")), dims)
     ckpt, catalog = tmp_path / "m.ckpt", tmp_path / "catalog.jsonl"
     save_checkpoint(init_params(meta, 0), str(ckpt))
     save_catalog(ItemCatalog(items), str(catalog))
     return ckpt, catalog
+
+
+def checkpoint_command(pipeline_dir, command, ckpt, catalog, out):
+    """The arguments of ``evaluate`` (on the pipeline's splits and
+    profiles) or ``export`` (to ``out``) of checkpoint ``ckpt`` over
+    catalog file ``catalog``."""
+    splits = pipeline_dir / "splits"
+    rest = {
+        "evaluate": ["--train", str(splits / "train.tsv"), "--test", str(splits / "test.tsv"),
+                     "--profiles", str(pipeline_dir / "data" / "profiles.jsonl")],
+        "export": ["--out", str(out)],
+    }[command]
+    return [command, "--checkpoint", str(ckpt), "--catalog", str(catalog), *rest]
 
 
 class TestErrors:
@@ -643,16 +659,23 @@ class TestErrors:
         # would otherwise be pooled over the OOV row
         ckpt, catalog = unfitting_checkpoint(pipeline_dir, tmp_path, edit)
         out = tmp_path / "emb.tsv"
-        splits = pipeline_dir / "splits"
-        rest = {
-            "evaluate": ["--train", str(splits / "train.tsv"), "--test", str(splits / "test.tsv"),
-                         "--profiles", str(pipeline_dir / "data" / "profiles.jsonl")],
-            "export": ["--out", str(out)],
-        }[command]
-        code, _, err = run_cli(capsys, command, "--checkpoint", str(ckpt), "--catalog", str(catalog), *rest)
+        code, _, err = run_cli(capsys, *checkpoint_command(pipeline_dir, command, ckpt, catalog, out))
         assert code == 2
         error = last_json(err)["error"]
         assert f"{ckpt}: the catalog's {kind} 'renamed' is not in the checkpoint's {kind} vocabulary" in error
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "export"])
+    def test_names_the_first_item_id_that_differs(self, pipeline_dir, capsys, tmp_path, command):
+        from itemcl.data import load_catalog
+
+        ckpt, catalog = unfitting_checkpoint(pipeline_dir, tmp_path, "renamed-item")
+        old = load_catalog(str(pipeline_dir / "data" / "catalog.jsonl")).items[3].item_id
+        out = tmp_path / "emb.tsv"
+        code, _, err = run_cli(capsys, *checkpoint_command(pipeline_dir, command, ckpt, catalog, out))
+        assert code == 2
+        expected = f"ValueError: {ckpt}: item 3 is 'renamed' in the catalog but {old!r} in the checkpoint"
+        assert last_json(err)["error"] == expected
         assert not out.exists()
 
     def test_config_file_applies(self, pipeline_dir, capsys, tmp_path):

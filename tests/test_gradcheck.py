@@ -50,9 +50,9 @@ def test_fixture_keeps_every_relu_off_its_kink():
     _, user = user_tower(params, match.histories, match.profile_idx)
     _, item = item_tower(params, embed_items(params, fix["enc"], np.arange(6))[0])
     pre_activations = {
-        "user_tower.0": user.mlp.x @ user.w0 + a["user_tower.b0"],
+        "user_tower.0": user.mlp.x @ user.attn.w0 + a["user_tower.b0"],
         "user_tower.1": user.mlp.h0 @ a["user_tower.W1"] + a["user_tower.b1"],
-        "attn.ffn": (user.probs @ user.f[user.slot_item])[user.valid],
+        "attn.ffn": (user.probs @ user.attn.f[user.slot_item])[user.valid],
         "item_tower.0": item.x @ a["item_tower.W0"] + a["item_tower.b0"],
         "item_tower.1": item.h0 @ a["item_tower.W1"] + a["item_tower.b1"],
     }

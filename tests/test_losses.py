@@ -1,5 +1,6 @@
 """Loss values against closed forms and independent scalar recomputation."""
 
+import dataclasses
 import math
 import warnings
 
@@ -485,3 +486,37 @@ class TestLossJoint:
     def test_negative_weights_rejected(self, tiny):
         with pytest.raises(ValueError, match="nonnegative"):
             loss_joint(tiny["params"], tiny["enc"], self.inputs(tiny), (-1, 0, 0), self.rngs())
+
+    # per case: the task, the input left out, the error naming it and the task's streams
+    MISSING = {
+        "feature": ("feature", "plan", "feature task is enabled but no augmentation plan was given",
+                    ("feature", "dropout")),
+        "semantic": ("semantic", "pool", "semantic task is enabled but no positive pool was given", ("semantic",)),
+        "session-sampler": ("session", "sampler", "session task is enabled but no sampler/table was given",
+                            ("session",)),
+        "session-table": ("session", "table", "session task is enabled but no sampler/table was given", ("session",)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MISSING))
+    def test_an_enabled_task_without_its_input_is_named(self, tiny, case):
+        _, field, message, _ = self.MISSING[case]
+        inputs = dataclasses.replace(self.inputs(tiny), **{field: None})
+        with pytest.raises(ValueError) as excinfo:
+            loss_joint(tiny["params"], tiny["enc"], inputs, (1.0, 0.3, 0.1), self.rngs())
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("case", sorted(MISSING))
+    def test_a_task_at_weight_zero_needs_no_input_and_draws_nothing(self, tiny, case):
+        task, field, _, streams = self.MISSING[case]
+        params, enc = tiny["params"], tiny["enc"]
+        lambdas = tuple(0.0 if name == task else w for name, w in zip(losses.TASKS[1:], (1.0, 0.3, 0.1)))
+        inputs = dataclasses.replace(self.inputs(tiny), **{field: None})
+        rngs = self.rngs()
+        before = {name: rng.bit_generator.state for name, rng in rngs.items()}
+        value, components, grads = loss_joint(params, enc, inputs, lambdas, rngs)
+        assert components[task] == 0.0
+        assert {name for name, rng in rngs.items() if rng.bit_generator.state == before[name]} == set(streams)
+        # the same step as with the input given
+        ref_value, _, ref_grads = loss_joint(params, enc, self.inputs(tiny), lambdas, self.rngs())
+        assert value == ref_value
+        assert all(grads[name].tobytes() == ref_grads[name].tobytes() for name in grads)

@@ -133,7 +133,7 @@ class TestUserTower:
         a = params.arrays
         x = params.arrays["emb.item_id"][2]
         expected_f = ((x @ a["attn.Wv"] + a["attn.bv"]) @ a["attn.Wo"] + a["attn.bo"]) @ a["attn.Wf1"] + a["attn.bf1"]
-        np.testing.assert_allclose(trace.f[trace.slot_item[0, -1]], expected_f, atol=1e-12)
+        np.testing.assert_allclose(trace.attn.f[trace.slot_item[0, -1]], expected_f, atol=1e-12)
         # the one valid key takes all of the slot's attention
         np.testing.assert_allclose(slot_hidden(params, trace)[0, -1], np.maximum(expected_f, 0.0), atol=1e-12)
 
@@ -164,10 +164,10 @@ class TestUserTower:
         assert not trace.valid[0, 0]
         a = params.arrays
         pad = trace.slot_item[0, 0]
-        np.testing.assert_array_equal(trace.q[pad], a["attn.bq"])
-        np.testing.assert_array_equal(trace.k[pad], 0.0)
+        np.testing.assert_array_equal(trace.attn.q[pad], a["attn.bq"])
+        np.testing.assert_array_equal(trace.attn.k[pad], 0.0)
         bias_chain = (a["attn.bv"] @ a["attn.Wo"] + a["attn.bo"]) @ a["attn.Wf1"] + a["attn.bf1"]
-        np.testing.assert_allclose(trace.f[pad], bias_chain, rtol=1e-12)
+        np.testing.assert_allclose(trace.attn.f[pad], bias_chain, rtol=1e-12)
 
     def test_padding_invariance_is_exact(self, tiny):
         params, prof = tiny["params"], tiny["prof_enc"]
@@ -203,7 +203,7 @@ class TestUserTower:
             u, trace = user_tower(params, hist, profile_idx)
             grads = zero_grads(params)
             user_tower_backward(params, trace, np.ones_like(u), grads)
-            runs.append((u, grads, trace.items))
+            runs.append((u, grads, trace.attn.rows + PAD))  # the history entries of the table rows
         (u, grads, items), (ref_u, ref_grads, ref_items) = runs
         np.testing.assert_array_equal(items, [PAD, 0, 1, 2, 4])
         np.testing.assert_array_equal(items, ref_items)
@@ -301,6 +301,8 @@ class TestUserTowerMatchesSlotBySlotReference:
             [0, 2, 0, 2, 1], [2, 2, 3, -1, 4], [-1, -1, -1, -1, -1], [5, 5, 5, 5, 5],
             [-1, -1, 1, 3, 0], [3, -1, 3, 3, 0], [1, 1, -1, 4, 4], [0, 5, 2, 3, 1],
         ],
+        # every history a full window: no padding slot, so no padding row
+        "full_windows": [[0, 2, 0, 2, 1], [5, 5, 5, 5, 5], [0, 5, 2, 3, 1], [4, 4, 1, 3, 3]],
     }
 
     @classmethod
@@ -323,6 +325,7 @@ class TestUserTowerMatchesSlotBySlotReference:
     def test_output_and_every_gradient(self, tiny, case, reverse_slots):
         params, hist, profile_idx, grad_u = self.params_and_inputs(tiny, case, reverse_slots)
         u, trace = user_tower(params, hist, profile_idx)
+        assert (trace.attn.rows[0] == 0) == (hist < 0).any()  # a padding row exactly when a slot pads
         grads = zero_grads(params)
         user_tower_backward(params, trace, grad_u, grads)
         ref_u, ref_grads = slot_by_slot_user_tower(params, hist, profile_idx, grad_u)
@@ -631,6 +634,23 @@ class TestEncodings:
         other = ItemCatalog([Item("zzz", (), "p", None, None)])
         with pytest.raises(ValueError, match="item_ids"):
             EncodedCatalog(other, tiny["params"].meta)
+
+    @pytest.mark.parametrize("edit", ["renamed", "one-item-fewer", "one-item-more"])
+    def test_catalog_item_mismatch_names_the_first_differing_id(self, tiny, edit):
+        items = list(tiny["catalog"].items)
+        n, ids = len(items), [item.item_id for item in items]
+        renamed = dataclasses.replace(items[2], item_id="renamed")
+        edited, (i, ours, theirs) = {
+            "renamed": (items[:2] + [renamed] + items[3:], (2, "renamed", ids[2])),
+            "one-item-fewer": (items[:-1], (n - 1, None, ids[-1])),
+            "one-item-more": (items + [Item("extra")], (n, "extra", None)),
+        }[edit]
+        with pytest.raises(ValueError) as excinfo:
+            EncodedCatalog(ItemCatalog(edited), tiny["params"].meta)
+        assert str(excinfo.value) == (
+            f"catalog item_ids do not match the model's item vocabulary: "
+            f"item {i} is {ours!r} in the catalog but {theirs!r} in the model"
+        )
 
     def test_unknown_profile_values_map_to_oov(self, tiny):
         meta = tiny["params"].meta

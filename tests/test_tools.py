@@ -1,6 +1,6 @@
 """The scripts under ``tools/`` stay in step with the source they read.
 
-They run outside this suite (``tools/mutants.py`` takes about 30 s), so
+They run outside this suite (``tools/mutants.py`` takes about 40 s), so
 only what they assume of ``src/`` is checked here, without running them.
 """
 

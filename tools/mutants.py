@@ -40,6 +40,7 @@ class Mutation:
 
 
 MODEL = os.path.join("itemcl", "model.py")
+LOSSES = os.path.join("itemcl", "losses.py")
 
 MUTATIONS = (
     Mutation(
@@ -69,7 +70,7 @@ MUTATIONS = (
     Mutation(
         "attention: drop the attn.Wq gradient",
         MODEL,
-        '    grads["attn.Wq"] += trace.x.T @ g_q\n',
+        '    grads["attn.Wq"] += attn.x.T @ g_q\n',
         "",
         True,
         "matching and joint errors about 1.0 when recorded",
@@ -85,7 +86,7 @@ MUTATIONS = (
     Mutation(
         "attention: drop the attn.Wk gradient",
         MODEL,
-        '    grads["attn.Wk"] += trace.x.T @ g_k\n',
+        '    grads["attn.Wk"] += attn.x.T @ g_k\n',
         "",
         True,
         "matching and joint errors about 1.0 when recorded",
@@ -105,6 +106,14 @@ MUTATIONS = (
         "+ g_v",
         True,
         "matching and joint errors about 0.078 and 4.8e-4 when recorded",
+    ),
+    Mutation(
+        "joint: drop the weighted add of each contrastive task's value",
+        LOSSES,
+        "            total += weight * components[name]\n",
+        "",
+        True,
+        "joint error about 1.31 when recorded",
     ),
 )
 
